@@ -6,7 +6,7 @@ small-span core at the top via dense-subgraph (BSG) and span-shrinking (PFR)
 steps, converts the core into a fully-dual pair, and pulls that pair back
 down the tower one level at a time.  Every dual pair is verified
 exhaustively on construction; every level records the exact inequalities it
-was supposed to satisfy.  An independent branch-and-bound oracle provides
+was supposed to satisfy.  An exact closure-search oracle provides
 ground-truth maximum-area dual pairs at small scale.
 """
 
@@ -37,6 +37,7 @@ from .f2 import (
     parity_dot,
     rep_table,
 )
+from .matrix import max_closed_rectangle
 
 
 @dataclass(frozen=True)
@@ -644,14 +645,15 @@ def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
 def exact_dual_oracle(
     a: F2Set, b: F2Set, exact_cap: int = 20, enumerate_side: str = "auto"
 ) -> DualPair:
-    """Maximum-area dual pair by branch and bound over the smaller side.
+    """Maximum-area dual pair by a closure search over the smaller side.
 
-    Any dual pair extends to one whose B side is forced (all elements
-    compatible with the chosen A side), so enumerating subsets of one side
-    with forced complements is exhaustive.  Branches are cut only when their
-    best possible area is strictly below the incumbent, and a greedy seed
-    primes the incumbent, so the search stays exact: maximum area, ties by
-    the enumerated side's canonical member order, then constant bit 0.
+    A maximum-area dual pair is closed: each side holds every element
+    compatible with the other side under its constant bit, or it could
+    grow.  So the Close-by-One engine (`max_closed_rectangle`) enumerates
+    the closed pairs of the enumerated side, cutting a branch only when its
+    best possible area is strictly below the incumbent, which starts at the
+    greedy pair's area.  The search stays exact: maximum area, ties by the
+    enumerated side's canonical member order, then constant bit 0.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
@@ -670,57 +672,22 @@ def exact_dual_oracle(
         )
     xs = xs_set.members
     ys = ys_set.members
+    full = (1 << len(ys)) - 1
     masks = []
     for x in xs:
         m1 = 0
         for yi, y in enumerate(ys):
             m1 |= parity_dot(x, y) << yi
-        full = (1 << len(ys)) - 1
         masks.append((full ^ m1, m1))
-    full = (1 << len(ys)) - 1
 
-    best = None  # (-area, chosen words tuple, bit, ymask)
+    def key(xmask: int, _ymask: int, bit: int):
+        return tuple(x for xi, x in enumerate(xs) if (xmask >> xi) & 1), bit
 
-    seed = greedy_dual_pair(a, b)
-    seed_x = (seed.b_side if swap else seed.a_side).members
-    seed_ymask = 0
-    seed_y = (seed.a_side if swap else seed.b_side)._lookup
-    for yi, y in enumerate(ys):
-        if y in seed_y:
-            seed_ymask |= 1 << yi
-    best = (-seed.area(), tuple(seed_x), seed.constant_bit, seed_ymask)
-
-    n_x = len(xs)
-    chosen: list[int] = []
-
-    def extend(start: int, ymask: int, bit: int):
-        nonlocal best
-        ycount = ymask.bit_count()
-        for idx in range(start, n_x):
-            if (len(chosen) + n_x - idx) * ycount < -best[0]:
-                break
-            nm = ymask & masks[idx][bit]
-            if not nm:
-                continue
-            chosen.append(idx)
-            nm_count = nm.bit_count()
-            area = len(chosen) * nm_count
-            if area >= -best[0]:
-                # materialize the tie-break key only when it can matter
-                cand = (-area, tuple(xs[i] for i in chosen), bit, nm)
-                if cand[:3] < best[:3]:
-                    best = cand
-            if (len(chosen) + n_x - idx - 1) * nm_count >= -best[0]:
-                extend(idx + 1, nm, bit)
-            chosen.pop()
-
-    for bit in (0, 1):
-        extend(0, full, bit)
-
-    _neg_area, x_words, bit, ymask = best
-    y_words = [y for yi, y in enumerate(ys) if (ymask >> yi) & 1]
-    x_side = F2Set(a.n, x_words)
-    y_side = F2Set(a.n, y_words)
+    xmask, ymask, bit = max_closed_rectangle(
+        masks, len(ys), key, floor=greedy_dual_pair(a, b).area()
+    )
+    x_side = F2Set(a.n, key(xmask, ymask, bit)[0])
+    y_side = F2Set(a.n, [y for yi, y in enumerate(ys) if (ymask >> yi) & 1])
     if swap:
         return DualPair(y_side, x_side, bit)
     return DualPair(x_side, y_side, bit)

@@ -307,6 +307,17 @@ def cmd_experiment(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _growth_bound(text: str) -> str:
+    """--K: a positive rational, kept as typed so reports echo it unchanged."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualbench",
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-b", dest="set_b", required=True)
     p.add_argument("--strategy", choices=["pipeline", "exact", "greedy"],
                    default="pipeline")
-    p.add_argument("--K", dest="growth_bound", default=None,
+    p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None,
                    help="growth bound for the pipeline (rational, e.g. 16 or 3/2)")
     common(p)
     p.set_defaults(func=cmd_dual)
@@ -405,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--outliers", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap")
-    p.add_argument("--strategy", default=None)
+    p.add_argument("--strategy", choices=["exact", "greedy", "via-dual"], default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--ns", default=None, help="comma-separated dimensions")
     p.add_argument("--ranks", default=None, help="comma-separated ranks")
-    p.add_argument("--K", dest="growth_bound", default=None)
+    p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-determinism)")
     common(p)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .f2 import F2Set, parity_dot
 
-EXACT_CAP = 20  # subset-enumeration oracles run up to 2^EXACT_CAP states
+EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 
 
 class BoolMatrix:
@@ -362,28 +362,6 @@ def stats(m: BoolMatrix) -> MatrixStats:
 # -- monochromatic rectangle search ---------------------------------------------
 
 
-def _mono_candidates_by_rows(m: BoolMatrix):
-    """Yield (row_subset_mask, forced_cols_0, forced_cols_1) for all masks.
-
-    forced_cols_v[S] is the set of columns that are constant v on the rows
-    of S, computed by a subset DP so the whole scan is O(2^k) word ops.
-    """
-    k = m.n_rows
-    full_cols = (1 << m.n_cols) - 1
-    zero_masks = [full_cols ^ r for r in m.rows]
-    one_masks = list(m.rows)
-    size = 1 << k
-    forced0 = [full_cols] * size
-    forced1 = [full_cols] * size
-    for s in range(1, size):
-        low = s & -s
-        i = low.bit_length() - 1
-        rest = s ^ low
-        forced0[s] = forced0[rest] & zero_masks[i]
-        forced1[s] = forced1[rest] & one_masks[i]
-    return forced0, forced1
-
-
 def _bits_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -393,38 +371,86 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def max_closed_rectangle(masks, n_y: int, key, floor: int = 0):
+    """Maximum-area rectangle of a two-colour relation, by Close-by-One.
+
+    masks[x] = (ymask of the y related to x under bit 0, ymask under bit 1).
+    A maximum-area rectangle (xmask, ymask, bit) is closed: each side is all
+    that the other side allows.  Per bit, this visits each closed pair once
+    (Kuznetsov's Close-by-One), cutting a branch only when its best possible
+    area is strictly below the incumbent, which starts at floor.  Returns
+    the maximum rectangle of area >= floor with the smallest
+    key(xmask, ymask, bit), or None when no rectangle reaches floor.
+    """
+    n_x = len(masks)
+    best_area = floor
+    best = None  # (key, xmask, ymask, bit)
+    for bit in (0, 1):
+        rows = [m[bit] for m in masks]
+        cols = [
+            sum(((row >> y) & 1) << x for x, row in enumerate(rows)) for y in range(n_y)
+        ]
+
+        def closure(ymask: int) -> int:
+            xmask = (1 << n_x) - 1
+            while ymask:
+                low = ymask & -ymask
+                xmask &= cols[low.bit_length() - 1]
+                ymask ^= low
+            return xmask
+
+        def visit(xmask: int, ymask: int, start: int) -> None:
+            nonlocal best_area, best
+            size = xmask.bit_count()
+            ycount = ymask.bit_count()
+            if size and size * ycount >= best_area:
+                cand = key(xmask, ymask, bit)
+                if best is None or size * ycount > best_area or cand < best[0]:
+                    best_area = size * ycount
+                    best = (cand, xmask, ymask, bit)
+            for j in range(start, n_x):
+                if (size + n_x - j) * ycount < best_area:
+                    break
+                if (xmask >> j) & 1:
+                    continue
+                child_y = ymask & rows[j]
+                if not child_y or (size + n_x - j) * child_y.bit_count() < best_area:
+                    continue
+                child_x = closure(child_y)
+                if not (child_x ^ xmask) & ((1 << j) - 1):  # else not canonical
+                    visit(child_x, child_y, j + 1)
+
+        full_y = (1 << n_y) - 1
+        visit(closure(full_y), full_y, 0)
+    return None if best is None else best[1:]
+
+
 def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView:
-    """Enumerate one dimension's subsets; the other dimension is forced.
+    """Maximum-area monochromatic rectangle, enumerating closed row sets of
+    one orientation.
 
     Best candidate under (larger area, then lexicographically smallest row
     set, then column set, then color 0 before 1), stated on the original
-    orientation.  Every maximum-area rectangle is closed on both sides, so
-    either dimension's scan sees all of them and the winner is the same.
+    orientation.  The search visits every maximum-area rectangle whichever
+    dimension it enumerates, so the winner does not depend on it.
     """
     work = m.transpose() if transposed else m
     if work.n_rows > exact_cap:
         raise CapExceeded(
             f"enumerated dimension {work.n_rows} exceeds exact cap {exact_cap}"
         )
-    forced0, forced1 = _mono_candidates_by_rows(work)
-    best_area = -1
-    best = None
-    for s in range(1, 1 << work.n_rows):
-        srows = s.bit_count()
-        for color, forced in ((0, forced0[s]), (1, forced1[s])):
-            if not forced:
-                continue
-            area = srows * forced.bit_count()
-            if area < best_area:
-                continue
-            enum_side = _bits_to_tuple(s)
-            other_side = _bits_to_tuple(forced)
-            rows, cols = (other_side, enum_side) if transposed else (enum_side, other_side)
-            cand = (rows, cols, color)
-            if area > best_area or cand < best:
-                best_area = area
-                best = cand
-    rows, cols, _color = best
+    full_cols = (1 << work.n_cols) - 1
+    masks = [(full_cols ^ r, r) for r in work.rows]
+
+    def key(xmask: int, ymask: int, color: int):
+        enum_side = _bits_to_tuple(xmask)
+        other_side = _bits_to_tuple(ymask)
+        if transposed:
+            return other_side, enum_side, color
+        return enum_side, other_side, color
+
+    xmask, ymask, color = max_closed_rectangle(masks, work.n_cols, key)
+    rows, cols, _color = key(xmask, ymask, color)
     return SubmatrixView(m, rows, cols)
 
 
@@ -436,7 +462,7 @@ def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
 def max_mono_exact_other_dimension(
     m: BoolMatrix, exact_cap: int = EXACT_CAP
 ) -> SubmatrixView:
-    """Independent second oracle: enumerate the dimension max_mono_exact skips."""
+    """max_mono_exact's search, enumerating the dimension it skips."""
     return _mono_scan(m, transposed=not (m.n_cols < m.n_rows), exact_cap=exact_cap)
 
 

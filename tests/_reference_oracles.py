@@ -1,0 +1,181 @@
+"""Reference implementations of the two exact rectangle oracles.
+
+These are the searches the library used before both oracles moved onto the
+Close-by-One engine (`dualbench.matrix.max_closed_rectangle`): a
+branch-and-bound over subsets of one side for maximum-area dual pairs, and a
+subset DP over all 2^k row subsets for maximum monochromatic rectangles.
+They share no search code with the library, so tests compare the library's
+answers, tie-breaks included, against them.
+"""
+
+from __future__ import annotations
+
+from dualbench.approxdual import DualPair, greedy_dual_pair
+from dualbench.errors import CapExceeded, DimensionMismatch, EmptySetError
+from dualbench.f2 import F2Set, parity_dot
+from dualbench.matrix import BoolMatrix, SubmatrixView
+
+EXACT_CAP = 20
+
+
+def exact_dual_oracle(
+    a: F2Set, b: F2Set, exact_cap: int = 20, enumerate_side: str = "auto"
+) -> DualPair:
+    """Maximum-area dual pair by branch and bound over the smaller side.
+
+    Any dual pair extends to one whose B side is forced (all elements
+    compatible with the chosen A side), so enumerating subsets of one side
+    with forced complements is exhaustive.  Branches are cut only when their
+    best possible area is strictly below the incumbent, and a greedy seed
+    primes the incumbent, so the search stays exact: maximum area, ties by
+    the enumerated side's canonical member order, then constant bit 0.
+    """
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} != {b.n}")
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySetError("exact_dual_oracle needs nonempty sets")
+    if enumerate_side == "auto":
+        swap = len(b) < len(a)
+    elif enumerate_side in ("a", "b"):
+        swap = enumerate_side == "b"
+    else:
+        raise ValueError(f"bad enumerate_side {enumerate_side!r}")
+    xs_set, ys_set = (b, a) if swap else (a, b)
+    if len(xs_set) > exact_cap:
+        raise CapExceeded(
+            f"enumerated side has {len(xs_set)} elements; cap is {exact_cap}"
+        )
+    xs = xs_set.members
+    ys = ys_set.members
+    masks = []
+    for x in xs:
+        m1 = 0
+        for yi, y in enumerate(ys):
+            m1 |= parity_dot(x, y) << yi
+        full = (1 << len(ys)) - 1
+        masks.append((full ^ m1, m1))
+    full = (1 << len(ys)) - 1
+
+    best = None  # (-area, chosen words tuple, bit, ymask)
+
+    seed = greedy_dual_pair(a, b)
+    seed_x = (seed.b_side if swap else seed.a_side).members
+    seed_ymask = 0
+    seed_y = (seed.a_side if swap else seed.b_side)._lookup
+    for yi, y in enumerate(ys):
+        if y in seed_y:
+            seed_ymask |= 1 << yi
+    best = (-seed.area(), tuple(seed_x), seed.constant_bit, seed_ymask)
+
+    n_x = len(xs)
+    chosen: list[int] = []
+
+    def extend(start: int, ymask: int, bit: int):
+        nonlocal best
+        ycount = ymask.bit_count()
+        for idx in range(start, n_x):
+            if (len(chosen) + n_x - idx) * ycount < -best[0]:
+                break
+            nm = ymask & masks[idx][bit]
+            if not nm:
+                continue
+            chosen.append(idx)
+            nm_count = nm.bit_count()
+            area = len(chosen) * nm_count
+            if area >= -best[0]:
+                # materialize the tie-break key only when it can matter
+                cand = (-area, tuple(xs[i] for i in chosen), bit, nm)
+                if cand[:3] < best[:3]:
+                    best = cand
+            if (len(chosen) + n_x - idx - 1) * nm_count >= -best[0]:
+                extend(idx + 1, nm, bit)
+            chosen.pop()
+
+    for bit in (0, 1):
+        extend(0, full, bit)
+
+    _neg_area, x_words, bit, ymask = best
+    y_words = [y for yi, y in enumerate(ys) if (ymask >> yi) & 1]
+    x_side = F2Set(a.n, x_words)
+    y_side = F2Set(a.n, y_words)
+    if swap:
+        return DualPair(y_side, x_side, bit)
+    return DualPair(x_side, y_side, bit)
+
+
+def _mono_candidates_by_rows(m: BoolMatrix):
+    """Yield (row_subset_mask, forced_cols_0, forced_cols_1) for all masks.
+
+    forced_cols_v[S] is the set of columns that are constant v on the rows
+    of S, computed by a subset DP so the whole scan is O(2^k) word ops.
+    """
+    k = m.n_rows
+    full_cols = (1 << m.n_cols) - 1
+    zero_masks = [full_cols ^ r for r in m.rows]
+    one_masks = list(m.rows)
+    size = 1 << k
+    forced0 = [full_cols] * size
+    forced1 = [full_cols] * size
+    for s in range(1, size):
+        low = s & -s
+        i = low.bit_length() - 1
+        rest = s ^ low
+        forced0[s] = forced0[rest] & zero_masks[i]
+        forced1[s] = forced1[rest] & one_masks[i]
+    return forced0, forced1
+
+
+def _bits_to_tuple(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView:
+    """Enumerate one dimension's subsets; the other dimension is forced.
+
+    Best candidate under (larger area, then lexicographically smallest row
+    set, then column set, then color 0 before 1), stated on the original
+    orientation.  Every maximum-area rectangle is closed on both sides, so
+    either dimension's scan sees all of them and the winner is the same.
+    """
+    work = m.transpose() if transposed else m
+    if work.n_rows > exact_cap:
+        raise CapExceeded(
+            f"enumerated dimension {work.n_rows} exceeds exact cap {exact_cap}"
+        )
+    forced0, forced1 = _mono_candidates_by_rows(work)
+    best_area = -1
+    best = None
+    for s in range(1, 1 << work.n_rows):
+        srows = s.bit_count()
+        for color, forced in ((0, forced0[s]), (1, forced1[s])):
+            if not forced:
+                continue
+            area = srows * forced.bit_count()
+            if area < best_area:
+                continue
+            enum_side = _bits_to_tuple(s)
+            other_side = _bits_to_tuple(forced)
+            rows, cols = (other_side, enum_side) if transposed else (enum_side, other_side)
+            cand = (rows, cols, color)
+            if area > best_area or cand < best:
+                best_area = area
+                best = cand
+    rows, cols, _color = best
+    return SubmatrixView(m, rows, cols)
+
+
+def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
+    """Largest monochromatic rectangle, enumerating the smaller dimension."""
+    return _mono_scan(m, transposed=m.n_cols < m.n_rows, exact_cap=exact_cap)
+
+
+def max_mono_exact_other_dimension(
+    m: BoolMatrix, exact_cap: int = EXACT_CAP
+) -> SubmatrixView:
+    """Independent second oracle: enumerate the dimension max_mono_exact skips."""
+    return _mono_scan(m, transposed=not (m.n_cols < m.n_rows), exact_cap=exact_cap)

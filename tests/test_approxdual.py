@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -416,6 +417,17 @@ def test_oracle_cap():
     big = F2Set(6, range(40))
     with pytest.raises(CapExceeded):
         exact_dual_oracle(big, big, exact_cap=20)
+
+
+def test_oracle_reach_weight_two_slice():
+    # 55 and 66 elements on the enumerated side; the proven maximum is
+    # C(n//2, 2) * C(n - n//2, 2) (acceptance criterion 6)
+    from dualbench.experiments import make_weight_slice
+
+    for n, area in ((11, 150), (12, 225)):
+        a = make_weight_slice(n, 2)
+        pair = exact_dual_oracle(a, a, exact_cap=66)
+        assert pair.area() == area == comb(n // 2, 2) * comb(n - n // 2, 2)
 
 
 def test_oracle_maximality_brute_force():

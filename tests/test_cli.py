@@ -181,6 +181,30 @@ def test_usage_errors(tmp_path):
     assert run("nonsense-verb") == 1
 
 
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
+    v = tmp_path / "v.txt"
+    v.write_text("0000\n0011\n1100\n1111\n")
+    dual = ("dual", "--set-a", str(v), "--set-b", str(v))
+    for argv in (
+        ("experiment", "--name", "log-rank-sweep", "--strategy", "bogus"),
+        (*dual, "--K", "abc"),
+        (*dual, "--K", "1/0"),
+        (*dual, "--K", "0"),
+        (*dual, "--K", "-3/2"),
+        ("experiment", "--name", "dual-pipeline", "--K", "abc"),
+    ):
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+    # a valid --K is echoed exactly as typed
+    out = tmp_path / "k.json"
+    assert run("experiment", "--name", "dual-pipeline", "--n", "4", "--K", "32/2",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["K"] == "32/2"
+
+
 def test_experiment_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

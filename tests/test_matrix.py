@@ -231,6 +231,26 @@ def test_max_mono_agrees_with_other_dimension():
         assert a.area() == brute_force_max_mono_area(m)
 
 
+def test_max_mono_exact_beyond_subset_table():
+    # 32 rows under the smaller dimension's 31 columns: a 2^31-entry subset
+    # table would not fit; the closure search returns a closed, monochromatic
+    # rectangle at least as large as the planted 7 x 9 block of ones
+    rng = random.Random(28)
+    rows = [rng.randrange(1 << 31) for _ in range(32)]
+    block_rows, block_cols = rng.sample(range(32), 7), rng.sample(range(31), 9)
+    block = sum(1 << j for j in block_cols)
+    for i in block_rows:
+        rows[i] |= block
+    m = BoolMatrix(32, 31, rows)
+    view = max_mono_exact(m, exact_cap=32)
+    assert view.is_monochromatic() and view.area() >= 63
+    color = view.value()
+    for i in set(range(32)) - set(view.rows):
+        assert any(m.entry(i, j) != color for j in view.cols)
+    for j in set(range(31)) - set(view.cols):
+        assert any(m.entry(i, j) != color for i in view.rows)
+
+
 def test_max_mono_cap():
     with pytest.raises(CapExceeded):
         max_mono_exact(all_ones(8, 8), exact_cap=4)
