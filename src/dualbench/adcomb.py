@@ -8,9 +8,12 @@ Two extractors and one diagnostic:
   bounds; here every candidate's doubling is measured exactly and reported,
   never assumed.
 * ``pfr_extract`` -- polynomial-Freiman-Ruzsa-style search for a subset
-  whose span is no bigger than the input set.  The conjecture is treated as
-  an oracle interface: outputs carry a verifiable certificate (the span
-  size), and the exact strategy is a branch-and-bound ground truth.
+  whose span is no bigger than the input set.  Marton's (PFR) conjecture
+  over F2^n is a theorem (Gowers-Green-Manners-Tao, arXiv:2311.05762: a set
+  with |A + A| <= K|A| is covered by 2K^12 cosets of a subspace of size at
+  most |A|), but its bound is not assumed here: outputs carry a verifiable
+  certificate (the span size), and the exact strategy is a branch-and-bound
+  ground truth.
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DensityTooLow, EmptyResult, EmptySetError
-from .f2 import DENSE_CAP, F2Set, rep_table, span, sumset, wht
+from .f2 import DENSE_CAP, F2Set, echelon_basis, rep_table, span, sumset, wht
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,20 @@ class DoublingReport:
     within_sanders: bool
 
 
-def _sumset_size(x: F2Set, dense_cap: int = DENSE_CAP) -> int:
+def _sumset_size(x: F2Set) -> int:
     """|X + X| via the dense representation table when cheaper."""
-    if x.n <= dense_cap and (1 << x.n) <= len(x) * len(x):
+    if x.n <= DENSE_CAP and (1 << x.n) <= len(x) * len(x):
         return sum(1 for c in rep_table(x) if c)
     return len(sumset(x, x))
 
 
-def _pair_density(a: F2Set, s: F2Set, dense_cap: int = DENSE_CAP) -> Fraction:
+def _pair_density(a: F2Set, s: F2Set) -> Fraction:
     """Exact fraction of ordered pairs of a summing into s.
 
     Uses the transform-based representation-count table when the dense 2^n
     table fits (linear in 2^n instead of quadratic in |a|)."""
-    if a.n <= dense_cap and (1 << a.n) <= len(a) * len(a):
-        table = rep_table(a, dense_cap)
+    if a.n <= DENSE_CAP and (1 << a.n) <= len(a) * len(a):
+        table = rep_table(a)
         hits = sum(table[s_word] for s_word in s.members)
     else:
         lookup = s._lookup
@@ -184,20 +187,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0, pivots: int = 12) -> Bsg
     )
 
 
-def _span_size_with(basis: list[int], word: int) -> tuple[list[int], int]:
-    """Reduce word against basis; return (new basis, growth factor 1 or 2)."""
-    w = word
-    for row in basis:
-        w = min(w, w ^ row)
-    if w == 0:
-        return basis, 1
-    new = sorted(basis + [w], reverse=True)
-    return new, 2
-
-
-def pfr_extract(
-    a: F2Set, strategy: str = "auto", exact_cap: int = 20, dense_cap: int = DENSE_CAP
-) -> PfrResult:
+def pfr_extract(a: F2Set, strategy: str = "auto", exact_cap: int = 20) -> PfrResult:
     """Largest-possible subset of ``a`` whose span size stays within |a|.
 
     exact: branch-and-bound over subsets in canonical order, pruning on both
@@ -237,12 +227,13 @@ def pfr_extract(
             if idx == len(members):
                 return
             word = members[idx]
-            new_basis, growth = _span_size_with(basis, word)
-            if size * growth <= budget:
+            new_basis = echelon_basis(basis + [word])
+            grown = size << (len(new_basis) - len(basis))
+            if grown <= budget:
                 chosen.append(word)
                 if len(chosen) > len(best):
                     best = list(chosen)
-                explore(idx + 1, chosen, new_basis, size * growth)
+                explore(idx + 1, chosen, new_basis, grown)
                 chosen.pop()
             explore(idx + 1, chosen, basis, size)
 
@@ -254,7 +245,7 @@ def pfr_extract(
         # the same subset as the one-at-a-time greedy; the span doubles on
         # every pick, and cover(x) = cover + |A & (x + span)| is a coset
         # count, computable for every x at once by one exact convolution
-        dense = a.n <= dense_cap
+        dense = a.n <= DENSE_CAP
         a_hat = wht(a.indicator()) if dense else None
         chosen: set[int] = set()
         span_set: set[int] = {0}

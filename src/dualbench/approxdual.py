@@ -34,6 +34,10 @@ from .f2 import (
     F2Set,
     char_sum,
     char_table,
+    echelon_basis,
+    in_spectrum,
+    ip_rows,
+    is_dual_pair,
     parity_dot,
     rep_table,
 )
@@ -53,12 +57,8 @@ class DualPair:
             raise DimensionMismatch(f"{self.a_side.n} != {self.b_side.n}")
         if len(self.a_side) == 0 or len(self.b_side) == 0:
             raise InvariantViolation("dual pair sides must be nonempty")
-        for x in self.a_side.members:
-            for y in self.b_side.members:
-                if parity_dot(x, y) != self.constant_bit:
-                    raise InvariantViolation(
-                        f"<{x:#x},{y:#x}> != {self.constant_bit}; not a dual pair"
-                    )
+        if is_dual_pair(self.a_side, self.b_side) != self.constant_bit:
+            raise InvariantViolation(f"<x,y> is not {self.constant_bit} on all pairs")
 
     def area(self) -> int:
         return len(self.a_side) * len(self.b_side)
@@ -67,10 +67,10 @@ class DualPair:
 class _BiasOracle:
     """Cached character sums of a fixed set B (dense table when it fits)."""
 
-    def __init__(self, b: F2Set, dense_cap: int = DENSE_CAP):
+    def __init__(self, b: F2Set):
         self.b = b
         self.size = len(b)
-        self._table = char_table(b, dense_cap)
+        self._table = char_table(b)
         self._memo: dict[int, int] = {}
 
     def char(self, word: int) -> int:
@@ -83,7 +83,7 @@ class _BiasOracle:
         return got
 
     def in_spectrum(self, word: int, alpha: Fraction) -> bool:
-        return abs(self.char(word)) * alpha.denominator >= alpha.numerator * self.size
+        return in_spectrum(self.char(word), self.size, alpha)
 
     def duality(self, words) -> Fraction:
         words = list(words)
@@ -126,14 +126,13 @@ class SequenceState:
         return self.levels[i - 1]
 
 
-def markov_restrict(a: F2Set, b: F2Set, dense_cap: int = DENSE_CAP):
+def markov_restrict(a: F2Set, b: F2Set):
     """Halve the duality threshold and keep the high-bias part of A.
 
     Returns (A1, eps1) with eps1 = D(A,B)/2 and A1 the members of A whose
     bias against B is at least eps1 in magnitude; |A1| >= eps1 |A| always.
     """
-    oracle = _BiasOracle(b, dense_cap)
-    return _markov_restrict(a, oracle)
+    return _markov_restrict(a, _BiasOracle(b))
 
 
 def _markov_restrict(a: F2Set, oracle: _BiasOracle):
@@ -161,8 +160,7 @@ class _NextLevel:
     eq_size_holds: bool
 
 
-def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction,
-                dense_cap: int = DENSE_CAP) -> _NextLevel:
+def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction) -> _NextLevel:
     """One sumset step: keep sums in the eps_next spectrum, bucketed by
     representation count, choosing the bucket with the most ordered pairs.
 
@@ -179,8 +177,8 @@ def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction,
     if len(a_prev) == 0:
         raise EmptySetError("next_set needs a nonempty previous level")
     n = a_prev.n
-    if n <= dense_cap:
-        table = rep_table(a_prev, dense_cap)
+    if n <= DENSE_CAP:
+        table = rep_table(a_prev)
         items = ((x, c) for x, c in enumerate(table) if c)
     else:
         counts: dict[int, int] = {}
@@ -219,13 +217,13 @@ def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction,
     )
 
 
-def next_set(a_prev: F2Set, b: F2Set, eps_next, dense_cap: int = DENSE_CAP):
+def next_set(a_prev: F2Set, b: F2Set, eps_next):
     """Public wrapper for one sumset step; returns (A_next, j)."""
-    level = _next_level(a_prev, _BiasOracle(b, dense_cap), Fraction(eps_next), dense_cap)
+    level = _next_level(a_prev, _BiasOracle(b), Fraction(eps_next))
     return level.members, level.bucket
 
 
-def run_sequence(a: F2Set, b: F2Set, growth_bound, dense_cap: int = DENSE_CAP) -> SequenceState:
+def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     """Build levels until one grows by at most the growth bound K.
 
     Level 1 is the Markov restriction of A; level i is a bucketed sumset of
@@ -239,7 +237,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound, dense_cap: int = DENSE_CAP) -
     if growth_bound <= 1:
         raise PreconditionViolation("growth bound K must exceed 1")
     n = a.n
-    oracle = _BiasOracle(b, dense_cap)
+    oracle = _BiasOracle(b)
     a1, eps1 = _markov_restrict(a, oracle)
     d = oracle.duality(a.members)
     levels = [
@@ -268,7 +266,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound, dense_cap: int = DENSE_CAP) -
         eps_i = eps_prev * eps_prev / 2
         # the guarantee precondition d_prev^2 >= 2 eps_i is exactly
         # d_prev >= eps_prev under this threshold recursion
-        nxt = _next_level(prev, oracle, eps_i, dense_cap)
+        nxt = _next_level(prev, oracle, eps_i)
         levels.append(
             LevelRecord(
                 index=i,
@@ -324,26 +322,20 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction, check_pre: bool = True):
         raise PreconditionViolation("eps must be positive")
     if check_pre:
         for w in a.members:
-            c = char_sum(b, w)
-            if abs(c) * eps.denominator < eps.numerator * len(b):
+            if not in_spectrum(char_sum(b, w), len(b), eps):
                 raise PreconditionViolation(
                     f"element {w:#x} has bias below {eps}; A not in the spectrum"
                 )
-    basis = _echelon(a.members)
+    basis = echelon_basis(a.members)
     classes: dict[int, list[int]] = {}
-    for y in b.members:
-        key = 0
-        for s, v in enumerate(basis):
-            key |= parity_dot(v, y) << s
+    for y, key in zip(b.members, ip_rows(b.members, basis)):
         classes.setdefault(key, []).append(y)
 
     span_size = 1 << len(basis)
 
     def score(item):
         _key, ys = item
-        rep_y = ys[0]
-        ones = sum(parity_dot(x, rep_y) for x in a.members)
-        charsum = len(a) - 2 * ones
+        charsum = char_sum(a, ys[0])
         return (-(len(ys) * (len(a) + abs(charsum))), -len(ys), ys[0])
 
     _, chosen = min(classes.items(), key=score)
@@ -371,17 +363,6 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction, check_pre: bool = True):
         "reference_spectrum_b": eps * eps * Fraction(len(a), span_size) * len(b),
     }
     return pair, record
-
-
-def _echelon(words):
-    basis = []
-    for w in words:
-        for row in basis:
-            w = min(w, w ^ row)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    return basis
 
 
 def small_span_dual(a: F2Set, b: F2Set, eps) -> DualPair:
@@ -532,7 +513,6 @@ def find_dual_pair(
     seed: int = 0,
     pfr_strategy: str = "auto",
     pfr_exact_cap: int = 20,
-    dense_cap: int = DENSE_CAP,
 ) -> PipelineTrace:
     """Run the full pipeline; stage failures land in the trace, not raised.
 
@@ -550,7 +530,7 @@ def find_dual_pair(
     )
     trace = PipelineTrace()
     try:
-        state = run_sequence(a, b, growth, dense_cap)
+        state = run_sequence(a, b, growth)
     except SearchFailure as exc:
         trace.failed_stage = exc.stage
         trace.failure_message = str(exc)
@@ -673,12 +653,7 @@ def exact_dual_oracle(
     xs = xs_set.members
     ys = ys_set.members
     full = (1 << len(ys)) - 1
-    masks = []
-    for x in xs:
-        m1 = 0
-        for yi, y in enumerate(ys):
-            m1 |= parity_dot(x, y) << yi
-        masks.append((full ^ m1, m1))
+    masks = [(full ^ m1, m1) for m1 in ip_rows(xs, ys)]
 
     def key(xmask: int, _ymask: int, bit: int):
         return tuple(x for xi, x in enumerate(xs) if (xmask >> xi) & 1), bit

@@ -25,20 +25,12 @@ from .errors import (
     SearchFailure,
 )
 from .f2 import duality_measure, format_set, read_set_file, write_set_file
-from .matrix import (
-    dedup,
-    factorize_f2,
-    format_matrix,
-    max_mono_exact,
-    read_matrix_file,
-    stats,
-)
+from .matrix import EXACT_CAP, dedup, factorize_f2, format_matrix, read_matrix_file, stats
 from .protocol import (
+    STRATEGIES,
     build_protocol,
+    finder_for,
     leaf_recurrence_audit,
-    mono_finder_exact,
-    mono_finder_greedy,
-    mono_finder_via_dual,
     read_tree_file,
     simulate,
     verify,
@@ -164,7 +156,6 @@ def cmd_dual(args) -> int:
             b,
             growth_bound=Fraction(args.growth_bound) if args.growth_bound else None,
             seed=args.seed,
-            dense_cap=args.dense_cap,
         )
         payload = xp.trace_payload(trace)
         _emit_report(_simple_report("dual", args, payload), args)
@@ -189,13 +180,7 @@ def cmd_dual(args) -> int:
 def cmd_mono(args) -> int:
     m = read_matrix_file(args.matrix)
     deduped, _, _ = dedup(m)
-    if args.strategy == "exact":
-        view = max_mono_exact(deduped, exact_cap=args.exact_cap)
-    elif args.strategy == "greedy":
-        view = mono_finder_greedy()(deduped)
-    else:
-        finder = mono_finder_via_dual(exact_cap=args.exact_cap, seed=args.seed)
-        view = finder(deduped)
+    view = finder_for(args.strategy, args.exact_cap, args.seed)(deduped)
     payload = {
         "strategy": args.strategy,
         "rows": list(view.rows),
@@ -210,18 +195,9 @@ def cmd_mono(args) -> int:
     return EXIT_OK
 
 
-_FINDERS = {
-    "exact": lambda args: mono_finder_exact(exact_cap=args.exact_cap),
-    "greedy": lambda args: mono_finder_greedy(),
-    "via-dual": lambda args: mono_finder_via_dual(
-        exact_cap=args.exact_cap, seed=args.seed
-    ),
-}
-
-
 def cmd_protocol(args) -> int:
     m = read_matrix_file(args.matrix)
-    tree = build_protocol(m, mono_finder=_FINDERS[args.strategy](args))
+    tree = build_protocol(m, mono_finder=finder_for(args.strategy, args.exact_cap, args.seed))
     cost = verify(tree, m)
     audit = leaf_recurrence_audit(tree)
     if args.tree_out:
@@ -282,16 +258,17 @@ def cmd_experiment(args) -> int:
         "oracle_cap",
         "strategy",
         "family",
+        "ns",
+        "ranks",
+        "K",
     ):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
-    if args.ns:
-        config["ns"] = [int(x) for x in args.ns.split(",")]
-    if args.ranks:
-        config["ranks"] = [int(x) for x in args.ranks.split(",")]
-    if args.growth_bound:
-        config["K"] = args.growth_bound
+    reads = xp.EXPERIMENTS[args.name][1]
+    unread = ", ".join("--" + key.replace("_", "-") for key in config if key not in reads)
+    if unread:
+        raise FormatError(f"experiment {args.name} does not read {unread}")
     started = time.monotonic()
     report, header, rows = xp.run_experiment(args.name, config, seed=args.seed)
     if args.timings:
@@ -318,22 +295,38 @@ def _growth_bound(text: str) -> str:
     return text
 
 
+def _int_list(text: str) -> list[int]:
+    """--ns, --ranks: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, not the usage block, and exit 1."""
+
+    def error(self, message):
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualbench",
         description="exact workbench for duality-measure experiments over F2^n "
         "and protocol compilation of low-rank boolean matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, fmt=True):
+    def common(p, seed=True, fmt=True, exact_cap=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--exact-cap", type=int, default=20, dest="exact_cap")
-        p.add_argument("--dense-cap", type=int, default=20, dest="dense_cap")
+        if exact_cap:
+            p.add_argument("--exact-cap", type=int, default=EXACT_CAP, dest="exact_cap")
 
     p = sub.add_parser("gen-matrix", help="write a matrix file")
     p.add_argument("--family", required=True,
@@ -378,23 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
                    default="pipeline")
     p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None,
                    help="growth bound for the pipeline (rational, e.g. 16 or 3/2)")
-    common(p)
+    common(p, exact_cap=True)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("mono", help="find a monochromatic rectangle")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--strategy", choices=["exact", "via-dual", "greedy"],
-                   default="exact")
-    common(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default="exact")
+    common(p, exact_cap=True)
     p.set_defaults(func=cmd_mono)
 
     p = sub.add_parser("protocol", help="compile a matrix into a protocol tree")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--strategy", choices=["exact", "via-dual", "greedy"],
-                   default="exact")
+    p.add_argument("--strategy", choices=STRATEGIES, default="exact")
     p.add_argument("--tree-out", dest="tree_out", default=None,
                    help="write the tree JSON here")
-    common(p)
+    common(p, exact_cap=True)
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("verify", help="re-verify a stored tree against a matrix")
@@ -416,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--outliers", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap")
-    p.add_argument("--strategy", choices=["exact", "greedy", "via-dual"], default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--ns", default=None, help="comma-separated dimensions")
-    p.add_argument("--ranks", default=None, help="comma-separated ranks")
-    p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None)
+    p.add_argument("--ns", type=_int_list, help="comma-separated dimensions")
+    p.add_argument("--ranks", type=_int_list, help="comma-separated ranks")
+    p.add_argument("--K", type=_growth_bound, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-determinism)")
     common(p)

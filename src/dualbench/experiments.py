@@ -18,18 +18,13 @@ from itertools import combinations
 from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, NotFound
-from .f2 import F2Set, duality_measure, span
+from .f2 import F2Set, duality_measure, ip_rows, span
 from .matrix import BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
-from .protocol import (
-    build_protocol,
-    mono_finder_exact,
-    mono_finder_greedy,
-    mono_finder_via_dual,
-    verify,
-)
+from .protocol import build_protocol, finder_for, verify
 
 SCHEMA_VERSION = 1
 WEIGHT_SLICE_CAP = 1 << 20
+IP_MAX_N = 12  # the ip family's 2^n x 2^n matrix stays within 2^24 entries
 
 
 def rat(x) -> str:
@@ -109,12 +104,11 @@ def generate_sets(family: str, params: dict, seed: int = 0) -> F2Set:
 
 
 def make_ip_matrix(n: int) -> BoolMatrix:
-    size = 1 << n
-    return BoolMatrix(
-        size,
-        size,
-        [sum(((x & y).bit_count() & 1) << y for y in range(size)) for x in range(size)],
-    )
+    """The 2^n x 2^n inner-product matrix: entry (x, y) is <x, y>."""
+    if not 1 <= n <= IP_MAX_N:
+        raise FormatError(f"ip matrix dimension must be in 1..{IP_MAX_N}, got {n}")
+    words = range(1 << n)
+    return BoolMatrix(1 << n, 1 << n, ip_rows(words, words))
 
 
 def make_random_f2_rank(k: int, l: int, r: int, rng: random.Random) -> BoolMatrix:
@@ -149,10 +143,7 @@ def make_random_dense(k: int, l: int, p: float, rng: random.Random) -> BoolMatri
 def make_from_sets(a: F2Set, b: F2Set) -> BoolMatrix:
     if a.n != b.n:
         raise FormatError("sets live in different dimensions")
-    rows = []
-    for x in a.members:
-        rows.append(sum(((x & y).bit_count() & 1) << j for j, y in enumerate(b.members)))
-    return BoolMatrix(len(a), len(b), rows)
+    return BoolMatrix(len(a), len(b), ip_rows(a.members, b.members))
 
 
 def make_low_real_rank(k: int, l: int, r: int, rng: random.Random) -> BoolMatrix:
@@ -384,12 +375,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[str],
     k = int(config.get("k", 12))
     l = int(config.get("l", 12))
     per_rank = int(config.get("instances", 5))
-    strategy = config.get("strategy", "exact")
-    finder = {
-        "exact": mono_finder_exact,
-        "greedy": lambda: mono_finder_greedy(),
-        "via-dual": mono_finder_via_dual,
-    }[strategy]()
+    finder = finder_for(config.get("strategy", "exact"))
     report = report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
     aggregate_rows = []
@@ -606,12 +592,19 @@ def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[str], list[d
     return report, header, rows
 
 
+# name -> (experiment, the config keys it reads)
 EXPERIMENTS = {
-    "dual-pipeline": experiment_dual_pipeline,
-    "log-rank-sweep": experiment_log_rank_sweep,
-    "counterexample": experiment_counterexample,
-    "doubling": experiment_doubling,
-    "nw-bias": experiment_nw_bias,
+    "dual-pipeline": (
+        experiment_dual_pipeline,
+        ("family", "n", "d", "w", "size", "outliers", "K", "oracle_cap"),
+    ),
+    "log-rank-sweep": (
+        experiment_log_rank_sweep,
+        ("ranks", "k", "l", "instances", "strategy"),
+    ),
+    "counterexample": (experiment_counterexample, ("ns", "w", "oracle_cap")),
+    "doubling": (experiment_doubling, ("n", "instances_spec")),
+    "nw-bias": (experiment_nw_bias, ("count", "k", "l", "rank")),
 }
 
 
@@ -621,4 +614,4 @@ def run_experiment(name: str, config: dict, seed: int = 0):
         raise FormatError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[name](config, seed)
+    return EXPERIMENTS[name][0](config, seed)

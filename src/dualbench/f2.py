@@ -153,8 +153,11 @@ def sumset(a: F2Set, b: F2Set) -> F2Set:
     return F2Set(n, (x ^ y for x in a.members for y in b.members))
 
 
-def _reduce_basis(words: Iterable[int]) -> list[int]:
-    """Row-reduce words into an echelon basis (leading bits descending)."""
+def echelon_basis(words: Iterable[int]) -> list[int]:
+    """Row-reduce words into an echelon basis (leading bits descending).
+
+    The basis length is the F2-rank of the words, and the basis spans them.
+    """
     basis: list[int] = []
     for w in words:
         for row in basis:
@@ -167,7 +170,7 @@ def _reduce_basis(words: Iterable[int]) -> list[int]:
 
 def span(a: F2Set) -> F2Set:
     """Linear F2-span; the empty set spans {0}."""
-    basis = _reduce_basis(a.members)
+    basis = echelon_basis(a.members)
     words = [0]
     for b in basis:
         words += [w ^ b for w in words]
@@ -266,9 +269,7 @@ def spectrum(b: F2Set, alpha, dense_cap: int = DENSE_CAP) -> SpectrumResult:
     if table is None:
         table = [char_sum(b, x) for x in range(size)]
     m = len(b)
-    # |table[x]| / m >= alpha, compared exactly in integers
-    num, den = alpha.numerator, alpha.denominator
-    members = [x for x in range(size) if abs(table[x]) * den >= num * m]
+    members = [x for x in range(size) if in_spectrum(table[x], m, alpha)]
     biases = {x: Fraction(table[x], m) for x in range(size)}
     return SpectrumResult(alpha, biases, F2Set(b.n, members))
 
@@ -285,6 +286,11 @@ def duality_measure(a: F2Set, b: F2Set) -> Fraction:
         raise EmptySetError("duality measure needs two nonempty sets")
     total = sum(char_sum(b, x) for x in a.members)
     return Fraction(abs(total), len(a) * len(b))
+
+
+def ip_rows(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Inner-product matrix as row words: bit j of row i is <xs[i], ys[j]>."""
+    return [sum(parity_dot(x, y) << j for j, y in enumerate(ys)) for x in xs]
 
 
 def is_dual_pair(a: F2Set, b: F2Set) -> int | None:

@@ -20,7 +20,7 @@ from .errors import (
     NotFound,
     PreconditionViolation,
 )
-from .f2 import F2Set, parity_dot
+from .f2 import F2Set, echelon_basis, ip_rows
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 
@@ -211,14 +211,7 @@ def has_duplicates(m: BoolMatrix) -> bool:
 
 def rank_f2(m: BoolMatrix) -> int:
     """Rank over F2 via bit-parallel elimination on row words."""
-    basis: list[int] = []
-    for word in m.rows:
-        for row in basis:
-            word = min(word, word ^ row)
-        if word:
-            basis.append(word)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(echelon_basis(m.rows))
 
 
 def rank_real(m: BoolMatrix) -> int:
@@ -321,13 +314,8 @@ def factorize_f2(m: BoolMatrix) -> Factorization:
         for s, brow in enumerate(basis):
             b |= ((brow >> j) & 1) << s
         col_words.append(b)
-    for i, a in enumerate(row_words):
-        expect = m.rows[i]
-        got = 0
-        for j, b in enumerate(col_words):
-            got |= parity_dot(a, b) << j
-        if got != expect:
-            raise InvariantViolation("factorization failed to reproduce the matrix")
+    if tuple(ip_rows(row_words, col_words)) != m.rows:
+        raise InvariantViolation("factorization failed to reproduce the matrix")
     return Factorization(
         r,
         F2Set(dim, row_words),

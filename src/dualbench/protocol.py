@@ -25,10 +25,12 @@ from .errors import (
     MismatchError,
 )
 from .matrix import (
+    EXACT_CAP,
     BoolMatrix,
     SubmatrixView,
     dedup,
     max_mono_exact,
+    parse_matrix_text,
     rank_f2,
     rank_real,
 )
@@ -183,6 +185,22 @@ def mono_finder_via_dual(
         return SubmatrixView(m, rows, cols)
 
     return finder
+
+
+STRATEGIES = ("exact", "greedy", "via-dual")
+
+
+def finder_for(
+    strategy: str, exact_cap: int = EXACT_CAP, seed: int = 0
+) -> Callable[[BoolMatrix], SubmatrixView]:
+    """The rectangle finder a strategy names: exact, greedy or via-dual."""
+    if strategy == "exact":
+        return mono_finder_exact(exact_cap)
+    if strategy == "greedy":
+        return mono_finder_greedy()
+    if strategy == "via-dual":
+        return mono_finder_via_dual(exact_cap, seed)
+    raise FormatError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
 def build_protocol(
@@ -454,26 +472,51 @@ def _node_to_dict(node: ProtocolNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> ProtocolNode:
-    if data["type"] == "leaf":
-        return Leaf(output=int(data["output"]))
-    if data["type"] != "internal":
-        raise FormatError(f"unknown node type {data['type']!r}")
-    s = data["stats"]
+_STAT_COUNTS = ("area", "rank", "rank_r", "rank_s", "mono_area", "mono_value")
+
+
+def _get(data, key: str, kind: type):
+    """data[key], which must be present and of the JSON type kind."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if type(value) is not kind:
+        raise FormatError(f"tree field {key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _indices(data, key: str, bound: int) -> tuple[int, ...]:
+    """data[key] as a tuple of integers in 0..bound-1."""
+    values = _get(data, key, list)
+    if not all(type(v) is int and 0 <= v < bound for v in values):
+        raise FormatError(f"tree field {key!r} has an entry outside 0..{bound - 1}")
+    return tuple(values)
+
+
+def _node_from_dict(data, matrix: BoolMatrix) -> ProtocolNode:
+    kind = _get(data, "type", str)
+    if kind == "leaf":
+        if _get(data, "output", int) not in (0, 1):
+            raise FormatError("leaf output must be 0 or 1")
+        return Leaf(output=data["output"])
+    if kind != "internal":
+        raise FormatError(f"unknown node type {kind!r}")
+    speaker = _get(data, "speaker", str)
+    if speaker not in ("row", "col"):
+        raise FormatError(f"unknown speaker {speaker!r}")
+    children = _get(data, "children", list)
+    if len(children) != 2:
+        raise FormatError("an internal node needs exactly two children")
+    s = _get(data, "stats", dict)
+    counts = {key: _get(s, key, int) for key in _STAT_COUNTS}
+    try:
+        mono_fraction = Fraction(_get(s, "mono_fraction", str))
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"bad mono_fraction {s['mono_fraction']!r}") from None
     return Internal(
-        speaker=data["speaker"],
-        split=tuple(data["split"]),
-        child0=_node_from_dict(data["children"][0]),
-        child1=_node_from_dict(data["children"][1]),
-        stats=NodeStats(
-            area=int(s["area"]),
-            rank=int(s["rank"]),
-            rank_r=int(s["rank_r"]),
-            rank_s=int(s["rank_s"]),
-            mono_area=int(s["mono_area"]),
-            mono_fraction=Fraction(s["mono_fraction"]),
-            mono_value=int(s["mono_value"]),
-        ),
+        speaker=speaker,
+        split=_indices(data, "split", matrix.n_rows if speaker == "row" else matrix.n_cols),
+        child0=_node_from_dict(children[0], matrix),
+        child1=_node_from_dict(children[1], matrix),
+        stats=NodeStats(mono_fraction=mono_fraction, **counts),
     )
 
 
@@ -498,24 +541,36 @@ def tree_to_dict(tree: ProtocolTree) -> dict:
 
 
 def tree_from_dict(data: dict) -> ProtocolTree:
-    if data.get("format") != "protocol-tree" or data.get("version") != TREE_FORMAT_VERSION:
-        raise FormatError("not a protocol-tree document of a supported version")
-    matrix = BoolMatrix.from_strings(data["matrix"])
-    root = _node_from_dict(data["root"])
+    """Load a tree document; a missing, mistyped or out-of-range field is a
+    FormatError.  Tree-level counts are re-derived, node stats taken as stored."""
+    if not isinstance(data, dict) or data.get("format") != "protocol-tree":
+        raise FormatError("not a protocol-tree document")
+    if _get(data, "version", int) != TREE_FORMAT_VERSION:
+        raise FormatError(f"unsupported protocol-tree version {data['version']}")
+    lines = _get(data, "matrix", list)
+    if not all(type(line) is str for line in lines):
+        raise FormatError("tree field 'matrix' must hold row strings")
+    shape = f"{_get(data, 'rows', int)} {_get(data, 'cols', int)}"
+    matrix = parse_matrix_text("\n".join([shape, *lines]))
+    row_map = _indices(data, "row_map", matrix.n_rows)
+    col_map = _indices(data, "col_map", matrix.n_cols)
+    source_rows = _get(data, "source_rows", int)
+    source_cols = _get(data, "source_cols", int)
+    if (len(row_map), len(col_map)) != (source_rows, source_cols):
+        raise FormatError("index maps disagree with the source shape")
+    root = _node_from_dict(data.get("root"), matrix)
     leaves, depth, internal = _tree_shape(root)
-    if {
-        "leaves": leaves,
-        "depth": depth,
-        "internal_nodes": internal,
-    } != data["stats"]:
+    stored = _get(data, "stats", dict)
+    counts = [_get(stored, key, int) for key in ("leaves", "depth", "internal_nodes")]
+    if counts != [leaves, depth, internal]:
         raise FormatError("stored stats disagree with the stored tree")
     return ProtocolTree(
         root=root,
         matrix=matrix,
-        row_map=tuple(data["row_map"]),
-        col_map=tuple(data["col_map"]),
-        source_rows=int(data["source_rows"]),
-        source_cols=int(data["source_cols"]),
+        row_map=row_map,
+        col_map=col_map,
+        source_rows=source_rows,
+        source_cols=source_cols,
         leaves=leaves,
         depth=depth,
         internal_nodes=internal,

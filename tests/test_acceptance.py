@@ -16,6 +16,7 @@ from dualbench.cli import main as cli_main
 from dualbench.errors import NotFound
 from dualbench.experiments import (
     make_block_low_rank,
+    make_ip_matrix,
     make_low_real_rank,
     make_weight_slice,
     to_json,
@@ -70,19 +71,10 @@ class criterion:
         return False
 
 
-def ip_matrix(n):
-    size = 1 << n
-    return BoolMatrix(
-        size,
-        size,
-        [sum(((x & y).bit_count() & 1) << y for y in range(size)) for x in range(size)],
-    )
-
-
 def test_criterion_1_ip_anchors():
     with criterion(1, 1.0, "inner-product matrix rank anchors, n = 2..5"):
         for n in range(2, 6):
-            m = ip_matrix(n)
+            m = make_ip_matrix(n)
             assert rank_f2(m) == n
             assert rank_real(m) == (1 << n) - 1
 

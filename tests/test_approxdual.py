@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,7 +25,7 @@ from dualbench.errors import (
     PreconditionViolation,
     ZeroDuality,
 )
-from dualbench.f2 import F2Set, duality_measure, parity_dot, span
+from dualbench.f2 import F2Set, char_sum, duality_measure, is_dual_pair, parity_dot, span
 
 
 def subspace(n, *generators):
@@ -381,6 +382,35 @@ def test_pipeline_zero_duality_captured():
     trace = find_dual_pair(F2Set(2, range(4)), F2Set(2, [1]))
     assert not trace.ok
     assert trace.failed_stage == "markov_restrict"
+
+
+def test_sparse_paths_above_dense_cap():
+    # n = 21 is above DENSE_CAP: next_set counts sums in a dict and the bias
+    # oracle memoises char sums instead of building 2^n tables
+    n = 21
+    rng = random.Random("sparse-21")
+    space = subspace(n, *(rng.randrange(1 << n) for _ in range(4))).members
+    a = F2Set(n, rng.sample(space, 9))
+    b = F2Set(n, rng.sample(space, 5) + [rng.randrange(1 << n) for _ in range(2)])
+    eps = Fraction(1, 3)
+    reps = Counter(u ^ v for u in a.members for v in a.members)
+    mass = [0] * n
+    buckets = [[] for _ in range(n)]
+    for x, count in reps.items():
+        if abs(char_sum(b, x)) * eps.denominator >= eps.numerator * len(b):
+            j = min(count.bit_length() - 1, n - 1)
+            mass[j] += count
+            buckets[j].append(x)
+    best = max(range(n), key=lambda j: (mass[j], -j))
+    assert sum(map(len, buckets)) < len(reps)  # the threshold drops some sums
+    assert next_set(a, b, eps) == (F2Set(n, buckets[best]), best)
+
+    s = subspace(n, 1 << 3 | 1, 1 << 20 | 1 << 7, 1 << 12 | 1 << 5 | 1 << 2)
+    trace = find_dual_pair(s, s)
+    assert trace.ok
+    pair = trace.final
+    assert pair.a_side.issubset(s) and pair.b_side.issubset(s)
+    assert is_dual_pair(pair.a_side, pair.b_side) == pair.constant_bit
 
 
 # -- exact oracle and greedy ------------------------------------------------------------

@@ -1,6 +1,11 @@
 import json
+import random
+
+import pytest
 
 from dualbench.cli import main
+from dualbench.errors import FormatError
+from dualbench.experiments import make_ip_matrix
 from dualbench.f2 import parse_set_text
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
 from dualbench.protocol import read_tree_file
@@ -77,6 +82,18 @@ def test_gen_missing_parameters_are_usage_errors():
     assert run("gen-matrix", "--family", "ip") == 1
     assert run("gen-matrix", "--family", "random-f2-rank", "--k", "4") == 1
     assert run("gen-sets", "--family", "random", "--n", "5") == 1
+
+
+def test_gen_matrix_ip_dimension_is_checked(tmp_path, capsys):
+    # each value is rejected before any 2^n x 2^n table is built
+    for n in (-1, 0, 13):
+        with pytest.raises(FormatError):
+            make_ip_matrix(n)
+        assert run("gen-matrix", "--family", "ip", "--n", str(n),
+                   "--out", str(tmp_path / "ip.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ip matrix dimension") and len(err.splitlines()) == 1
+    assert not (tmp_path / "ip.txt").exists()
 
 
 def test_analyze_json_round_trip(tmp_path):
@@ -173,6 +190,72 @@ def test_verify_mismatch_is_invariant_exit(tmp_path):
     assert run("verify", "--matrix", str(m2), "--tree", str(tree_file)) == 3
 
 
+def _tree_slots(node):
+    """Every (container, key) of a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _tree_slots(value)
+
+
+def _mutate(doc, rng):
+    """Break one field of a tree document: delete a key, or give a value a
+    wrong type, an index out of range, or an unknown name."""
+    container, key = rng.choice(list(_tree_slots(doc)))
+    value = container[key]
+    if isinstance(container, dict) and rng.random() < 0.3:
+        del container[key]
+    elif type(value) is int:
+        wrong = [None, "1", 1.5, True, [], {}]
+        if isinstance(container, list) or key == "output":
+            wrong.append(-1)  # an index or a leaf output out of range
+        container[key] = rng.choice(wrong)
+    elif isinstance(value, str):
+        container[key] = rng.choice([None, 5, [], "bogus", "1/0"])
+    else:
+        container[key] = rng.choice([None, "x", 5, 1.5, [] if isinstance(value, dict) else {}])
+
+
+def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
+    mfile = tmp_path / "m.txt"
+    tree_file = tmp_path / "tree.json"
+    run("gen-matrix", "--family", "random-f2-rank", "--k", "8", "--l", "8",
+        "--rank", "3", "--seed", "5", "--out", str(mfile))
+    assert run("protocol", "--matrix", str(mfile), "--strategy", "greedy",
+               "--tree-out", str(tree_file), "--out", str(tmp_path / "p.json")) == 0
+    valid = json.loads(tree_file.read_text())
+    bad_file = tmp_path / "bad.json"
+
+    def check(doc, label):
+        bad_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1, label
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (label, err)
+
+    doc = json.loads(tree_file.read_text())
+    del doc["root"]["stats"]
+    check(doc, "node without stats")
+    doc = json.loads(tree_file.read_text())
+    doc["row_map"][0] = 99
+    check(doc, "row_map out of range")
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["speaker"] = "bogus"
+    check(doc, "unknown speaker")
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["split"].append(8)
+    check(doc, "split out of range")
+    check([valid], "not an object")
+
+    rng = random.Random("tree-mutations")
+    for i in range(300):
+        doc = json.loads(tree_file.read_text())
+        _mutate(doc, rng)
+        check(doc, f"mutation {i}")
+    assert json.loads(tree_file.read_text()) == valid
+
+
 def test_usage_errors(tmp_path):
     assert run("analyze", "--matrix", str(tmp_path / "missing.txt")) == 1
     bad = tmp_path / "bad.txt"
@@ -192,17 +275,40 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         (*dual, "--K", "0"),
         (*dual, "--K", "-3/2"),
         ("experiment", "--name", "dual-pipeline", "--K", "abc"),
+        ("experiment", "--name", "counterexample", "--ns", "6,x"),
+        ("experiment", "--name", "log-rank-sweep", "--ranks", "2,,3"),
+        ("analyze", "--dense-cap", "3"),
+        ("analyze", "--matrix", str(v), "--exact-cap", "3"),
+        ("verify", "--matrix", str(v)),
+        ("nonsense-verb",),
     ):
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+        assert len(err.splitlines()) == 1 and "error:" in err, err
 
     # a valid --K is echoed exactly as typed
     out = tmp_path / "k.json"
     assert run("experiment", "--name", "dual-pipeline", "--n", "4", "--K", "32/2",
                "--out", str(out)) == 0
     assert json.loads(out.read_text())["config"]["K"] == "32/2"
+
+
+def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run("experiment", "--name", "counterexample", "--ns", "6", "--strategy",
+               "greedy", "--k", "3", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: experiment counterexample does not read --k, --strategy\n"
+    assert not out.exists()
+    for argv in (
+        ("--name", "doubling", "--n", "6", "--oracle-cap", "9"),
+        ("--name", "nw-bias", "--K", "4"),
+        ("--name", "log-rank-sweep", "--family", "random"),
+        ("--name", "dual-pipeline", "--ns", "6"),
+    ):
+        assert run("experiment", *argv) == 1, argv
+        assert "does not read" in capsys.readouterr().err
 
 
 def test_experiment_determinism(tmp_path):

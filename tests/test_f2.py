@@ -10,8 +10,10 @@ from dualbench.f2 import (
     bias,
     char_sum,
     duality_measure,
+    echelon_basis,
     format_set,
     inner_product,
+    ip_rows,
     is_dual_pair,
     parse_set_text,
     rep_count,
@@ -49,6 +51,33 @@ def test_inner_product_examples():
 def test_inner_product_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         inner_product(vec("10"), vec("100"))
+
+
+def test_ip_rows_bits_are_inner_products():
+    rng = random.Random(21)
+    for _ in range(50):
+        xs = [rng.randrange(1 << 6) for _ in range(rng.randint(0, 7))]
+        ys = [rng.randrange(1 << 6) for _ in range(rng.randint(0, 7))]
+        rows = ip_rows(xs, ys)
+        assert len(rows) == len(xs)
+        for x, row in zip(xs, rows):
+            assert row >> len(ys) == 0
+            for j, y in enumerate(ys):
+                assert (row >> j) & 1 == inner_product(F2Vector(6, x), F2Vector(6, y))
+
+
+def test_echelon_basis_against_xor_closure():
+    rng = random.Random(22)
+    for _ in range(50):
+        s = random_set(rng, 7, 12)
+        basis = echelon_basis(s.members)
+        leads = [w.bit_length() for w in basis]
+        assert leads == sorted(set(leads), reverse=True)
+        closure = {0}
+        for w in s.members:
+            closure |= {c ^ w for c in closure}
+        assert set(basis) <= closure
+        assert len(closure) == 1 << len(basis)
 
 
 # -- sumset ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from dualbench.errors import CapExceeded, NotFound, PreconditionViolation
+from dualbench.experiments import make_ip_matrix
 from dualbench.f2 import F2Set, duality_measure, parity_dot
 from dualbench.matrix import (
     BoolMatrix,
@@ -22,13 +23,6 @@ from dualbench.matrix import (
     rank_real,
     stats,
 )
-
-
-def ip_matrix(n):
-    size = 1 << n
-    return BoolMatrix(
-        size, size, [sum(((x & y).bit_count() & 1) << y for y in range(size)) for x in range(size)]
-    )
 
 
 def identity(n):
@@ -97,11 +91,11 @@ def test_rank_f2_examples():
     assert rank_f2(identity(5)) == 5
     assert rank_f2(all_ones(4, 6)) == 1
     for n in (1, 2, 3):
-        assert rank_f2(ip_matrix(n)) == n
+        assert rank_f2(make_ip_matrix(n)) == n
 
 
 def test_rank_real_examples():
-    assert rank_real(ip_matrix(2)) == 3
+    assert rank_real(make_ip_matrix(2)) == 3
     assert rank_real(identity(6)) == 6
     assert rank_real(BoolMatrix.from_lists([[1, 1], [1, 0]])) == 2
 
@@ -129,7 +123,7 @@ def test_factorize_all_ones():
 
 
 def test_factorize_ip():
-    m = ip_matrix(2)
+    m = make_ip_matrix(2)
     f = factorize_f2(m)
     assert f.r == 2
     for i in range(m.n_rows):
@@ -215,9 +209,9 @@ def test_max_mono_examples():
     assert max_mono_exact(identity(2)).area() == 1
     assert brute_force_max_mono_area(identity(2)) == 1
 
-    view = max_mono_exact(ip_matrix(2))
+    view = max_mono_exact(make_ip_matrix(2))
     assert view.area() == 4 and view.is_monochromatic()
-    assert brute_force_max_mono_area(ip_matrix(2)) == 4
+    assert brute_force_max_mono_area(make_ip_matrix(2)) == 4
 
 
 def test_max_mono_agrees_with_other_dimension():
@@ -382,7 +376,7 @@ def test_find_mono_via_dual_ip_matrix():
     # factor sets and the exact finder recovers a maximum rectangle
     from dualbench.approxdual import exact_dual_oracle
 
-    m = ip_matrix(2)
+    m = make_ip_matrix(2)
     assert discrepancy(m) == Fraction(1, 4)
     view = find_mono_via_dual(m, exact_dual_oracle)
     assert view.is_monochromatic()
@@ -400,7 +394,7 @@ def test_find_mono_via_dual_requires_dedup():
 
 
 def test_stats_fields():
-    s = stats(ip_matrix(2))
+    s = stats(make_ip_matrix(2))
     assert s.rank_f2 == 2 and s.rank_real == 3
     assert s.zeros + s.ones == s.size == 16
     assert s.rank_f2 <= s.rank_real

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dualbench.errors import FormatError, MismatchError
+from dualbench.experiments import make_ip_matrix
 from dualbench.matrix import BoolMatrix, rank_real
 from dualbench.protocol import (
     Leaf,
@@ -18,13 +19,6 @@ from dualbench.protocol import (
     tree_to_dict,
     verify,
 )
-
-
-def ip_matrix(n):
-    size = 1 << n
-    return BoolMatrix(
-        size, size, [sum(((x & y).bit_count() & 1) << y for y in range(size)) for x in range(size)]
-    )
 
 
 def identity(n):
@@ -72,7 +66,7 @@ def test_identity_two():
 
 
 def test_ip_matrix_protocol():
-    m = ip_matrix(2)
+    m = make_ip_matrix(2)
     tree = build_protocol(m)
     assert_simulates(tree, m)
     report = verify(tree, m)
@@ -81,7 +75,7 @@ def test_ip_matrix_protocol():
 
 
 def test_ip3_protocol_correct():
-    m = ip_matrix(3)
+    m = make_ip_matrix(3)
     tree = build_protocol(m)
     report = verify(tree, m)
     assert report.rank_real == 7
@@ -220,7 +214,7 @@ def test_tree_dict_rejects_tampering():
 
 
 def test_tree_serialization_stable():
-    m = ip_matrix(2)
+    m = make_ip_matrix(2)
     t1 = format_tree(build_protocol(m))
     t2 = format_tree(build_protocol(m))
     assert t1 == t2
