@@ -25,8 +25,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DensityTooLow, EmptyResult, EmptySetError
-from .f2 import DENSE_CAP, F2Set, echelon_basis, rep_table, span, sumset, wht
+from .errors import (
+    DensityTooLow,
+    EmptyResult,
+    EmptySetError,
+    InvariantViolation,
+    PreconditionViolation,
+)
+from .f2 import DENSE_CAP, F2Set, echelon_basis, rep_counts, span, wht
+
+BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
+PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
 
 
 @dataclass(frozen=True)
@@ -61,28 +70,10 @@ class DoublingReport:
     within_sanders: bool
 
 
-def _sumset_size(x: F2Set) -> int:
-    """|X + X| via the dense representation table when cheaper."""
-    if x.n <= DENSE_CAP and (1 << x.n) <= len(x) * len(x):
-        return sum(1 for c in rep_table(x) if c)
-    return len(sumset(x, x))
-
-
 def _pair_density(a: F2Set, s: F2Set) -> Fraction:
-    """Exact fraction of ordered pairs of a summing into s.
-
-    Uses the transform-based representation-count table when the dense 2^n
-    table fits (linear in 2^n instead of quadratic in |a|)."""
-    if a.n <= DENSE_CAP and (1 << a.n) <= len(a) * len(a):
-        table = rep_table(a)
-        hits = sum(table[s_word] for s_word in s.members)
-    else:
-        lookup = s._lookup
-        hits = 0
-        for x in a.members:
-            for y in a.members:
-                if x ^ y in lookup:
-                    hits += 1
+    """Exact fraction of ordered pairs of a summing into s."""
+    counts = rep_counts(a)
+    hits = sum(counts.get(w, 0) for w in s.members)
     return Fraction(hits, len(a) * len(a))
 
 
@@ -112,7 +103,7 @@ def _prune_by_codegree(neighbors, start: tuple, codegree: dict, threshold: Fract
     return tuple(sorted(current))
 
 
-def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0, pivots: int = 12) -> BsgResult:
+def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     """Extract a subset of ``a`` with small measured doubling.
 
     Requires (and exactly verifies) that at least a ``rho`` fraction of
@@ -147,8 +138,8 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0, pivots: int = 12) -> Bsg
     pivot_pool = list(members)
     picked = (
         pivot_pool
-        if len(pivot_pool) <= pivots
-        else sorted(rng.sample(pivot_pool, pivots))
+        if len(pivot_pool) <= BSG_PIVOTS
+        else sorted(rng.sample(pivot_pool, BSG_PIVOTS))
     )
 
     candidates = {members}
@@ -172,7 +163,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0, pivots: int = 12) -> Bsg
         raise EmptyResult("no candidate met the size floor")
 
     def sumset_size(words) -> int:
-        return _sumset_size(F2Set(a.n, words))
+        return len(rep_counts(F2Set(a.n, words)))
 
     # score by doubling relative to the candidate itself, preferring larger
     # candidates on ties; scoring against |a| instead collapses to singletons
@@ -187,7 +178,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0, pivots: int = 12) -> Bsg
     )
 
 
-def pfr_extract(a: F2Set, strategy: str = "auto", exact_cap: int = 20) -> PfrResult:
+def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     """Largest-possible subset of ``a`` whose span size stays within |a|.
 
     exact: branch-and-bound over subsets in canonical order, pruning on both
@@ -199,9 +190,9 @@ def pfr_extract(a: F2Set, strategy: str = "auto", exact_cap: int = 20) -> PfrRes
     if len(a) == 0:
         raise EmptySetError("pfr_extract needs a nonempty set")
     if strategy == "auto":
-        strategy = "exact" if len(a) <= exact_cap else "greedy"
+        strategy = "exact" if len(a) <= PFR_EXACT_CAP else "greedy"
     if strategy not in ("exact", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise PreconditionViolation(f"unknown strategy {strategy!r}")
 
     if len(a) == 1:
         word = a.members[0]
@@ -281,14 +272,15 @@ def pfr_extract(a: F2Set, strategy: str = "auto", exact_cap: int = 20) -> PfrRes
         subset = F2Set(a.n, sorted(chosen))
 
     span_size = len(span(subset))
-    assert span_size <= budget, "span certificate violated"
+    if span_size > budget:
+        raise InvariantViolation("span certificate violated")
     return PfrResult(
         subset=subset,
         span_size=span_size,
         ratio=Fraction(len(subset), len(a)),
         strategy=strategy,
         size_check_waived=False,
-        input_doubling=Fraction(_sumset_size(a), len(a)),
+        input_doubling=Fraction(len(rep_counts(a)), len(a)),
     )
 
 
@@ -302,7 +294,7 @@ def doubling_report(a: F2Set) -> DoublingReport:
     """
     if len(a) == 0:
         raise EmptySetError("doubling_report needs a nonempty set")
-    k = Fraction(_sumset_size(a), len(a))
+    k = Fraction(len(rep_counts(a)), len(a))
     span_ratio = Fraction(len(span(a)), len(a))
     kf = float(k)  # K >= 1 always: a -> a + a0 injects A into A + A
     log2_span = math.log2(float(span_ratio))

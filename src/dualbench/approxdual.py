@@ -30,7 +30,6 @@ from .errors import (
     ZeroDuality,
 )
 from .f2 import (
-    DENSE_CAP,
     F2Set,
     char_sum,
     char_table,
@@ -39,7 +38,7 @@ from .f2 import (
     ip_rows,
     is_dual_pair,
     parity_dot,
-    rep_table,
+    rep_counts,
 )
 from .matrix import max_closed_rectangle
 
@@ -149,18 +148,9 @@ def _markov_restrict(a: F2Set, oracle: _BiasOracle):
     return a1, eps1
 
 
-@dataclass(frozen=True)
-class _NextLevel:
-    members: F2Set
-    bucket: int
-    pair_mass: int
-    duality_prev: Fraction
-    precondition_held: bool
-    eq_mass_holds: bool
-    eq_size_holds: bool
-
-
-def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction) -> _NextLevel:
+def _next_level(
+    a_prev: F2Set, oracle: _BiasOracle, index: int, eps_next: Fraction
+) -> LevelRecord:
     """One sumset step: keep sums in the eps_next spectrum, bucketed by
     representation count, choosing the bucket with the most ordered pairs.
 
@@ -177,19 +167,9 @@ def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction) -> _Next
     if len(a_prev) == 0:
         raise EmptySetError("next_set needs a nonempty previous level")
     n = a_prev.n
-    if n <= DENSE_CAP:
-        table = rep_table(a_prev)
-        items = ((x, c) for x, c in enumerate(table) if c)
-    else:
-        counts: dict[int, int] = {}
-        for u in a_prev.members:
-            for v in a_prev.members:
-                w = u ^ v
-                counts[w] = counts.get(w, 0) + 1
-        items = counts.items()
     mass = [0] * n
     buckets: list[list[int]] = [[] for _ in range(n)]
-    for x, c in items:
+    for x, c in rep_counts(a_prev).items():
         if not oracle.in_spectrum(x, eps_next):
             continue
         j = min(c.bit_length() - 1, n - 1)
@@ -206,8 +186,10 @@ def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction) -> _Next
     eq_size = Fraction(len(members)) >= need / (n << (best_j + 1))
     if held and not (eq_mass and eq_size):
         raise InvariantViolation("guaranteed pair-mass/size bound failed")
-    return _NextLevel(
+    return LevelRecord(
+        index=index,
         members=members,
+        epsilon=eps_next,
         bucket=best_j,
         pair_mass=mass[best_j],
         duality_prev=d_prev,
@@ -219,7 +201,7 @@ def _next_level(a_prev: F2Set, oracle: _BiasOracle, eps_next: Fraction) -> _Next
 
 def next_set(a_prev: F2Set, b: F2Set, eps_next):
     """Public wrapper for one sumset step; returns (A_next, j)."""
-    level = _next_level(a_prev, _BiasOracle(b), Fraction(eps_next))
+    level = _next_level(a_prev, _BiasOracle(b), 2, Fraction(eps_next))  # index is a label
     return level.members, level.bucket
 
 
@@ -266,20 +248,8 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
         eps_i = eps_prev * eps_prev / 2
         # the guarantee precondition d_prev^2 >= 2 eps_i is exactly
         # d_prev >= eps_prev under this threshold recursion
-        nxt = _next_level(prev, oracle, eps_i)
-        levels.append(
-            LevelRecord(
-                index=i,
-                members=nxt.members,
-                epsilon=eps_i,
-                bucket=nxt.bucket,
-                pair_mass=nxt.pair_mass,
-                duality_prev=nxt.duality_prev,
-                precondition_held=nxt.precondition_held,
-                eq_mass_holds=nxt.eq_mass_holds,
-                eq_size_holds=nxt.eq_size_holds,
-            )
-        )
+        nxt = _next_level(prev, oracle, i, eps_i)
+        levels.append(nxt)
         if Fraction(len(nxt.members)) <= growth_bound * len(prev):
             t = i - 1
             break
@@ -303,7 +273,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
 # -- small-span dual pairs --------------------------------------------------------
 
 
-def _small_span(a: F2Set, b: F2Set, eps: Fraction, check_pre: bool = True):
+def _small_span(a: F2Set, b: F2Set, eps: Fraction):
     """Dual pair when A sits inside the eps-spectrum of B.
 
     Partition B by the inner-product pattern against a basis of span(A): all
@@ -320,12 +290,11 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction, check_pre: bool = True):
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionViolation("eps must be positive")
-    if check_pre:
-        for w in a.members:
-            if not in_spectrum(char_sum(b, w), len(b), eps):
-                raise PreconditionViolation(
-                    f"element {w:#x} has bias below {eps}; A not in the spectrum"
-                )
+    for w in a.members:
+        if not in_spectrum(char_sum(b, w), len(b), eps):
+            raise PreconditionViolation(
+                f"element {w:#x} has bias below {eps}; A not in the spectrum"
+            )
     basis = echelon_basis(a.members)
     classes: dict[int, list[int]] = {}
     for y, key in zip(b.members, ip_rows(b.members, basis)):
@@ -379,12 +348,7 @@ class BaseCaseResult:
     small_span: dict
 
 
-def base_case_dual(
-    state: SequenceState,
-    seed: int = 0,
-    pfr_strategy: str = "auto",
-    pfr_exact_cap: int = 20,
-) -> BaseCaseResult:
+def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
     """Dual pair at the top level t of a finished sequence.
 
     Chain: dense-subgraph extraction from A_t against A_(t+1) at density
@@ -399,7 +363,7 @@ def base_case_dual(
     eps_t = state.level(t).epsilon
     rho = eps_next / state.n
     bsg = bsg_extract(a_t, a_next, rho, seed=seed)
-    pfr = pfr_extract(bsg.subset, strategy=pfr_strategy, exact_cap=pfr_exact_cap)
+    pfr = pfr_extract(bsg.subset)
     pair, record = _small_span(pfr.subset, state.source_b, eps_t)
     return BaseCaseResult(pair=pair, bsg=bsg, pfr=pfr, small_span=record)
 
@@ -506,14 +470,7 @@ def default_growth_bound(n: int) -> Fraction:
     return Fraction(2) ** math.ceil(4 * n / math.log2(n))
 
 
-def find_dual_pair(
-    a: F2Set,
-    b: F2Set,
-    growth_bound=None,
-    seed: int = 0,
-    pfr_strategy: str = "auto",
-    pfr_exact_cap: int = 20,
-) -> PipelineTrace:
+def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> PipelineTrace:
     """Run the full pipeline; stage failures land in the trace, not raised.
 
     Misuse (dimension mismatch, empty sets, K <= 1) still raises.  On
@@ -538,9 +495,7 @@ def find_dual_pair(
     trace.state = state
 
     try:
-        base = base_case_dual(
-            state, seed=seed, pfr_strategy=pfr_strategy, pfr_exact_cap=pfr_exact_cap
-        )
+        base = base_case_dual(state, seed=seed)
     except SearchFailure as exc:
         trace.failed_stage = exc.stage
         trace.failure_message = str(exc)
@@ -644,7 +599,7 @@ def exact_dual_oracle(
     elif enumerate_side in ("a", "b"):
         swap = enumerate_side == "b"
     else:
-        raise ValueError(f"bad enumerate_side {enumerate_side!r}")
+        raise PreconditionViolation(f"bad enumerate_side {enumerate_side!r}")
     xs_set, ys_set = (b, a) if swap else (a, b)
     if len(xs_set) > exact_cap:
         raise CapExceeded(

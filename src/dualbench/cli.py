@@ -147,7 +147,19 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
+def _exact_cap(args, read: bool) -> int:
+    """--exact-cap, or its default; a usage error where the strategy ignores it."""
+    if args.exact_cap is None:
+        return EXACT_CAP
+    if not read:
+        raise FormatError(f"--strategy {args.strategy} does not read --exact-cap")
+    return args.exact_cap
+
+
 def cmd_dual(args) -> int:
+    if args.growth_bound is not None and args.strategy != "pipeline":
+        raise FormatError(f"--strategy {args.strategy} does not read --K")
+    exact_cap = _exact_cap(args, args.strategy == "exact")
     a = read_set_file(args.set_a)
     b = read_set_file(args.set_b)
     if args.strategy == "pipeline":
@@ -161,7 +173,7 @@ def cmd_dual(args) -> int:
         _emit_report(_simple_report("dual", args, payload), args)
         return EXIT_OK if trace.ok else EXIT_NOT_FOUND
     if args.strategy == "exact":
-        pair = exact_dual_oracle(a, b, exact_cap=args.exact_cap)
+        pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
     else:
         pair = greedy_dual_pair(a, b)
     payload = {
@@ -178,9 +190,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_mono(args) -> int:
+    finder = finder_for(args.strategy, _exact_cap(args, args.strategy != "greedy"), args.seed)
     m = read_matrix_file(args.matrix)
     deduped, _, _ = dedup(m)
-    view = finder_for(args.strategy, args.exact_cap, args.seed)(deduped)
+    view = finder(deduped)
     payload = {
         "strategy": args.strategy,
         "rows": list(view.rows),
@@ -196,8 +209,9 @@ def cmd_mono(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    finder = finder_for(args.strategy, _exact_cap(args, args.strategy != "greedy"), args.seed)
     m = read_matrix_file(args.matrix)
-    tree = build_protocol(m, mono_finder=finder_for(args.strategy, args.exact_cap, args.seed))
+    tree = build_protocol(m, mono_finder=finder)
     cost = verify(tree, m)
     audit = leaf_recurrence_audit(tree)
     if args.tree_out:
@@ -326,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         if exact_cap:
-            p.add_argument("--exact-cap", type=int, default=EXACT_CAP, dest="exact_cap")
+            p.add_argument("--exact-cap", type=int, default=None, dest="exact_cap")
 
     p = sub.add_parser("gen-matrix", help="write a matrix file")
     p.add_argument("--family", required=True,

@@ -9,6 +9,7 @@ nothing in this module touches floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -188,23 +189,25 @@ def rep_count(s: F2Set, x: F2Vector | int) -> int:
     return sum(1 for u in s.members if u ^ word in lookup)
 
 
-def rep_table(s: F2Set, dense_cap: int = DENSE_CAP) -> list[int]:
+def rep_table(s: F2Set) -> list[int]:
     """rep_count for every word at once, as a dense table of length 2^n.
 
-    Uses the transform identity conv(1_s, 1_s) = wht(wht(1_s)^2) / 2^n when
-    the dense table fits, else accumulates pair sums directly.
+    Uses the transform identity conv(1_s, 1_s) = wht(wht(1_s)^2) / 2^n.
     """
-    size = 1 << s.n
-    if s.n <= dense_cap:
-        g = wht(s.indicator())
-        sq = [v * v for v in g]
-        conv = wht(sq)
-        return [c >> s.n for c in conv]
-    table = [0] * size
-    for u in s.members:
-        for v in s.members:
-            table[u ^ v] += 1
-    return table
+    g = wht(s.indicator())
+    conv = wht([v * v for v in g])
+    return [c >> s.n for c in conv]
+
+
+def rep_counts(s: F2Set) -> dict[int, int]:
+    """The nonzero representation counts {x: rep_count(s, x)}.
+
+    Reads them off the dense transform table when it fits and costs no more
+    than the pair loop (2^n <= |s|^2); else counts the |s|^2 pair sums.
+    """
+    if s.n <= DENSE_CAP and (1 << s.n) <= len(s) * len(s):
+        return {x: c for x, c in enumerate(rep_table(s)) if c}
+    return Counter(u ^ v for u in s.members for v in s.members)
 
 
 def wht(values: Sequence) -> list:
@@ -233,9 +236,9 @@ def char_sum(b: F2Set, word: int) -> int:
     return len(b) - 2 * odd
 
 
-def char_table(b: F2Set, dense_cap: int = DENSE_CAP) -> list[int] | None:
-    """Dense table of char_sum(b, x) for all x, or None above the cap."""
-    if b.n > dense_cap:
+def char_table(b: F2Set) -> list[int] | None:
+    """Dense table of char_sum(b, x) for all x, or None above DENSE_CAP."""
+    if b.n > DENSE_CAP:
         return None
     return wht(b.indicator())
 
@@ -257,7 +260,7 @@ class SpectrumResult:
     members: F2Set
 
 
-def spectrum(b: F2Set, alpha, dense_cap: int = DENSE_CAP) -> SpectrumResult:
+def spectrum(b: F2Set, alpha) -> SpectrumResult:
     """Vectors whose character bias against b has magnitude at least alpha."""
     if len(b) == 0:
         raise EmptySetError("spectrum of an empty set")
@@ -265,9 +268,7 @@ def spectrum(b: F2Set, alpha, dense_cap: int = DENSE_CAP) -> SpectrumResult:
     if not 0 <= alpha <= 1:
         raise FormatError(f"alpha must be in [0,1], got {alpha}")
     size = 1 << b.n
-    table = char_table(b, dense_cap)
-    if table is None:
-        table = [char_sum(b, x) for x in range(size)]
+    table = wht(b.indicator())
     m = len(b)
     members = [x for x in range(size) if in_spectrum(table[x], m, alpha)]
     biases = {x: Fraction(table[x], m) for x in range(size)}

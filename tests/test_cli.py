@@ -267,6 +267,8 @@ def test_usage_errors(tmp_path):
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
     v = tmp_path / "v.txt"
     v.write_text("0000\n0011\n1100\n1111\n")
+    m = tmp_path / "m.txt"
+    m.write_text("2 2\n01\n10\n")
     dual = ("dual", "--set-a", str(v), "--set-b", str(v))
     for argv in (
         ("experiment", "--name", "log-rank-sweep", "--strategy", "bogus"),
@@ -281,11 +283,27 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         ("analyze", "--matrix", str(v), "--exact-cap", "3"),
         ("verify", "--matrix", str(v)),
         ("nonsense-verb",),
+        # a flag the chosen strategy does not read
+        (*dual, "--strategy", "greedy", "--K", "5", "--exact-cap", "1"),
+        (*dual, "--strategy", "exact", "--K", "5"),
+        (*dual, "--exact-cap", "3"),
+        (*dual, "--strategy", "greedy", "--exact-cap", "3"),
+        ("mono", "--matrix", str(m), "--strategy", "greedy", "--exact-cap", "3"),
+        ("protocol", "--matrix", str(m), "--strategy", "greedy", "--exact-cap", "3"),
     ):
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and "error:" in err, err
+
+    # --seed is read or echoed by every strategy
+    for argv in (
+        (*dual, "--strategy", "exact", "--exact-cap", "4", "--seed", "3"),
+        ("mono", "--matrix", str(m), "--strategy", "greedy", "--seed", "3"),
+        ("protocol", "--matrix", str(m), "--strategy", "via-dual", "--exact-cap", "4"),
+    ):
+        assert run(*argv) == 0, argv
+    capsys.readouterr()
 
     # a valid --K is echoed exactly as typed
     out = tmp_path / "k.json"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualbench import f2
 from dualbench.errors import DimensionMismatch, EmptySetError, FormatError
 from dualbench.f2 import (
     F2Set,
@@ -17,6 +18,7 @@ from dualbench.f2 import (
     is_dual_pair,
     parse_set_text,
     rep_count,
+    rep_counts,
     rep_table,
     span,
     spectrum,
@@ -147,8 +149,35 @@ def test_rep_table_matches_pair_enumeration():
             for v in s.members:
                 brute[u ^ v] += 1
         assert table == brute
-        # sparse fallback agrees with the transform route
-        assert rep_table(s, dense_cap=0) == table
+
+
+def brute_counts(s):
+    counts = {}
+    for u in s.members:
+        for v in s.members:
+            counts[u ^ v] = counts.get(u ^ v, 0) + 1
+    return counts
+
+
+def test_rep_counts_matches_pair_enumeration(monkeypatch):
+    # both sides of the cost rule: the transform table when 2^n <= |s|^2 (and
+    # n <= DENSE_CAP), the pair loop otherwise
+    dense_calls = []
+    monkeypatch.setattr(f2, "rep_table", lambda s: dense_calls.append(s) or rep_table(s))
+    rng = random.Random(4)
+    cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
+    cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
+    cases.append(F2Set(21, rng.sample(range(1 << 21), 10)))
+    for s in cases:
+        dense_calls.clear()
+        assert rep_counts(s) == brute_counts(s)
+        assert dense_calls == ([s] if s.n <= 6 else []), s
+    # above DENSE_CAP the pair loop runs even when 2^n <= |s|^2
+    monkeypatch.setattr(f2, "DENSE_CAP", 3)
+    dense_calls.clear()
+    s = cases[0]
+    assert rep_counts(s) == brute_counts(s)
+    assert dense_calls == []
 
 
 # -- wht ---------------------------------------------------------------------
@@ -200,21 +229,17 @@ def test_spectrum_examples():
 
 
 def test_spectrum_dense_equals_direct():
+    # the transform route against one char_sum per word
     rng = random.Random(10)
-    for _ in range(25):
-        n = rng.randint(1, 7)
-        s = random_set(rng, n, 10)
-        alpha = Fraction(rng.randint(0, 4), 4)
-        dense = spectrum(s, alpha)
-        direct = spectrum(s, alpha, dense_cap=0)
-        assert dense.members == direct.members
-        assert dense.biases == direct.biases
+    cases = [(random_set(rng, rng.randint(1, 7), 10), Fraction(rng.randint(0, 4), 4))
+             for _ in range(25)]
     # spot checks at the top of the stated range
-    for n in (10, 12):
-        s = random_set(rng, n, 8)
-        dense = spectrum(s, Fraction(1, 2))
-        direct = spectrum(s, Fraction(1, 2), dense_cap=0)
-        assert dense.members == direct.members
+    cases += [(random_set(rng, n, 8), Fraction(1, 2)) for n in (10, 12)]
+    for s, alpha in cases:
+        res = spectrum(s, alpha)
+        biases = {x: Fraction(char_sum(s, x), len(s)) for x in range(1 << s.n)}
+        assert res.biases == biases
+        assert res.members == F2Set(s.n, (x for x, v in biases.items() if abs(v) >= alpha))
 
 
 def test_spectrum_empty_set():
