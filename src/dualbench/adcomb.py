@@ -13,9 +13,13 @@ Two extractors and one diagnostic:
   with |A + A| <= K|A| is covered by 2K^12 cosets of a subspace of size at
   most |A|), but its bound is not assumed here: outputs carry a verifiable
   certificate (the span size), and the exact strategy is a branch-and-bound
-  ground truth.
+  ground truth.  The greedy strategy scores its coset covers with
+  ``f2.rep_counts`` over A x span.
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
+
+Every pair-sum count here comes from ``f2.rep_counts``, which alone decides
+between a dense 2^n transform table and direct sums.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .errors import (
     InvariantViolation,
     PreconditionViolation,
 )
-from .f2 import DENSE_CAP, F2Set, echelon_basis, rep_counts, span, wht
+# wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
+from .f2 import F2Set, echelon_basis, rep_counts, span, wht
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
@@ -183,9 +188,11 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
 
     exact: branch-and-bound over subsets in canonical order, pruning on both
     remaining-size and span growth; returns a true maximum with the
-    lexicographically smallest witness.  greedy: repeatedly add the element
-    keeping the span within bounds that maximizes coverage of ``a`` by the
-    new span (canonical tie-break).
+    lexicographically smallest witness.  greedy: while the doubled span
+    stays within |a|, add the element outside the span whose coset x + span
+    covers the most of ``a`` (smallest word on ties), then absorb every
+    member the span now holds; each round's covers are the pair-sum counts
+    ``rep_counts(a, span)``.
     """
     if len(a) == 0:
         raise EmptySetError("pfr_extract needs a nonempty set")
@@ -233,43 +240,17 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     else:
         # adding an in-span element never changes the span or any candidate's
         # cover, so absorbing all of them between span-growing picks yields
-        # the same subset as the one-at-a-time greedy; the span doubles on
-        # every pick, and cover(x) = cover + |A & (x + span)| is a coset
-        # count, computable for every x at once by one exact convolution
-        dense = a.n <= DENSE_CAP
-        a_hat = wht(a.indicator()) if dense else None
-        chosen: set[int] = set()
-        span_set: set[int] = {0}
-        while True:
-            for word in members:
-                if word in span_set:
-                    chosen.add(word)
-            if 2 * len(span_set) > budget:
-                break
-            if dense:
-                table = [0] * (1 << a.n)
-                for s in span_set:
-                    table[s] = 1
-                s_hat = wht(table)
-                conv = wht([u * v for u, v in zip(a_hat, s_hat)])
-                covers = [c >> a.n for c in conv]
-            best_pick = None
-            best_cover = -1
-            for word in members:
-                if word in chosen or word in span_set:
-                    continue
-                if dense:
-                    coset_cover = covers[word]
-                else:
-                    coset_cover = sum(1 for w in members if w ^ word in span_set)
-                if coset_cover > best_cover:
-                    best_cover = coset_cover
-                    best_pick = word
-            if best_pick is None:
-                break
-            chosen.add(best_pick)
-            span_set |= {s ^ best_pick for s in span_set}
-        subset = F2Set(a.n, sorted(chosen))
+        # the same subset as the one-at-a-time greedy.  The span doubles on
+        # every pick, and the pick maximises the coset cover |A & (x + span)|,
+        # which counts the pairs of A x span summing to x: one rep_counts
+        # call scores every candidate.  While 2 |span| <= |A|, some member
+        # lies outside the span, so there is always a candidate.
+        span_set = {0}
+        while 2 * len(span_set) <= budget:
+            covers = rep_counts(a, F2Set(a.n, span_set))
+            pick = max((w for w in members if w not in span_set), key=covers.__getitem__)
+            span_set |= {s ^ pick for s in span_set}
+        subset = F2Set(a.n, (w for w in members if w in span_set))
 
     span_size = len(span(subset))
     if span_size > budget:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import experiments as xp
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import (
-    CapExceeded,
     DualbenchError,
     FormatError,
     InvariantViolation,
@@ -442,7 +441,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FormatError, CapExceeded, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchFailure as exc:

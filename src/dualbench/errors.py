@@ -102,3 +102,15 @@ class AuditViolation(InvariantViolation):
     def __init__(self, path, message):
         super().__init__(f"audit violation at node {path or 'root'}: {message}")
         self.path = path
+
+
+def read_text(path) -> str:
+    """The text of a matrix, set or tree file; those formats are ASCII, so any
+    other byte is a FormatError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None

@@ -472,16 +472,13 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[str],
 
 def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
     n = int(config.get("n", 10))
-    instances = config.get(
-        "instances_spec",
-        [
-            ("weight-slice", {"n": n, "w": 1}),
-            ("weight-slice", {"n": n, "w": 2}),
-            ("subspace", {"n": n, "d": max(1, n // 2)}),
-            ("subspace-plus-noise", {"n": n, "d": max(1, n // 2), "outliers": 3}),
-            ("random", {"n": n, "size": min(32, 1 << (n - 1))}),
-        ],
-    )
+    instances = [
+        ("weight-slice", {"n": n, "w": 1}),
+        ("weight-slice", {"n": n, "w": 2}),
+        ("subspace", {"n": n, "d": max(1, n // 2)}),
+        ("subspace-plus-noise", {"n": n, "d": max(1, n // 2), "outliers": 3}),
+        ("random", {"n": n, "size": min(32, 1 << (n - 1))}),
+    ]
     report = report_envelope("doubling", seed, dict(config))
     rows = []
     for idx, (family, params) in enumerate(instances):
@@ -603,7 +600,7 @@ EXPERIMENTS = {
         ("ranks", "k", "l", "instances", "strategy"),
     ),
     "counterexample": (experiment_counterexample, ("ns", "w", "oracle_cap")),
-    "doubling": (experiment_doubling, ("n", "instances_spec")),
+    "doubling": (experiment_doubling, ("n",)),
     "nw-bias": (experiment_nw_bias, ("count", "k", "l", "rank")),
 }
 

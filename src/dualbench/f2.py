@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptySetError, FormatError
+from .errors import DimensionMismatch, EmptySetError, FormatError, read_text
 
 MAX_DIMENSION = 24
 DENSE_CAP = 20  # build 2^n tables only up to this dimension
@@ -189,25 +189,36 @@ def rep_count(s: F2Set, x: F2Vector | int) -> int:
     return sum(1 for u in s.members if u ^ word in lookup)
 
 
-def rep_table(s: F2Set) -> list[int]:
-    """rep_count for every word at once, as a dense table of length 2^n.
+def _dense_pays(n: int, direct_work: int) -> bool:
+    """The one rule for a dense 2^n transform table: it must fit
+    (n <= DENSE_CAP) and cost no more than the direct sums it replaces."""
+    return n <= DENSE_CAP and (1 << n) <= direct_work
 
-    Uses the transform identity conv(1_s, 1_s) = wht(wht(1_s)^2) / 2^n.
+
+def rep_table(s: F2Set, t: F2Set | None = None) -> list[int]:
+    """#{(u, v) in s x t : u + v = x} for every word x, as a dense table of
+    length 2^n; t defaults to s.
+
+    Uses the transform identity conv(1_s, 1_t) = wht(wht(1_s) wht(1_t)) / 2^n.
     """
     g = wht(s.indicator())
-    conv = wht([v * v for v in g])
+    h = g if t is None else wht(t.indicator())
+    conv = wht([u * v for u, v in zip(g, h)])
     return [c >> s.n for c in conv]
 
 
-def rep_counts(s: F2Set) -> dict[int, int]:
-    """The nonzero representation counts {x: rep_count(s, x)}.
+def rep_counts(s: F2Set, t: F2Set | None = None) -> dict[int, int]:
+    """The nonzero pair-sum counts {x: #{(u, v) in s x t : u + v = x}}; t
+    defaults to s.
 
-    Reads them off the dense transform table when it fits and costs no more
-    than the pair loop (2^n <= |s|^2); else counts the |s|^2 pair sums.
+    Reads them off the dense transform table when it pays against the
+    |s| |t| pair sums; else counts the pair sums.
     """
-    if s.n <= DENSE_CAP and (1 << s.n) <= len(s) * len(s):
-        return {x: c for x, c in enumerate(rep_table(s)) if c}
-    return Counter(u ^ v for u in s.members for v in s.members)
+    other = s if t is None else t
+    _same_dim(s, other)
+    if _dense_pays(s.n, len(s) * len(other)):
+        return {x: c for x, c in enumerate(rep_table(s, t)) if c}
+    return Counter(u ^ v for u in s.members for v in other.members)
 
 
 def wht(values: Sequence) -> list:
@@ -237,8 +248,9 @@ def char_sum(b: F2Set, word: int) -> int:
 
 
 def char_table(b: F2Set) -> list[int] | None:
-    """Dense table of char_sum(b, x) for all x, or None above DENSE_CAP."""
-    if b.n > DENSE_CAP:
+    """Dense table of char_sum(b, x) for all x, or None unless the table pays
+    against |b|^2 direct sums (callers then memoise char_sum per word)."""
+    if not _dense_pays(b.n, len(b) * len(b)):
         return None
     return wht(b.indicator())
 
@@ -335,8 +347,7 @@ def format_set(s: F2Set) -> str:
 
 
 def read_set_file(path) -> F2Set:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_set_text(fh.read())
+    return parse_set_text(read_text(path))
 
 
 def write_set_file(path, s: F2Set) -> None:

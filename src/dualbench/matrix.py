@@ -19,6 +19,7 @@ from .errors import (
     MonochromaticityViolation,
     NotFound,
     PreconditionViolation,
+    read_text,
 )
 from .f2 import F2Set, echelon_basis, ip_rows
 
@@ -664,8 +665,7 @@ def format_matrix(m: BoolMatrix) -> str:
 
 
 def read_matrix_file(path) -> BoolMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix_text(fh.read())
+    return parse_matrix_text(read_text(path))
 
 
 def write_matrix_file(path, m: BoolMatrix) -> None:

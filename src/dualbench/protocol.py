@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     InvariantViolation,
     MismatchError,
+    read_text,
 )
 from .matrix import (
     EXACT_CAP,
@@ -206,7 +207,6 @@ def finder_for(
 def build_protocol(
     m: BoolMatrix,
     mono_finder: Optional[Callable[[BoolMatrix], SubmatrixView]] = None,
-    depth_cap: Optional[int] = None,
 ) -> ProtocolTree:
     """Compile a matrix into a protocol tree.
 
@@ -214,14 +214,14 @@ def build_protocol(
     the index maps.  The speaker at each node is the player whose off-Q
     block has the smaller rank, except that a rectangle covering all rows
     (or all columns) forces the other player to speak so the split stays
-    proper.  Area strictly decreases along every edge, so the tree is finite
-    even without the depth cap.
+    proper.  Area strictly decreases along every edge, so the tree is finite;
+    recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
+    trap (DepthCapExceeded).
     """
     if mono_finder is None:
         mono_finder = mono_finder_exact()
     core, row_map, col_map = dedup(m)
-    if depth_cap is None:
-        depth_cap = 4 * (core.n_rows + core.n_cols)
+    depth_cap = 4 * (core.n_rows + core.n_cols)
 
     def build(rows: tuple[int, ...], cols: tuple[int, ...], depth: int) -> ProtocolNode:
         if depth > depth_cap:
@@ -491,7 +491,15 @@ def _indices(data, key: str, bound: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _node_from_dict(data, matrix: BoolMatrix) -> ProtocolNode:
+def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: str) -> ProtocolNode:
+    """Load the node at path, whose block is rows x cols of the stored matrix.
+
+    The split must be a proper nonempty subset of the speaker's side of the
+    block, and the stored stats must fit the block: area, a 0/1 mono_value, a
+    mono_area in 1..area-1 that is a multiple of the split size, mono_fraction
+    = mono_area / area, rank in 1..min(|rows|, |cols|), rank_r and rank_s in
+    0..rank.  Ranks within those bounds are taken as stored.
+    """
     kind = _get(data, "type", str)
     if kind == "leaf":
         if _get(data, "output", int) not in (0, 1):
@@ -511,11 +519,43 @@ def _node_from_dict(data, matrix: BoolMatrix) -> ProtocolNode:
         mono_fraction = Fraction(_get(s, "mono_fraction", str))
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad mono_fraction {s['mono_fraction']!r}") from None
+
+    def bad(message: str) -> FormatError:
+        return FormatError(f"node {path or 'root'}: {message}")
+
+    side = rows if speaker == "row" else cols
+    split = _get(data, "split", list)
+    if not all(type(v) is int for v in split):
+        raise bad("split entries must be integers")
+    chosen = set(split)
+    if not split or len(chosen) != len(split) or not chosen < set(side):
+        raise bad(f"split is not a proper nonempty subset of the block's {speaker}s")
+    area = len(rows) * len(cols)
+    mono_area, rank = counts["mono_area"], counts["rank"]
+    if counts["area"] != area:
+        raise bad(f"area {counts['area']} != {len(rows)} x {len(cols)}")
+    if counts["mono_value"] not in (0, 1):
+        raise bad("mono_value must be 0 or 1")
+    if not 0 < mono_area < area or mono_area % len(split):
+        raise bad(f"mono_area {mono_area} is outside 1..{area - 1} "
+                  f"or not a multiple of the split size {len(split)}")
+    if mono_fraction * area != mono_area:
+        raise bad(f"mono_fraction {mono_fraction} != mono_area / area")
+    if not 1 <= rank <= min(len(rows), len(cols)):
+        raise bad(f"rank {rank} outside 1..min(rows, cols)")
+    if not (0 <= counts["rank_r"] <= rank and 0 <= counts["rank_s"] <= rank):
+        raise bad("rank_r or rank_s outside 0..rank")
+    inside = tuple(i for i in side if i in chosen)
+    outside = tuple(i for i in side if i not in chosen)
+    if speaker == "row":
+        blocks = ((outside, cols), (inside, cols))
+    else:
+        blocks = ((rows, outside), (rows, inside))
     return Internal(
         speaker=speaker,
-        split=_indices(data, "split", matrix.n_rows if speaker == "row" else matrix.n_cols),
-        child0=_node_from_dict(children[0], matrix),
-        child1=_node_from_dict(children[1], matrix),
+        split=tuple(split),
+        child0=_node_from_dict(children[0], *blocks[0], path + "0"),
+        child1=_node_from_dict(children[1], *blocks[1], path + "1"),
         stats=NodeStats(mono_fraction=mono_fraction, **counts),
     )
 
@@ -542,7 +582,8 @@ def tree_to_dict(tree: ProtocolTree) -> dict:
 
 def tree_from_dict(data: dict) -> ProtocolTree:
     """Load a tree document; a missing, mistyped or out-of-range field is a
-    FormatError.  Tree-level counts are re-derived, node stats taken as stored."""
+    FormatError.  Tree-level counts are re-derived; node stats are checked
+    against each node's block (see _node_from_dict), ranks only for range."""
     if not isinstance(data, dict) or data.get("format") != "protocol-tree":
         raise FormatError("not a protocol-tree document")
     if _get(data, "version", int) != TREE_FORMAT_VERSION:
@@ -558,7 +599,9 @@ def tree_from_dict(data: dict) -> ProtocolTree:
     source_cols = _get(data, "source_cols", int)
     if (len(row_map), len(col_map)) != (source_rows, source_cols):
         raise FormatError("index maps disagree with the source shape")
-    root = _node_from_dict(data.get("root"), matrix)
+    root = _node_from_dict(
+        data.get("root"), tuple(range(matrix.n_rows)), tuple(range(matrix.n_cols)), ""
+    )
     leaves, depth, internal = _tree_shape(root)
     stored = _get(data, "stats", dict)
     counts = [_get(stored, key, int) for key in ("leaves", "depth", "internal_nodes")]
@@ -590,8 +633,7 @@ def parse_tree_text(text: str) -> ProtocolTree:
 
 
 def read_tree_file(path) -> ProtocolTree:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tree_text(fh.read())
+    return parse_tree_text(read_text(path))
 
 
 def write_tree_file(path, tree: ProtocolTree) -> None:

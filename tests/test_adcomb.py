@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from dualbench import f2
 from dualbench.adcomb import bsg_extract, doubling_report, pfr_extract
 from dualbench.errors import DensityTooLow, EmptySetError
-from dualbench.f2 import F2Set, span, sumset
+from dualbench.f2 import F2Set, rep_table, span, sumset
 
 
 def subspace(n, *generators):
@@ -127,6 +128,67 @@ def test_pfr_exact_dominates_greedy():
         assert len(exact.subset) >= len(greedy.subset)
         assert exact.span_size <= len(a) and greedy.span_size <= len(a)
         assert len(exact.subset) == pfr_bruteforce_max(a)
+
+
+def coset_loop_greedy(a):
+    """pfr_extract's greedy strategy as it was written before its coset
+    counts went through rep_counts: each candidate's cover |A & (x + span)|
+    is counted on its own."""
+    members = a.members
+    chosen, span_set = set(), {0}
+    while True:
+        for word in members:
+            if word in span_set:
+                chosen.add(word)
+        if 2 * len(span_set) > len(a):
+            break
+        best_pick, best_cover = None, -1
+        for word in members:
+            if word in chosen or word in span_set:
+                continue
+            coset_cover = sum(1 for w in members if w ^ word in span_set)
+            if coset_cover > best_cover:
+                best_cover, best_pick = coset_cover, word
+        if best_pick is None:
+            break
+        chosen.add(best_pick)
+        span_set |= {s ^ best_pick for s in span_set}
+    return F2Set(a.n, chosen)
+
+
+def test_pfr_greedy_matches_coset_loop(monkeypatch):
+    # the covers come from rep_counts(a, span), which takes the transform
+    # table when 2^n <= |a| |span| (n <= DENSE_CAP) and the pair loop
+    # otherwise; the cases reach both sides of that rule, and n = 21 only
+    # the pair loop
+    cover_tables = []  # dense calls with a second operand: the coset covers
+
+    def spy(s, t=None):
+        if t is not None:
+            cover_tables.append(t)
+        return rep_table(s, t)
+
+    monkeypatch.setattr(f2, "rep_table", spy)
+    rng = random.Random("pfr-greedy")
+    cases = []
+    for n in range(4, 11):
+        for size in (n, 2 * n, 1 << (n - 2), 1 << (n - 1)):
+            cases.append(F2Set(n, rng.sample(range(1 << n), max(2, size))))
+        noisy = list(subspace(n, *(rng.randrange(1 << n) for _ in range(n // 2))).members)
+        cases.append(F2Set(n, noisy + [rng.randrange(1 << n) for _ in range(3)]))
+    for _ in range(3):
+        noisy = list(subspace(21, *(rng.randrange(1 << 21) for _ in range(5))).members)
+        cases.append(F2Set(21, noisy + [rng.randrange(1 << 21) for _ in range(7)]))
+    paths = set()
+    for a in cases:
+        cover_tables.clear()
+        res = pfr_extract(a, strategy="greedy")
+        assert res.subset == coset_loop_greedy(a), a
+        assert res.span_size == len(span(res.subset)) <= len(a)
+        paths.add(bool(cover_tables))
+        if a.n == 21:
+            assert cover_tables == []
+    assert paths == {True, False}
 
 
 def test_pfr_singleton_waiver():

@@ -8,6 +8,7 @@ import pytest
 
 from dualbench.approxdual import (
     DualPair,
+    _BiasOracle,
     base_case_dual,
     default_growth_bound,
     exact_dual_oracle,
@@ -411,6 +412,21 @@ def test_sparse_paths_above_dense_cap():
     pair = trace.final
     assert pair.a_side.issubset(s) and pair.b_side.issubset(s)
     assert is_dual_pair(pair.a_side, pair.b_side) == pair.constant_bit
+
+
+def test_bias_oracle_on_both_paths():
+    # the oracle reads a dense table where char_table builds one and memoises
+    # char_sum per word elsewhere; both give char_sum
+    rng = random.Random("bias-oracle")
+    for n, size, dense in ((6, 8, True), (6, 7, False), (21, 12, False)):
+        b = F2Set(n, rng.sample(range(1 << n), size))
+        oracle = _BiasOracle(b)
+        assert (oracle._table is not None) == dense
+        words = [rng.randrange(1 << n) for _ in range(40)]
+        for word in words + words:
+            assert oracle.char(word) == char_sum(b, word)
+        if not dense:
+            assert set(oracle._memo) == set(words)
 
 
 # -- exact oracle and greedy ------------------------------------------------------------

@@ -228,7 +228,10 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     bad_file = tmp_path / "bad.json"
 
     def check(doc, label):
-        bad_file.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            bad_file.write_bytes(doc)
+        else:
+            bad_file.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1, label
         err = capsys.readouterr().err
@@ -247,6 +250,26 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc["root"]["split"].append(8)
     check(doc, "split out of range")
     check([valid], "not an object")
+    # stored node stats must fit the node's block
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"]["mono_value"] = 2
+    check(doc, "mono_value 2")
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"]["mono_fraction"] = "1/3"
+    check(doc, "mono_fraction edited")
+    doc = json.loads(tree_file.read_text())
+    nodes = [doc["root"]]
+    while nodes:
+        node = nodes.pop()
+        if node["type"] == "internal":
+            node["stats"].update(rank=0, rank_r=0, rank_s=0)
+            nodes += node["children"]
+    check(doc, "zeroed ranks")
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"]["area"] += 1
+    check(doc, "area plus one")
+    text = tree_file.read_bytes()
+    check(text[:40] + b"\xe9" + text[40:], "non-ASCII byte")
 
     rng = random.Random("tree-mutations")
     for i in range(300):
@@ -254,6 +277,43 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
         _mutate(doc, rng)
         check(doc, f"mutation {i}")
     assert json.loads(tree_file.read_text()) == valid
+
+
+def _byte_mutation(data: bytes, rng) -> bytes:
+    """Insert a non-ASCII byte, or delete or duplicate a byte, so that the
+    file no longer parses: every line of a set file, and every row of a
+    matrix file, has the same width, and a matrix header counts the rows."""
+    kind = rng.choice(["insert", "delete", "duplicate"])
+    if kind == "insert":
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:]
+    if kind == "delete":
+        at = rng.randrange(len(data) - 1)  # not the final newline
+    else:
+        at = rng.choice([i for i, c in enumerate(data) if not chr(c).isspace()])
+    return data[:at] + data[at:at + 1] * (2 if kind == "duplicate" else 0) + data[at + 1:]
+
+
+def test_malformed_set_and_matrix_bytes_are_format_errors(tmp_path, capsys):
+    sets = tmp_path / "a.txt"
+    matrix = tmp_path / "m.txt"
+    run("gen-sets", "--family", "random", "--n", "6", "--size", "5", "--seed", "2",
+        "--out", str(sets))
+    run("gen-matrix", "--family", "random-f2-rank", "--k", "12", "--l", "7",
+        "--rank", "3", "--seed", "2", "--out", str(matrix))
+    bad = tmp_path / "bad.txt"
+    rng = random.Random("byte-mutations")
+    for source, argv in (
+        (sets, ("dual", "--set-a", str(bad), "--set-b", str(bad), "--strategy", "greedy")),
+        (matrix, ("analyze", "--matrix", str(bad))),
+    ):
+        data = source.read_bytes()
+        for i in range(150):
+            bad.write_bytes(_byte_mutation(data, rng))
+            capsys.readouterr()
+            assert run(*argv) == 1, (source.name, i, bad.read_bytes())
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (source.name, i, err)
 
 
 def test_usage_errors(tmp_path):

@@ -10,6 +10,7 @@ from dualbench.f2 import (
     F2Vector,
     bias,
     char_sum,
+    char_table,
     duality_measure,
     echelon_basis,
     format_set,
@@ -151,19 +152,21 @@ def test_rep_table_matches_pair_enumeration():
         assert table == brute
 
 
-def brute_counts(s):
+def brute_counts(s, t=None):
     counts = {}
     for u in s.members:
-        for v in s.members:
+        for v in (s if t is None else t).members:
             counts[u ^ v] = counts.get(u ^ v, 0) + 1
     return counts
 
 
 def test_rep_counts_matches_pair_enumeration(monkeypatch):
     # both sides of the cost rule: the transform table when 2^n <= |s|^2 (and
-    # n <= DENSE_CAP), the pair loop otherwise
+    # n <= DENSE_CAP), the pair loop otherwise; t defaults to s
     dense_calls = []
-    monkeypatch.setattr(f2, "rep_table", lambda s: dense_calls.append(s) or rep_table(s))
+    monkeypatch.setattr(
+        f2, "rep_table", lambda s, t=None: dense_calls.append(s) or rep_table(s, t)
+    )
     rng = random.Random(4)
     cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
     cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
@@ -172,6 +175,20 @@ def test_rep_counts_matches_pair_enumeration(monkeypatch):
         dense_calls.clear()
         assert rep_counts(s) == brute_counts(s)
         assert dense_calls == ([s] if s.n <= 6 else []), s
+    # pair sums over s x t with t != s: the transform when 2^n <= |s| |t|
+    for n, s_size, t_size, dense in ((5, 8, 4, True), (6, 12, 8, True), (8, 10, 12, False),
+                                     (6, 9, 7, False), (21, 10, 6, False)):
+        for _ in range(4):
+            s = F2Set(n, rng.sample(range(1 << n), s_size))
+            t = F2Set(n, rng.sample(range(1 << n), t_size))
+            dense_calls.clear()
+            assert rep_counts(s, t) == brute_counts(s, t)
+            assert dense_calls == ([s] if dense else []), (n, s_size, t_size)
+            if n <= 8:
+                table = [brute_counts(s, t).get(x, 0) for x in range(1 << n)]
+                assert rep_table(s, t) == table
+    with pytest.raises(DimensionMismatch):
+        rep_counts(F2Set(4, [1]), F2Set(5, [1]))
     # above DENSE_CAP the pair loop runs even when 2^n <= |s|^2
     monkeypatch.setattr(f2, "DENSE_CAP", 3)
     dense_calls.clear()
@@ -245,6 +262,20 @@ def test_spectrum_dense_equals_direct():
 def test_spectrum_empty_set():
     with pytest.raises(EmptySetError):
         spectrum(F2Set(3, []), Fraction(1, 2))
+
+
+def test_char_table_exactly_when_it_pays(monkeypatch):
+    # a table when n <= DENSE_CAP and 2^n <= |b|^2, else None
+    rng = random.Random("char-table")
+    for n, size in ((4, 4), (4, 3), (6, 8), (6, 7), (10, 32), (10, 31), (21, 40)):
+        b = F2Set(n, rng.sample(range(1 << n), size))
+        table = char_table(b)
+        if (1 << n) <= size * size and n <= f2.DENSE_CAP:
+            assert table == [char_sum(b, x) for x in range(1 << n)]
+        else:
+            assert table is None, (n, size)
+    monkeypatch.setattr(f2, "DENSE_CAP", 3)
+    assert char_table(F2Set(4, range(16))) is None
 
 
 # -- duality measure ---------------------------------------------------------
