@@ -13,8 +13,7 @@ Two extractors and one diagnostic:
   with |A + A| <= K|A| is covered by 2K^12 cosets of a subspace of size at
   most |A|), but its bound is not assumed here: outputs carry a verifiable
   certificate (the span size), and the exact strategy is a branch-and-bound
-  ground truth.  The greedy strategy scores its coset covers with
-  ``f2.rep_counts`` over A x span.
+  ground truth.
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 

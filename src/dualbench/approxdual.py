@@ -33,6 +33,7 @@ from .f2 import (
     F2Set,
     char_sum,
     char_table,
+    dense_pays,
     echelon_basis,
     in_spectrum,
     ip_rows,
@@ -64,12 +65,13 @@ class DualPair:
 
 
 class _BiasOracle:
-    """Cached character sums of a fixed set B (dense table when it fits)."""
+    """Cached character sums of a fixed set B: char_sum memoised per word
+    until the words asked times |B| pay for a dense table (f2.dense_pays)."""
 
     def __init__(self, b: F2Set):
         self.b = b
         self.size = len(b)
-        self._table = char_table(b)
+        self._table: list[int] | None = None
         self._memo: dict[int, int] = {}
 
     def char(self, word: int) -> int:
@@ -77,6 +79,9 @@ class _BiasOracle:
             return self._table[word]
         got = self._memo.get(word)
         if got is None:
+            if dense_pays(self.b.n, (len(self._memo) + 1) * self.size):
+                self._table = char_table(self.b)
+                return self._table[word]
             got = char_sum(self.b, word)
             self._memo[word] = got
         return got

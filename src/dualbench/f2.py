@@ -189,7 +189,7 @@ def rep_count(s: F2Set, x: F2Vector | int) -> int:
     return sum(1 for u in s.members if u ^ word in lookup)
 
 
-def _dense_pays(n: int, direct_work: int) -> bool:
+def dense_pays(n: int, direct_work: int) -> bool:
     """The one rule for a dense 2^n transform table: it must fit
     (n <= DENSE_CAP) and cost no more than the direct sums it replaces."""
     return n <= DENSE_CAP and (1 << n) <= direct_work
@@ -216,7 +216,7 @@ def rep_counts(s: F2Set, t: F2Set | None = None) -> dict[int, int]:
     """
     other = s if t is None else t
     _same_dim(s, other)
-    if _dense_pays(s.n, len(s) * len(other)):
+    if dense_pays(s.n, len(s) * len(other)):
         return {x: c for x, c in enumerate(rep_table(s, t)) if c}
     return Counter(u ^ v for u in s.members for v in other.members)
 
@@ -248,9 +248,9 @@ def char_sum(b: F2Set, word: int) -> int:
 
 
 def char_table(b: F2Set) -> list[int] | None:
-    """Dense table of char_sum(b, x) for all x, or None unless the table pays
-    against |b|^2 direct sums (callers then memoise char_sum per word)."""
-    if not _dense_pays(b.n, len(b) * len(b)):
+    """Dense table of char_sum(b, x) for all x, or None above DENSE_CAP;
+    callers asking word by word build it once dense_pays(n, words x |b|)."""
+    if b.n > DENSE_CAP:
         return None
     return wht(b.indicator())
 

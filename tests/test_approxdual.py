@@ -414,18 +414,21 @@ def test_sparse_paths_above_dense_cap():
     assert is_dual_pair(pair.a_side, pair.b_side) == pair.constant_bit
 
 
-def test_bias_oracle_on_both_paths():
-    # the oracle reads a dense table where char_table builds one and memoises
-    # char_sum per word elsewhere; both give char_sum
+def test_bias_oracle_builds_its_table_once_it_pays():
+    # the oracle memoises char_sum per word until the distinct words asked
+    # times |B| reach 2^n (n <= DENSE_CAP), then reads one dense table; both
+    # give char_sum.  `built` is the count of distinct words at which the
+    # table appears (None: never)
     rng = random.Random("bias-oracle")
-    for n, size, dense in ((6, 8, True), (6, 7, False), (21, 12, False)):
+    for n, size, built in ((6, 8, 8), (6, 7, 10), (8, 3, None), (21, 12, None)):
         b = F2Set(n, rng.sample(range(1 << n), size))
         oracle = _BiasOracle(b)
-        assert (oracle._table is not None) == dense
-        words = [rng.randrange(1 << n) for _ in range(40)]
-        for word in words + words:
+        words = rng.sample(range(1 << n), 40)
+        for k, word in enumerate(words + words):
             assert oracle.char(word) == char_sum(b, word)
-        if not dense:
+            asked = min(k + 1, len(words))
+            assert (oracle._table is not None) == (built is not None and asked >= built)
+        if built is None:
             assert set(oracle._memo) == set(words)
 
 

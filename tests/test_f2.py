@@ -11,6 +11,7 @@ from dualbench.f2 import (
     bias,
     char_sum,
     char_table,
+    dense_pays,
     duality_measure,
     echelon_basis,
     format_set,
@@ -264,18 +265,20 @@ def test_spectrum_empty_set():
         spectrum(F2Set(3, []), Fraction(1, 2))
 
 
-def test_char_table_exactly_when_it_pays(monkeypatch):
-    # a table when n <= DENSE_CAP and 2^n <= |b|^2, else None
+def test_dense_pays_rule_and_char_table(monkeypatch):
+    # the one rule: a 2^n table iff n <= DENSE_CAP and 2^n <= the direct work;
+    # char_table builds its table whenever it fits and leaves the asking to
+    # callers (the bias oracle)
+    assert dense_pays(6, 64) and not dense_pays(6, 63)
+    assert not dense_pays(f2.DENSE_CAP + 1, 1 << 40)
     rng = random.Random("char-table")
-    for n, size in ((4, 4), (4, 3), (6, 8), (6, 7), (10, 32), (10, 31), (21, 40)):
+    for n, size in ((4, 3), (6, 8), (10, 5)):
         b = F2Set(n, rng.sample(range(1 << n), size))
-        table = char_table(b)
-        if (1 << n) <= size * size and n <= f2.DENSE_CAP:
-            assert table == [char_sum(b, x) for x in range(1 << n)]
-        else:
-            assert table is None, (n, size)
+        assert char_table(b) == [char_sum(b, x) for x in range(1 << n)]
+    assert char_table(F2Set(f2.DENSE_CAP + 1, [1, 2])) is None
     monkeypatch.setattr(f2, "DENSE_CAP", 3)
     assert char_table(F2Set(4, range(16))) is None
+    assert not dense_pays(4, 1 << 40)
 
 
 # -- duality measure ---------------------------------------------------------
