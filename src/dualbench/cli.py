@@ -18,13 +18,22 @@ from fractions import Fraction
 from . import experiments as xp
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import (
+    AuditViolation,
     DualbenchError,
     FormatError,
     InvariantViolation,
     SearchFailure,
 )
 from .f2 import duality_measure, format_set, read_set_file, write_set_file
-from .matrix import EXACT_CAP, dedup, factorize_f2, format_matrix, read_matrix_file, stats
+from .matrix import (
+    EXACT_CAP,
+    dedup,
+    discrepancy,
+    factorize_f2,
+    format_matrix,
+    read_matrix_file,
+    stats,
+)
 from .protocol import (
     STRATEGIES,
     build_protocol,
@@ -73,32 +82,32 @@ def _simple_report(command: str, args, payload: dict) -> dict:
 # -- verb implementations --------------------------------------------------------------
 
 
+def _given(args, keys, reads, what: str) -> dict:
+    """The flags among keys that were given; a usage error if what does not
+    read one of them."""
+    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    unread = ", ".join("--" + key.replace("_", "-") for key in given if key not in reads)
+    if unread:
+        raise FormatError(f"{what} does not read {unread}")
+    return given
+
+
 def cmd_gen_matrix(args) -> int:
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "rank": args.rank,
-        "p": args.p,
-    }
+    params = _given(args, ("n", "k", "l", "rank", "p", "set_a", "set_b"),
+                    xp.MATRIX_FAMILIES[args.family], f"family {args.family}")
     if args.family == "from-sets":
         if not (args.set_a and args.set_b):
             raise FormatError("from-sets needs --set-a and --set-b")
-        params["a"] = read_set_file(args.set_a)
-        params["b"] = read_set_file(args.set_b)
+        params["set_a"] = read_set_file(args.set_a)
+        params["set_b"] = read_set_file(args.set_b)
     m = xp.generate_matrix(args.family, params, seed=args.seed)
     _emit(format_matrix(m), args.out)
     return EXIT_OK
 
 
 def cmd_gen_sets(args) -> int:
-    params = {
-        "n": args.n,
-        "w": args.w,
-        "d": args.d,
-        "outliers": args.outliers,
-        "size": args.size,
-    }
+    params = _given(args, ("n", "w", "d", "outliers", "size"),
+                    xp.SET_FAMILIES[args.family], f"family {args.family}")
     s = xp.generate_sets(args.family, params, seed=args.seed)
     _emit(format_set(s), args.out)
     return EXIT_OK
@@ -140,7 +149,7 @@ def cmd_factor(args) -> int:
         "a_size": len(fact.a_set),
         "b_size": len(fact.b_set),
         "duality": xp.rat(duality_measure(fact.a_set, fact.b_set)),
-        "discrepancy": xp.rat(stats(deduped).discrepancy),
+        "discrepancy": xp.rat(discrepancy(deduped)),
     }
     _emit_report(_simple_report("factor", args, payload), args)
     return EXIT_OK
@@ -230,7 +239,7 @@ def cmd_protocol(args) -> int:
             f"{cost.leaf_target_reference:.4f}" if cost.leaf_target_reference else ""
         ),
         "binomial_leaf_reference": cost.binomial_leaf_reference,
-        "audited_nodes": len(audit["nodes"]),
+        "audited_nodes": len(audit),
     }
     report = _simple_report("protocol", args, payload)
     header = list(payload.keys())
@@ -242,12 +251,15 @@ def cmd_verify(args) -> int:
     m = read_matrix_file(args.matrix)
     tree = read_tree_file(args.tree)
     cost = verify(tree, m)
-    audit = leaf_recurrence_audit(tree)
+    try:
+        audit = leaf_recurrence_audit(tree)
+    except AuditViolation as exc:  # stored stats that no build could have made
+        raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
         "verified_entries": m.n_rows * m.n_cols,
         "leaves": cost.leaves,
         "depth": cost.depth,
-        "audited_nodes": len(audit["nodes"]),
+        "audited_nodes": len(audit),
         "sample_bits": simulate(tree, 0, 0)[1],
         "ok": True,
     }
@@ -256,32 +268,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = {}
-    for key in (
-        "n",
-        "k",
-        "l",
-        "rank",
-        "count",
-        "instances",
-        "w",
-        "d",
-        "size",
-        "outliers",
-        "oracle_cap",
-        "strategy",
-        "family",
-        "ns",
-        "ranks",
-        "K",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
-    reads = xp.EXPERIMENTS[args.name][1]
-    unread = ", ".join("--" + key.replace("_", "-") for key in config if key not in reads)
-    if unread:
-        raise FormatError(f"experiment {args.name} does not read {unread}")
+    config = _given(
+        args,
+        ("n", "k", "l", "rank", "count", "instances", "w", "d", "size", "outliers",
+         "oracle_cap", "strategy", "family", "ns", "ranks", "K"),
+        xp.EXPERIMENTS[args.name][1],
+        f"experiment {args.name}",
+    )
     started = time.monotonic()
     report, header, rows = xp.run_experiment(args.name, config, seed=args.seed)
     if args.timings:
@@ -342,21 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--exact-cap", type=int, default=None, dest="exact_cap")
 
     p = sub.add_parser("gen-matrix", help="write a matrix file")
-    p.add_argument("--family", required=True,
-                   choices=["ip", "random-f2-rank", "random-dense", "from-sets"])
+    p.add_argument("--family", required=True, choices=list(xp.MATRIX_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--set-a", dest="set_a", default=None)
     p.add_argument("--set-b", dest="set_b", default=None)
     common(p, fmt=False)
     p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("gen-sets", help="write a set file")
-    p.add_argument("--family", required=True,
-                   choices=["weight-slice", "subspace", "subspace-plus-noise", "random"])
+    p.add_argument("--family", required=True, choices=list(xp.SET_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=None, help="weight for weight-slice")
     p.add_argument("--d", type=int, default=None, help="dimension for subspace families")

@@ -82,9 +82,17 @@ def _need(params: dict, key: str, family: str) -> int:
     return int(value)
 
 
+# The params each set family reads; the CLI rejects a flag its family does not read.
+SET_FAMILIES = {
+    "weight-slice": ("n", "w"),
+    "subspace": ("n", "d"),
+    "subspace-plus-noise": ("n", "d", "outliers"),
+    "random": ("n", "size"),
+}
+
+
 def generate_sets(family: str, params: dict, seed: int = 0) -> F2Set:
-    """Families: weight-slice(n,w), subspace(n,d),
-    subspace-plus-noise(n,d,outliers), random(n,size)."""
+    """A set of the family; see SET_FAMILIES for the params each reads."""
     rng = random.Random(f"sets:{seed}")
     n = _need(params, "n", family)
     if family == "weight-slice":
@@ -182,9 +190,18 @@ def make_block_low_rank(k: int, l: int, r: int, rng: random.Random) -> BoolMatri
             return m
 
 
+# The params each matrix family reads (set_a, set_b as F2Set values); the CLI
+# rejects a flag its family does not read.
+MATRIX_FAMILIES = {
+    "ip": ("n",),
+    "random-f2-rank": ("k", "l", "rank"),
+    "random-dense": ("k", "l", "p"),
+    "from-sets": ("set_a", "set_b"),
+}
+
+
 def generate_matrix(family: str, params: dict, seed: int = 0) -> BoolMatrix:
-    """Families: ip(n), random-f2-rank(k,l,rank), random-dense(k,l,p),
-    from-sets(a,b as F2Set values)."""
+    """A matrix of the family; see MATRIX_FAMILIES for the params each reads."""
     rng = random.Random(f"matrix:{seed}")
     if family == "ip":
         return make_ip_matrix(_need(params, "n", family))
@@ -203,7 +220,7 @@ def generate_matrix(family: str, params: dict, seed: int = 0) -> BoolMatrix:
             rng,
         )
     if family == "from-sets":
-        return make_from_sets(params["a"], params["b"])
+        return make_from_sets(params["set_a"], params["set_b"])
     raise FormatError(f"unknown matrix family {family!r}")
 
 

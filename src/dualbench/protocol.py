@@ -41,6 +41,9 @@ TREE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class NodeStats:
+    """The bookkeeping of one split; every invariant readable from the stats
+    alone is checked on construction."""
+
     area: int
     rank: int
     rank_r: int  # block sharing Q's rows
@@ -48,6 +51,24 @@ class NodeStats:
     mono_area: int
     mono_fraction: Fraction  # |Q| / area, the recurrence's delta
     mono_value: int
+
+    def __post_init__(self):
+        r, rr, rs = self.rank, self.rank_r, self.rank_s
+        if self.mono_value not in (0, 1):
+            raise InvariantViolation(f"mono_value {self.mono_value} is not 0 or 1")
+        if not 0 < self.mono_area < self.area:
+            raise InvariantViolation(f"mono_area {self.mono_area} outside 1..{self.area - 1}")
+        f = self.mono_fraction  # compared as integers: Fraction arithmetic is slow here
+        if f.numerator * self.area != self.mono_area * f.denominator:
+            raise InvariantViolation(f"mono_fraction {self.mono_fraction} != mono_area / area")
+        if r < 1:
+            raise InvariantViolation(f"rank {r} is below 1")
+        if not (0 <= rr <= r and 0 <= rs <= r):
+            raise InvariantViolation(f"rank_r {rr} or rank_s {rs} outside 0..{r}")
+        # The block-rank bound beside a monochromatic rectangle.  It implies the
+        # balanced split 2 min(rank_r, rank_s) <= rank + 1, as 2 min(a, b) <= a + b.
+        if rr + rs > r + 1:
+            raise InvariantViolation(f"block ranks {rr}+{rs} exceed rank {r}+1")
 
 
 @dataclass(frozen=True)
@@ -216,12 +237,19 @@ def build_protocol(
     (or all columns) forces the other player to speak so the split stays
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
-    trap (DepthCapExceeded).
+    trap (DepthCapExceeded).  Each block is ranked at most once per call.
     """
     if mono_finder is None:
         mono_finder = mono_finder_exact()
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
+    ranks: dict[tuple, int] = {}  # (rows, cols) -> rank_real of that block of core
+
+    def rank(rows: tuple[int, ...], cols: tuple[int, ...], block=None) -> int:
+        got = ranks.get((rows, cols))
+        if got is None:
+            got = ranks[rows, cols] = rank_real(core.take(rows, cols) if block is None else block)
+        return got
 
     def build(rows: tuple[int, ...], cols: tuple[int, ...], depth: int) -> ProtocolNode:
         if depth > depth_cap:
@@ -239,8 +267,8 @@ def build_protocol(
             raise DegenerateSplit("rectangle covers a non-monochromatic matrix")
         rest_rows = tuple(i for i in rows if i not in set(q_rows))
         rest_cols = tuple(j for j in cols if j not in set(q_cols))
-        rank_r = rank_real(core.take(q_rows, rest_cols)) if rest_cols else 0
-        rank_s = rank_real(core.take(rest_rows, q_cols)) if rest_rows else 0
+        rank_r = rank(q_rows, rest_cols) if rest_cols else 0
+        rank_s = rank(rest_rows, q_cols) if rest_rows else 0
         if rows_all:
             speaker = "col"
         elif cols_all:
@@ -249,7 +277,7 @@ def build_protocol(
             speaker = "row" if rank_r <= rank_s else "col"
         stats = NodeStats(
             area=len(rows) * len(cols),
-            rank=rank_real(sub),
+            rank=rank(rows, cols, sub),
             rank_r=rank_r,
             rank_s=rank_s,
             mono_area=q.area(),
@@ -309,12 +337,14 @@ def simulate(tree: ProtocolTree, x: int, y: int) -> tuple[int, int]:
 
 
 def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
-    """Simulate every entry and audit the per-node rank bookkeeping.
+    """Simulate every entry, then check the tree's whole-matrix numbers.
 
-    Raises MismatchError on any disagreement with the matrix; asserts the
-    block-rank inequality rank(R) + rank(S) <= rank + 1 and the balanced
-    split min(rank(R), rank(S)) <= (rank + 1) / 2 at every internal node,
-    plus the leaf-count bounds rank - 1 <= L <= 2 * size.
+    Raises MismatchError on any disagreement with the matrix, and FormatError
+    when the tree's stored matrix and index maps are not dedup(m).  Asserted
+    on the deduplicated matrix: rank <= size <= 2^(2 rank) and the leaf-count
+    bounds rank - 1 <= L <= 2 * size.  The per-node stat invariants are
+    checked when each NodeStats is made, so a tree holds no node that breaks
+    them.
     """
     if m.n_rows != tree.source_rows or m.n_cols != tree.source_cols:
         raise FormatError("tree was built from a matrix of different shape")
@@ -324,24 +354,15 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
             expected = m.entry(x, y)
             if got != expected:
                 raise MismatchError(x, y, got, expected)
-
-    def audit(node: ProtocolNode):
-        if isinstance(node, Leaf):
-            return
-        s = node.stats
-        if s.rank_r + s.rank_s > s.rank + 1:
-            raise InvariantViolation(
-                f"block ranks {s.rank_r}+{s.rank_s} exceed rank {s.rank}+1"
-            )
-        if 2 * min(s.rank_r, s.rank_s) > s.rank + 1:
-            raise InvariantViolation("neither block has rank at most (rank+1)/2")
-        audit(node.child0)
-        audit(node.child1)
-
-    audit(tree.root)
+    if (tree.matrix, tree.row_map, tree.col_map) != dedup(m):
+        raise FormatError("the tree's stored matrix and index maps are not dedup of the matrix")
 
     r = rank_real(tree.matrix)
     size = tree.matrix.size()
+    if r > size:
+        raise InvariantViolation(f"rank {r} exceeds size {size}")
+    if size > 2 ** (2 * r):
+        raise InvariantViolation(f"size {size} exceeds 2^(2*{r}) after dedup")
     if tree.leaves < r - 1:
         raise InvariantViolation(f"{tree.leaves} leaves below rank bound {r} - 1")
     if tree.leaves > 2 * size:
@@ -363,15 +384,27 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     )
 
 
-def leaf_recurrence_audit(tree: ProtocolTree) -> dict:
-    """Walk the tree checking the area/rank recurrence at every split.
+def _child_blocks(speaker: str, split, rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The (rows, cols) blocks of child0 (input outside the split) and child1
+    (inside) of a node whose block is rows x cols."""
+    chosen = set(split)
+    side = rows if speaker == "row" else cols
+    outside = tuple(i for i in side if i not in chosen)
+    inside = tuple(i for i in side if i in chosen)
+    if speaker == "row":
+        return (outside, cols), (inside, cols)
+    return (rows, outside), (rows, inside)
 
-    Asserted: strict area decrease on both edges; the out child's area is at
-    most area - |Q|; the in child's rank is at most the adjacent block's
-    rank + 1.  Recorded, not asserted (the intended invariant is ambiguous):
-    whether the in child's rank is also at most half the parent rank.
-    Globals: rank <= size <= 2^(2 rank) after dedup, and the measured
-    log2(leaves) against the rank/log2(rank) and binomial references.
+
+def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
+    """Walk the tree checking the area/rank recurrence at every split; returns
+    one record per internal node, depth first.
+
+    Asserted: the recorded area is the block's; strict area decrease on both
+    edges; the out child's area is at most area - |Q|; the in child's rank is
+    at most the adjacent block's rank + 1.  Recorded, not asserted (the
+    intended invariant is ambiguous): whether the in child's rank is also at
+    most half the parent rank.  The whole-matrix numbers are verify's.
     """
     core = tree.matrix
     nodes: list[dict] = []
@@ -383,17 +416,7 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> dict:
         area = len(rows) * len(cols)
         if area != s.area:
             raise AuditViolation(path, f"recorded area {s.area} != actual {area}")
-        split = set(node.split)
-        if node.speaker == "row":
-            in_rows = tuple(i for i in rows if i in split)
-            out_rows = tuple(i for i in rows if i not in split)
-            in_sets = (in_rows, cols)
-            out_sets = (out_rows, cols)
-        else:
-            in_cols = tuple(j for j in cols if j in split)
-            out_cols = tuple(j for j in cols if j not in split)
-            in_sets = (rows, in_cols)
-            out_sets = (rows, out_cols)
+        out_sets, in_sets = _child_blocks(node.speaker, node.split, rows, cols)
         in_area = len(in_sets[0]) * len(in_sets[1])
         out_area = len(out_sets[0]) * len(out_sets[1])
         if not (in_area < area and out_area < area):
@@ -426,25 +449,8 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> dict:
         walk(node.child0, *out_sets, path=path + "0")
         walk(node.child1, *in_sets, path=path + "1")
 
-    all_rows = tuple(range(core.n_rows))
-    all_cols = tuple(range(core.n_cols))
-    walk(tree.root, all_rows, all_cols, "")
-
-    r = rank_real(core)
-    size = core.size()
-    if not (r <= size):
-        raise AuditViolation("root", f"rank {r} exceeds size {size}")
-    if size > 2 ** (2 * r):
-        raise AuditViolation("root", f"size {size} exceeds 2^(2*{r}) after dedup")
-    return {
-        "nodes": nodes,
-        "rank": r,
-        "size": size,
-        "leaves": tree.leaves,
-        "log2_leaves": math.log2(tree.leaves),
-        "rank_over_log_rank": (r / math.log2(r)) if r >= 2 else None,
-        "size_within_rank_window": True,
-    }
+    walk(tree.root, tuple(range(core.n_rows)), tuple(range(core.n_cols)), "")
+    return nodes
 
 
 # -- serialization ------------------------------------------------------------------
@@ -495,10 +501,9 @@ def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: st
     """Load the node at path, whose block is rows x cols of the stored matrix.
 
     The split must be a proper nonempty subset of the speaker's side of the
-    block, and the stored stats must fit the block: area, a 0/1 mono_value, a
-    mono_area in 1..area-1 that is a multiple of the split size, mono_fraction
-    = mono_area / area, rank in 1..min(|rows|, |cols|), rank_r and rank_s in
-    0..rank.  Ranks within those bounds are taken as stored.
+    block, and the stored stats must pass NodeStats's own checks and fit the
+    block: area, rank at most min(|rows|, |cols|), and a mono_area that is a
+    multiple of the split size.  Ranks within those bounds are taken as stored.
     """
     kind = _get(data, "type", str)
     if kind == "leaf":
@@ -530,33 +535,23 @@ def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: st
     chosen = set(split)
     if not split or len(chosen) != len(split) or not chosen < set(side):
         raise bad(f"split is not a proper nonempty subset of the block's {speaker}s")
-    area = len(rows) * len(cols)
-    mono_area, rank = counts["mono_area"], counts["rank"]
-    if counts["area"] != area:
+    if counts["area"] != len(rows) * len(cols):
         raise bad(f"area {counts['area']} != {len(rows)} x {len(cols)}")
-    if counts["mono_value"] not in (0, 1):
-        raise bad("mono_value must be 0 or 1")
-    if not 0 < mono_area < area or mono_area % len(split):
-        raise bad(f"mono_area {mono_area} is outside 1..{area - 1} "
-                  f"or not a multiple of the split size {len(split)}")
-    if mono_fraction * area != mono_area:
-        raise bad(f"mono_fraction {mono_fraction} != mono_area / area")
-    if not 1 <= rank <= min(len(rows), len(cols)):
-        raise bad(f"rank {rank} outside 1..min(rows, cols)")
-    if not (0 <= counts["rank_r"] <= rank and 0 <= counts["rank_s"] <= rank):
-        raise bad("rank_r or rank_s outside 0..rank")
-    inside = tuple(i for i in side if i in chosen)
-    outside = tuple(i for i in side if i not in chosen)
-    if speaker == "row":
-        blocks = ((outside, cols), (inside, cols))
-    else:
-        blocks = ((rows, outside), (rows, inside))
+    try:
+        stats = NodeStats(mono_fraction=mono_fraction, **counts)
+    except InvariantViolation as exc:
+        raise bad(str(exc)) from None
+    if stats.rank > min(len(rows), len(cols)):
+        raise bad(f"rank {stats.rank} exceeds min(rows, cols)")
+    if stats.mono_area % len(split):
+        raise bad(f"mono_area {stats.mono_area} is not a multiple of the split size {len(split)}")
+    blocks = _child_blocks(speaker, split, rows, cols)
     return Internal(
         speaker=speaker,
         split=tuple(split),
         child0=_node_from_dict(children[0], *blocks[0], path + "0"),
         child1=_node_from_dict(children[1], *blocks[1], path + "1"),
-        stats=NodeStats(mono_fraction=mono_fraction, **counts),
+        stats=stats,
     )
 
 
@@ -583,7 +578,7 @@ def tree_to_dict(tree: ProtocolTree) -> dict:
 def tree_from_dict(data: dict) -> ProtocolTree:
     """Load a tree document; a missing, mistyped or out-of-range field is a
     FormatError.  Tree-level counts are re-derived; node stats are checked
-    against each node's block (see _node_from_dict), ranks only for range."""
+    by NodeStats and against each node's block (see _node_from_dict)."""
     if not isinstance(data, dict) or data.get("format") != "protocol-tree":
         raise FormatError("not a protocol-tree document")
     if _get(data, "version", int) != TREE_FORMAT_VERSION:

@@ -190,6 +190,27 @@ def test_verify_mismatch_is_invariant_exit(tmp_path):
     assert run("verify", "--matrix", str(m2), "--tree", str(tree_file)) == 3
 
 
+def test_verify_rejects_a_tree_of_another_matrix(tmp_path, capsys):
+    # the tree still computes the matrix, but its stored matrix is not dedup(matrix)
+    mfile = tmp_path / "m.txt"
+    tree_file = tmp_path / "tree.json"
+    run("gen-matrix", "--family", "random-f2-rank", "--k", "8", "--l", "8",
+        "--rank", "3", "--seed", "5", "--out", str(mfile))
+    assert run("protocol", "--matrix", str(mfile), "--strategy", "greedy",
+               "--tree-out", str(tree_file), "--out", str(tmp_path / "p.json")) == 0
+    valid = json.loads(tree_file.read_text())
+    bad_file = tmp_path / "bad.json"
+    for i, line in enumerate(valid["matrix"]):
+        for j, bit in enumerate(line):
+            doc = json.loads(tree_file.read_text())
+            doc["matrix"][i] = line[:j] + "10"[int(bit)] + line[j + 1:]
+            bad_file.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1, (i, j)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (i, j, err)
+
+
 def _tree_slots(node):
     """Every (container, key) of a JSON document, depth first."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -236,6 +257,7 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
         assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1, label
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (label, err)
+        return err
 
     doc = json.loads(tree_file.read_text())
     del doc["root"]["stats"]
@@ -268,6 +290,15 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc = json.loads(tree_file.read_text())
     doc["root"]["stats"]["area"] += 1
     check(doc, "area plus one")
+    # ranks in range that no build makes: the block-rank bound, then the audit
+    doc = json.loads(tree_file.read_text())
+    stats = doc["root"]["stats"]
+    stats.update(rank_r=stats["rank"], rank_s=stats["rank"])
+    assert "node root: block ranks" in check(doc, "block ranks exceed rank + 1")
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"].update(rank_r=0, rank_s=0)
+    err = check(doc, "root rank_r and rank_s zeroed")
+    assert str(bad_file) in err and "in-child rank" in err
     text = tree_file.read_bytes()
     check(text[:40] + b"\xe9" + text[40:], "non-ASCII byte")
 
@@ -350,6 +381,14 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         (*dual, "--strategy", "greedy", "--exact-cap", "3"),
         ("mono", "--matrix", str(m), "--strategy", "greedy", "--exact-cap", "3"),
         ("protocol", "--matrix", str(m), "--strategy", "greedy", "--exact-cap", "3"),
+        # a flag the chosen generator family does not read
+        ("gen-matrix", "--family", "ip", "--n", "2", "--rank", "5", "--k", "9"),
+        ("gen-matrix", "--family", "ip", "--n", "2", "--p", "0.5"),
+        ("gen-matrix", "--family", "random-f2-rank", "--k", "4", "--l", "4", "--rank", "2",
+         "--p", "0.3"),
+        ("gen-matrix", "--family", "random-dense", "--k", "4", "--l", "4", "--set-a", str(v)),
+        ("gen-sets", "--family", "subspace", "--n", "4", "--d", "2", "--size", "9", "--w", "3"),
+        ("gen-sets", "--family", "random", "--n", "4", "--size", "3", "--outliers", "1"),
     ):
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from dualbench.errors import FormatError, MismatchError
+from dualbench import protocol
+from dualbench.errors import FormatError, InvariantViolation, MismatchError
 from dualbench.experiments import make_ip_matrix
 from dualbench.matrix import BoolMatrix, rank_real
 from dualbench.protocol import (
     Leaf,
+    NodeStats,
     build_protocol,
     format_tree,
     leaf_recurrence_audit,
@@ -128,10 +131,54 @@ def test_fuzz_via_dual_strategy():
 def test_identity4_audit_area_decreases():
     m = identity(4)
     tree = build_protocol(m)
-    verify(tree, m)
-    audit = leaf_recurrence_audit(tree)  # raises if any child area fails to shrink
-    assert audit["rank"] == 4
-    assert all(n["mono_area"] >= 1 for n in audit["nodes"])
+    assert verify(tree, m).rank_real == 4
+    records = leaf_recurrence_audit(tree)  # raises if any child area fails to shrink
+    assert len(records) == tree.internal_nodes
+    assert all(n["mono_area"] >= 1 for n in records)
+
+
+def test_node_stats_check_themselves():
+    good = dict(area=12, rank=3, rank_r=1, rank_s=2, mono_area=4,
+                mono_fraction=Fraction(1, 3), mono_value=1)
+    NodeStats(**good)
+    for change in (
+        {"mono_value": 2},
+        {"mono_value": -1},
+        {"mono_area": 0, "mono_fraction": Fraction(0)},
+        {"mono_area": 12, "mono_fraction": Fraction(1)},
+        {"mono_fraction": Fraction(1, 4)},
+        {"rank": 0, "rank_r": 0, "rank_s": 0},
+        {"rank_r": -1},
+        {"rank_s": 4},
+        {"rank_r": 2, "rank_s": 3},  # block ranks 2 + 3 > rank + 1
+        {"rank": 5, "rank_r": 4, "rank_s": 3},
+    ):
+        with pytest.raises(InvariantViolation):
+            NodeStats(**{**good, **change})
+
+
+def test_build_ranks_each_block_once(monkeypatch):
+    origin = {}  # id of a taken block -> its (rows, cols)
+    ranked = []
+    take = BoolMatrix.take
+
+    def take_spy(self, rows, cols):
+        block = take(self, rows, cols)
+        origin[id(block)] = (tuple(rows), tuple(cols))
+        return block
+
+    def rank_spy(m):
+        ranked.append(origin[id(m)])
+        return rank_real(m)
+
+    monkeypatch.setattr(BoolMatrix, "take", take_spy)
+    monkeypatch.setattr(protocol, "rank_real", rank_spy)
+    rng = random.Random(67)
+    for finder in (mono_finder_exact(), mono_finder_greedy()):
+        for _ in range(10):
+            ranked.clear()
+            build_protocol(random_low_rank(rng, 8, 8, 3), mono_finder=finder)
+            assert len(ranked) == len(set(ranked)), ranked
 
 
 def test_random_dense_matrices_all_strategies():
