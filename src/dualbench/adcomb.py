@@ -18,13 +18,16 @@ Two extractors and one diagnostic:
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 
 Every pair-sum count here comes from ``f2.rep_counts``, which alone decides
-between a dense 2^n transform table and direct sums.
+between a dense 2^n transform table and direct sums.  ``pfr_extract``'s
+greedy covers are coset sizes, not pair sums: it keeps the span as its
+reduced echelon basis and counts the members' ``f2.coset_rep``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ from .errors import (
     PreconditionViolation,
 )
 # wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
-from .f2 import F2Set, echelon_basis, rep_counts, span, wht
+from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, wht
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
@@ -72,13 +75,6 @@ class DoublingReport:
     within_freiman: bool
     within_green_tao: bool
     within_sanders: bool
-
-
-def _pair_density(a: F2Set, s: F2Set) -> Fraction:
-    """Exact fraction of ordered pairs of a summing into s."""
-    counts = rep_counts(a)
-    hits = sum(counts.get(w, 0) for w in s.members)
-    return Fraction(hits, len(a) * len(a))
 
 
 def _prune_by_codegree(neighbors, start: tuple, codegree: dict, threshold: Fraction) -> tuple:
@@ -123,7 +119,12 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         raise EmptySetError("bsg_extract needs nonempty sets")
     if rho <= 0:
         raise DensityTooLow("required density must be positive")
-    density = _pair_density(a, s)
+    counts = rep_counts(a)
+    density = Fraction(sum(counts.get(w, 0) for w in s.members), len(a) * len(a))
+    # |c + c| per candidate c, each counted once; keep only the size of a's
+    # table, which holds up to 2^n counts through the whole search
+    sumset_sizes = {a.members: len(counts)}
+    del counts
     if density < rho:
         raise DensityTooLow(f"pair density {density} < required {rho}")
 
@@ -166,17 +167,18 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     if not sized:
         raise EmptyResult("no candidate met the size floor")
 
-    def sumset_size(words) -> int:
-        return len(rep_counts(F2Set(a.n, words)))
+    for c in sized:
+        if c not in sumset_sizes:
+            sumset_sizes[c] = len(rep_counts(F2Set(a.n, c)))
 
     # score by doubling relative to the candidate itself, preferring larger
     # candidates on ties; scoring against |a| instead collapses to singletons
-    best = min(sized, key=lambda c: (Fraction(sumset_size(c), len(c)), -len(c), c))
+    best = min(sized, key=lambda c: (Fraction(sumset_sizes[c], len(c)), -len(c), c))
     subset = F2Set(a.n, best)
     return BsgResult(
         subset=subset,
         ratio_in=Fraction(len(subset), len(a)),
-        doubling_out=Fraction(sumset_size(best), len(a)),
+        doubling_out=Fraction(sumset_sizes[best], len(a)),
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )
@@ -190,8 +192,9 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     lexicographically smallest witness.  greedy: while the doubled span
     stays within |a|, add the element outside the span whose coset x + span
     covers the most of ``a`` (smallest word on ties), then absorb every
-    member the span now holds; each round's covers are the pair-sum counts
-    ``rep_counts(a, span)``.
+    member the span now holds; each round reduces every member to its coset
+    rep modulo the span's reduced echelon basis, and a coset's cover is the
+    number of members sharing its rep.
     """
     if len(a) == 0:
         raise EmptySetError("pfr_extract needs a nonempty set")
@@ -240,16 +243,17 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
         # adding an in-span element never changes the span or any candidate's
         # cover, so absorbing all of them between span-growing picks yields
         # the same subset as the one-at-a-time greedy.  The span doubles on
-        # every pick, and the pick maximises the coset cover |A & (x + span)|,
-        # which counts the pairs of A x span summing to x: one rep_counts
-        # call scores every candidate.  While 2 |span| <= |A|, some member
+        # every pick, and the pick maximises the coset cover |A & (x + span)|.
+        # Members share a coset iff they share a coset_rep, so one count of
+        # the reps scores every candidate.  While 2 |span| <= |A|, some member
         # lies outside the span, so there is always a candidate.
-        span_set = {0}
-        while 2 * len(span_set) <= budget:
-            covers = rep_counts(a, F2Set(a.n, span_set))
-            pick = max((w for w in members if w not in span_set), key=covers.__getitem__)
-            span_set |= {s ^ pick for s in span_set}
-        subset = F2Set(a.n, (w for w in members if w in span_set))
+        basis: list[int] = []
+        while 2 << len(basis) <= budget:
+            reps = {w: coset_rep(w, basis) for w in members}
+            covers = Counter(reps.values())
+            pick = max((w for w, r in reps.items() if r), key=lambda w: covers[reps[w]])
+            basis = echelon_basis(basis + [pick])
+        subset = F2Set(a.n, (w for w in members if not coset_rep(w, basis)))
 
     span_size = len(span(subset))
     if span_size > budget:

@@ -58,6 +58,8 @@ def make_subspace(n: int, d: int, rng: random.Random) -> F2Set:
 
 
 def make_subspace_plus_noise(n: int, d: int, outliers: int, rng: random.Random) -> F2Set:
+    if outliers < 0:
+        raise FormatError(f"outliers must be nonnegative, got {outliers}")
     base = make_subspace(n, d, rng)
     if (1 << d) + outliers > (1 << n):
         raise FormatError("more outliers than complement elements")
@@ -100,8 +102,9 @@ def generate_sets(family: str, params: dict, seed: int = 0) -> F2Set:
     if family == "subspace":
         return make_subspace(n, _need(params, "d", family), rng)
     if family == "subspace-plus-noise":
+        outliers = params.get("outliers")
         return make_subspace_plus_noise(
-            n, _need(params, "d", family), int(params.get("outliers") or 3), rng
+            n, _need(params, "d", family), 3 if outliers is None else int(outliers), rng
         )
     if family == "random":
         return make_random_set(n, _need(params, "size", family), rng)

@@ -9,6 +9,7 @@ nothing in this module touches floating point.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,18 +155,30 @@ def sumset(a: F2Set, b: F2Set) -> F2Set:
     return F2Set(n, (x ^ y for x in a.members for y in b.members))
 
 
-def echelon_basis(words: Iterable[int]) -> list[int]:
-    """Row-reduce words into an echelon basis (leading bits descending).
+def coset_rep(word: int, basis: Sequence[int]) -> int:
+    """The canonical member of word + span(basis), for a reduced echelon
+    basis: word with every pivot bit cleared.  It is 0 iff word lies in the
+    span."""
+    for row in basis:
+        if word & row & -row:
+            word ^= row
+    return word
 
-    The basis length is the F2-rank of the words, and the basis spans them.
+
+def echelon_basis(words: Iterable[int]) -> list[int]:
+    """The reduced row echelon basis of the words' span.
+
+    Each row's pivot is its lowest set bit, no other row has that bit, and
+    rows ascend by pivot, so the basis is unique to the span; its length is
+    the F2-rank of the words.
     """
     basis: list[int] = []
     for w in words:
-        for row in basis:
-            w = min(w, w ^ row)
+        w = coset_rep(w, basis)
         if w:
-            basis.append(w)
-            basis.sort(reverse=True)
+            low = w & -w
+            basis = [row ^ w if row & low else row for row in basis]
+            insort(basis, w, key=lambda row: row & -row)
     return basis
 
 
@@ -195,30 +208,26 @@ def dense_pays(n: int, direct_work: int) -> bool:
     return n <= DENSE_CAP and (1 << n) <= direct_work
 
 
-def rep_table(s: F2Set, t: F2Set | None = None) -> list[int]:
-    """#{(u, v) in s x t : u + v = x} for every word x, as a dense table of
-    length 2^n; t defaults to s.
+def rep_table(s: F2Set) -> list[int]:
+    """#{(u, v) in s x s : u + v = x} for every word x, as a dense table of
+    length 2^n.
 
-    Uses the transform identity conv(1_s, 1_t) = wht(wht(1_s) wht(1_t)) / 2^n.
+    Uses the transform identity conv(1_s, 1_s) = wht(wht(1_s)^2) / 2^n.
     """
     g = wht(s.indicator())
-    h = g if t is None else wht(t.indicator())
-    conv = wht([u * v for u, v in zip(g, h)])
+    conv = wht([v * v for v in g])
     return [c >> s.n for c in conv]
 
 
-def rep_counts(s: F2Set, t: F2Set | None = None) -> dict[int, int]:
-    """The nonzero pair-sum counts {x: #{(u, v) in s x t : u + v = x}}; t
-    defaults to s.
+def rep_counts(s: F2Set) -> dict[int, int]:
+    """The nonzero pair-sum counts {x: #{(u, v) in s x s : u + v = x}}.
 
     Reads them off the dense transform table when it pays against the
-    |s| |t| pair sums; else counts the pair sums.
+    |s|^2 pair sums; else counts the pair sums.
     """
-    other = s if t is None else t
-    _same_dim(s, other)
-    if dense_pays(s.n, len(s) * len(other)):
-        return {x: c for x, c in enumerate(rep_table(s, t)) if c}
-    return Counter(u ^ v for u in s.members for v in other.members)
+    if dense_pays(s.n, len(s) * len(s)):
+        return {x: c for x, c in enumerate(rep_table(s)) if c}
+    return Counter(u ^ v for u in s.members for v in s.members)
 
 
 def wht(values: Sequence) -> list:

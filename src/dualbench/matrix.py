@@ -252,31 +252,6 @@ def rank_real(m: BoolMatrix) -> int:
     return rank
 
 
-def _rref_f2(words: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over F2: (basis rows, pivot columns).
-
-    Pivot columns are the lowest set bit of each basis row; bit j = column j,
-    so "leading" means least significant here, scanning columns left to right.
-    """
-    rows = [w for w in words if w]
-    basis: list[int] = []
-    pivots: list[int] = []
-    for w in rows:
-        for p, b in zip(pivots, basis):
-            if (w >> p) & 1:
-                w ^= b
-        if not w:
-            continue
-        p = (w & -w).bit_length() - 1
-        for idx in range(len(basis)):
-            if (basis[idx] >> p) & 1:
-                basis[idx] ^= w
-        basis.append(w)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Inner-product factorization M[i][j] = <row_words[i], col_words[j]>.
@@ -295,12 +270,14 @@ class Factorization:
 def factorize_f2(m: BoolMatrix) -> Factorization:
     """Express a deduplicated matrix as inner products of F2^r vectors.
 
-    Row i's vector is the row expressed in coordinates of a row-space basis;
-    column j's vector is that basis restricted to column j.
+    Row i's vector is the row expressed in coordinates of the reduced echelon
+    basis of the row space (its pivot bits); column j's vector is that basis
+    restricted to column j.
     """
     if has_duplicates(m):
         raise PreconditionViolation("factorize_f2 needs a deduplicated matrix")
-    basis, pivots = _rref_f2(m.rows)
+    basis = echelon_basis(m.rows)
+    pivots = [(row & -row).bit_length() - 1 for row in basis]
     r = len(basis)
     dim = max(r, 1)  # all-zero matrix factors through F2^1 with zero vectors
     row_words = []

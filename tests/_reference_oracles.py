@@ -1,14 +1,19 @@
-"""Reference implementations of the two exact rectangle oracles.
+"""Reference implementations of the two exact rectangle oracles and of
+reduced row echelon form over F2.
 
-These are the searches the library used before both oracles moved onto the
+The oracles are the searches the library used before both moved onto the
 Close-by-One engine (`dualbench.matrix.max_closed_rectangle`): a
 branch-and-bound over subsets of one side for maximum-area dual pairs, and a
 subset DP over all 2^k row subsets for maximum monochromatic rectangles.
-They share no search code with the library, so tests compare the library's
+`_rref_f2` is the eliminator `dualbench.matrix` kept before
+`dualbench.f2.echelon_basis` became the one reduced echelon kernel.
+They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from dualbench.approxdual import DualPair, greedy_dual_pair
 from dualbench.errors import CapExceeded, DimensionMismatch, EmptySetError
@@ -179,3 +184,28 @@ def max_mono_exact_other_dimension(
 ) -> SubmatrixView:
     """Independent second oracle: enumerate the dimension max_mono_exact skips."""
     return _mono_scan(m, transposed=not (m.n_cols < m.n_rows), exact_cap=exact_cap)
+
+
+def _rref_f2(words: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F2: (basis rows, pivot columns).
+
+    Pivot columns are the lowest set bit of each basis row; bit j = column j,
+    so "leading" means least significant here, scanning columns left to right.
+    """
+    rows = [w for w in words if w]
+    basis: list[int] = []
+    pivots: list[int] = []
+    for w in rows:
+        for p, b in zip(pivots, basis):
+            if (w >> p) & 1:
+                w ^= b
+        if not w:
+            continue
+        p = (w & -w).bit_length() - 1
+        for idx in range(len(basis)):
+            if (basis[idx] >> p) & 1:
+                basis[idx] ^= w
+        basis.append(w)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]

@@ -4,10 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from dualbench import f2
 from dualbench.adcomb import bsg_extract, doubling_report, pfr_extract
 from dualbench.errors import DensityTooLow, EmptySetError
-from dualbench.f2 import F2Set, rep_table, span, sumset
+from dualbench.f2 import F2Set, span, sumset
 
 
 def subspace(n, *generators):
@@ -131,9 +130,8 @@ def test_pfr_exact_dominates_greedy():
 
 
 def coset_loop_greedy(a):
-    """pfr_extract's greedy strategy as it was written before its coset
-    counts went through rep_counts: each candidate's cover |A & (x + span)|
-    is counted on its own."""
+    """pfr_extract's greedy strategy written with the span as a set of words:
+    each candidate's cover |A & (x + span)| is counted on its own."""
     members = a.members
     chosen, span_set = set(), {0}
     while True:
@@ -156,19 +154,9 @@ def coset_loop_greedy(a):
     return F2Set(a.n, chosen)
 
 
-def test_pfr_greedy_matches_coset_loop(monkeypatch):
-    # the covers come from rep_counts(a, span), which takes the transform
-    # table when 2^n <= |a| |span| (n <= DENSE_CAP) and the pair loop
-    # otherwise; the cases reach both sides of that rule, and n = 21 only
-    # the pair loop
-    cover_tables = []  # dense calls with a second operand: the coset covers
-
-    def spy(s, t=None):
-        if t is not None:
-            cover_tables.append(t)
-        return rep_table(s, t)
-
-    monkeypatch.setattr(f2, "rep_table", spy)
+def test_pfr_greedy_matches_coset_loop():
+    # the covers count coset reps modulo the span's echelon basis; the cases
+    # run from n = 4 to 21 and include the pipeline's regime (n = 14, |A| ~ 600)
     rng = random.Random("pfr-greedy")
     cases = []
     for n in range(4, 11):
@@ -179,16 +167,11 @@ def test_pfr_greedy_matches_coset_loop(monkeypatch):
     for _ in range(3):
         noisy = list(subspace(21, *(rng.randrange(1 << 21) for _ in range(5))).members)
         cases.append(F2Set(21, noisy + [rng.randrange(1 << 21) for _ in range(7)]))
-    paths = set()
+    cases.append(F2Set(14, rng.sample(range(1 << 14), 600)))
     for a in cases:
-        cover_tables.clear()
         res = pfr_extract(a, strategy="greedy")
         assert res.subset == coset_loop_greedy(a), a
         assert res.span_size == len(span(res.subset)) <= len(a)
-        paths.add(bool(cover_tables))
-        if a.n == 21:
-            assert cover_tables == []
-    assert paths == {True, False}
 
 
 def test_pfr_singleton_waiver():

@@ -47,6 +47,24 @@ def test_gen_sets_subspace_closed(tmp_path):
     assert all(u ^ v in members for u in members for v in members)
 
 
+def test_gen_sets_outlier_count_is_taken_as_given(tmp_path, capsys):
+    # --outliers 0 means no outliers (3 is only the default when the flag is
+    # absent), and a negative count is a usage error
+    out = tmp_path / "v.txt"
+    base = ("gen-sets", "--family", "subspace-plus-noise", "--n", "4", "--d", "2",
+            "--seed", "1", "--out", str(out))
+    assert run(*base, "--outliers", "0") == 0
+    assert len(parse_set_text(out.read_text())) == 1 << 2
+    assert run(*base) == 0
+    assert len(parse_set_text(out.read_text())) == (1 << 2) + 3
+    capsys.readouterr()
+    out.unlink()
+    assert run(*base, "--outliers", "-2") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert not out.exists()
+
+
 def test_gen_matrix_families(tmp_path):
     ip = tmp_path / "ip.txt"
     assert run("gen-matrix", "--family", "ip", "--n", "2", "--out", str(ip)) == 0

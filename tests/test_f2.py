@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import _reference_oracles as ref
 from dualbench import f2
 from dualbench.errors import DimensionMismatch, EmptySetError, FormatError
 from dualbench.f2 import (
@@ -11,6 +12,7 @@ from dualbench.f2 import (
     bias,
     char_sum,
     char_table,
+    coset_rep,
     dense_pays,
     duality_measure,
     echelon_basis,
@@ -70,18 +72,70 @@ def test_ip_rows_bits_are_inner_products():
                 assert (row >> j) & 1 == inner_product(F2Vector(6, x), F2Vector(6, y))
 
 
+def assert_reduced_echelon(basis):
+    """Each row's pivot is its lowest set bit, no other row has that bit,
+    and rows ascend by pivot."""
+    pivots = [row & -row for row in basis]
+    assert 0 not in pivots
+    assert pivots == sorted(set(pivots))
+    for i, pivot in enumerate(pivots):
+        assert all(not other & pivot for j, other in enumerate(basis) if j != i)
+
+
 def test_echelon_basis_against_xor_closure():
     rng = random.Random(22)
     for _ in range(50):
         s = random_set(rng, 7, 12)
         basis = echelon_basis(s.members)
-        leads = [w.bit_length() for w in basis]
-        assert leads == sorted(set(leads), reverse=True)
+        assert_reduced_echelon(basis)
         closure = {0}
         for w in s.members:
             closure |= {c ^ w for c in closure}
         assert set(basis) <= closure
         assert len(closure) == 1 << len(basis)
+
+
+def test_echelon_basis_matches_reference_rref():
+    # the reduced echelon basis is unique to the span, so it must equal the
+    # reference eliminator's rows whatever the order, zeros and repeats of the input
+    rng = random.Random("rref")
+    cases = [[], [0], [0, 0], [5, 5, 3, 6], [1 << 23, (1 << 24) - 1, 0, 1 << 23]]
+    for n in (1, 2, 5, 8, 13, 24):
+        for _ in range(12):
+            words = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 3))]
+            words += [0] * rng.randint(0, 2) + rng.sample(words, min(len(words), 2))
+            if len(words) >= 2:
+                words.append(words[0] ^ words[1])  # a dependent word
+            rng.shuffle(words)
+            cases.append(words)
+    for words in cases:
+        basis = echelon_basis(words)
+        rows, pivots = ref._rref_f2(words)
+        assert basis == rows, words
+        assert [(row & -row).bit_length() - 1 for row in basis] == pivots
+        assert_reduced_echelon(basis)
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        assert echelon_basis(shuffled) == basis
+
+
+def test_coset_rep_is_constant_on_cosets():
+    rng = random.Random("coset-rep")
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        basis = echelon_basis(rng.randrange(1 << n) for _ in range(rng.randint(0, 4)))
+        span_words = span(F2Set(n, basis)).members
+        reps = {}
+        for word in range(1 << n):
+            rep = coset_rep(word, basis)
+            assert (rep == 0) == (word in span_words)
+            assert coset_rep(rep, basis) == rep
+            for v in span_words:
+                assert coset_rep(word ^ v, basis) == rep
+            reps.setdefault(rep, set()).add(word)
+        # one rep per coset: 2^n / |span| classes of |span| words each
+        assert len(reps) == (1 << n) // len(span_words)
+        assert all(len(words) == len(span_words) for words in reps.values())
 
 
 # -- sumset ------------------------------------------------------------------
@@ -153,21 +207,19 @@ def test_rep_table_matches_pair_enumeration():
         assert table == brute
 
 
-def brute_counts(s, t=None):
+def brute_counts(s):
     counts = {}
     for u in s.members:
-        for v in (s if t is None else t).members:
+        for v in s.members:
             counts[u ^ v] = counts.get(u ^ v, 0) + 1
     return counts
 
 
 def test_rep_counts_matches_pair_enumeration(monkeypatch):
     # both sides of the cost rule: the transform table when 2^n <= |s|^2 (and
-    # n <= DENSE_CAP), the pair loop otherwise; t defaults to s
+    # n <= DENSE_CAP), the pair loop otherwise
     dense_calls = []
-    monkeypatch.setattr(
-        f2, "rep_table", lambda s, t=None: dense_calls.append(s) or rep_table(s, t)
-    )
+    monkeypatch.setattr(f2, "rep_table", lambda s: dense_calls.append(s) or rep_table(s))
     rng = random.Random(4)
     cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
     cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
@@ -176,20 +228,6 @@ def test_rep_counts_matches_pair_enumeration(monkeypatch):
         dense_calls.clear()
         assert rep_counts(s) == brute_counts(s)
         assert dense_calls == ([s] if s.n <= 6 else []), s
-    # pair sums over s x t with t != s: the transform when 2^n <= |s| |t|
-    for n, s_size, t_size, dense in ((5, 8, 4, True), (6, 12, 8, True), (8, 10, 12, False),
-                                     (6, 9, 7, False), (21, 10, 6, False)):
-        for _ in range(4):
-            s = F2Set(n, rng.sample(range(1 << n), s_size))
-            t = F2Set(n, rng.sample(range(1 << n), t_size))
-            dense_calls.clear()
-            assert rep_counts(s, t) == brute_counts(s, t)
-            assert dense_calls == ([s] if dense else []), (n, s_size, t_size)
-            if n <= 8:
-                table = [brute_counts(s, t).get(x, 0) for x in range(1 << n)]
-                assert rep_table(s, t) == table
-    with pytest.raises(DimensionMismatch):
-        rep_counts(F2Set(4, [1]), F2Set(5, [1]))
     # above DENSE_CAP the pair loop runs even when 2^n <= |s|^2
     monkeypatch.setattr(f2, "DENSE_CAP", 3)
     dense_calls.clear()
