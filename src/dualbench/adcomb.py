@@ -130,12 +130,17 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
 
     members = a.members
     member_set = a._lookup
+    sum_set = s._lookup
     memo: dict[int, frozenset] = {}
 
     def neighbors(x: int) -> frozenset:
+        # A & (x + S), walking whichever of A and S is smaller
         got = memo.get(x)
         if got is None:
-            got = frozenset(x ^ w for w in s.members if x ^ w in member_set)
+            if len(members) < len(s):
+                got = frozenset(y for y in members if x ^ y in sum_set)
+            else:
+                got = frozenset(x ^ w for w in s.members if x ^ w in member_set)
             memo[x] = got
         return got
 

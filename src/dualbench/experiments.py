@@ -331,6 +331,14 @@ def trace_payload(trace) -> dict:
 # -- named experiments -----------------------------------------------------------------
 
 
+def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
+    """config[key] as an int (default when absent); FormatError below low."""
+    value = int(config.get(key, default))
+    if value < low:
+        raise FormatError(f"--{key} must be at least {low}, got {value}")
+    return value
+
+
 def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
     family = config.get("family", "subspace")
     n = int(config.get("n", 6))
@@ -394,7 +402,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[str],
     ranks = config.get("ranks", [2, 3, 4])
     k = int(config.get("k", 12))
     l = int(config.get("l", 12))
-    per_rank = int(config.get("instances", 5))
+    per_rank = _int_at_least(config, "instances", 5, 1)
     finder = finder_for(config.get("strategy", "exact"))
     report = report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
@@ -491,7 +499,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[str],
 
 
 def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
-    n = int(config.get("n", 10))
+    n = _int_at_least(config, "n", 10, 2)  # the weight-2 slice needs n >= 2
     instances = [
         ("weight-slice", {"n": n, "w": 1}),
         ("weight-slice", {"n": n, "w": 2}),
@@ -544,7 +552,7 @@ def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[str], list[
 
 
 def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
-    count = int(config.get("count", 20))
+    count = _int_at_least(config, "count", 20, 1)
     k = int(config.get("k", 12))
     l = int(config.get("l", 12))
     r = int(config.get("rank", 4))

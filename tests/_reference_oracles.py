@@ -7,16 +7,28 @@ branch-and-bound over subsets of one side for maximum-area dual pairs, and a
 subset DP over all 2^k row subsets for maximum monochromatic rectangles.
 `_rref_f2` is the eliminator `dualbench.matrix` kept before
 `dualbench.f2.echelon_basis` became the one reduced echelon kernel.
+`bsg_extract_s_side` is `dualbench.adcomb.bsg_extract` as it was before its
+neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
+and counts pair sums directly instead of by transform.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from typing import Sequence
 
+from dualbench.adcomb import BSG_PIVOTS, BsgResult
 from dualbench.approxdual import DualPair, greedy_dual_pair
-from dualbench.errors import CapExceeded, DimensionMismatch, EmptySetError
+from dualbench.errors import (
+    CapExceeded,
+    DensityTooLow,
+    DimensionMismatch,
+    EmptyResult,
+    EmptySetError,
+)
 from dualbench.f2 import F2Set, parity_dot
 from dualbench.matrix import BoolMatrix, SubmatrixView
 
@@ -209,3 +221,73 @@ def _rref_f2(words: Sequence[int]) -> tuple[list[int], list[int]]:
         pivots.append(p)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
+    """BSG candidates from pivot neighbourhoods A & (x + S), each found by a
+    walk over S, pruned at codegree thresholds 1/4 and 1/2; the candidate of
+    least |c + c| / |c| wins (ties: larger, then canonical order)."""
+    rho = Fraction(rho)
+    if len(a) == 0 or len(s) == 0:
+        raise EmptySetError("bsg_extract needs nonempty sets")
+    if rho <= 0:
+        raise DensityTooLow("required density must be positive")
+    members = a.members
+    member_set = set(members)
+    hits = sum(1 for x in members for y in members if x ^ y in s)
+    density = Fraction(hits, len(a) * len(a))
+    if density < rho:
+        raise DensityTooLow(f"pair density {density} < required {rho}")
+
+    memo: dict[int, frozenset] = {}
+
+    def neighbors(x: int) -> frozenset:
+        if x not in memo:
+            memo[x] = frozenset(x ^ w for w in s.members if x ^ w in member_set)
+        return memo[x]
+
+    def prune(base: tuple, threshold: Fraction) -> tuple:
+        current = set(base)
+        codeg = {x: len(neighbors(x) & current) for x in base}
+        while current:
+            bad = [x for x in current if codeg[x] < threshold * len(current)]
+            if not bad:
+                break
+            for x in bad:
+                current.remove(x)
+                codeg.pop(x)
+            for x in bad:
+                for y in neighbors(x):
+                    if y in current:
+                        codeg[y] -= 1
+        return tuple(sorted(current))
+
+    rng = random.Random(seed)
+    pool = list(members)
+    picked = pool if len(pool) <= BSG_PIVOTS else sorted(rng.sample(pool, BSG_PIVOTS))
+    candidates = {members}
+    seen = set()
+    for pivot in picked:
+        base = tuple(sorted(neighbors(pivot)))
+        if not base or base in seen:
+            continue
+        seen.add(base)
+        candidates.add(base)
+        for threshold in (Fraction(1, 4), Fraction(1, 2)):
+            pruned = prune(base, threshold)
+            if pruned:
+                candidates.add(pruned)
+
+    floor = Fraction(len(a)) * rho * rho / 8
+    sized = [c for c in candidates if len(c) >= floor]
+    if not sized:
+        raise EmptyResult("no candidate met the size floor")
+    sizes = {c: len({x ^ y for x in c for y in c}) for c in sized}
+    best = min(sized, key=lambda c: (Fraction(sizes[c], len(c)), -len(c), c))
+    return BsgResult(
+        subset=F2Set(a.n, best),
+        ratio_in=Fraction(len(best), len(a)),
+        doubling_out=Fraction(sizes[best], len(a)),
+        density_bound=rho,
+        size_bound=Fraction(len(s), len(a)),
+    )

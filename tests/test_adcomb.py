@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+import _reference_oracles as ref
 from dualbench.adcomb import bsg_extract, doubling_report, pfr_extract
-from dualbench.errors import DensityTooLow, EmptySetError
+from dualbench.errors import DensityTooLow, EmptyResult, EmptySetError
 from dualbench.f2 import F2Set, span, sumset
 
 
@@ -75,6 +76,37 @@ def test_bsg_seed_determinism():
     r1 = bsg_extract(a, s, 1, seed=9)
     r2 = bsg_extract(a, s, 1, seed=9)
     assert r1.subset == r2.subset and r1.doubling_out == r2.doubling_out
+
+
+def test_bsg_matches_s_side_reference():
+    # neighbourhoods A & (x + S) walk the smaller of A and S; the result is
+    # the S-side walk's, on both sides of |A| < |S|
+    rng = random.Random(43)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        a = random_set(rng, n, 40)
+        sums = sumset(a, a).members
+        cases.append((a, F2Set(n, rng.sample(sums, rng.randint(1, len(sums))))))
+    cube = subspace(10, 1, 2, 4, 8, 16, 32)
+    noisy = F2Set(10, cube.members + tuple(rng.sample(range(64, 1024), 20)))
+    cases.append((noisy, cube))  # |A| = 84 > |S| = 64
+    wide = random_set(rng, 10, 200)
+    cases.append((wide, sumset(wide, wide)))
+    sides = set()
+    for a, s in cases:
+        sides.add(len(a) < len(s))
+        hits = sum(1 for x in a for y in a if x ^ y in s)
+        rho = Fraction(hits, len(a) ** 2)
+        seed = rng.randrange(100)
+        try:
+            expected = ref.bsg_extract_s_side(a, s, rho, seed=seed)
+        except EmptyResult:
+            with pytest.raises(EmptyResult):
+                bsg_extract(a, s, rho, seed=seed)
+            continue
+        assert bsg_extract(a, s, rho, seed=seed) == expected
+    assert sides == {True, False}
 
 
 # -- pfr_extract --------------------------------------------------------------

@@ -407,6 +407,15 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         ("gen-matrix", "--family", "random-dense", "--k", "4", "--l", "4", "--set-a", str(v)),
         ("gen-sets", "--family", "subspace", "--n", "4", "--d", "2", "--size", "9", "--w", "3"),
         ("gen-sets", "--family", "random", "--n", "4", "--size", "3", "--outliers", "1"),
+        # counts and dimensions an experiment cannot run with
+        ("experiment", "--name", "doubling", "--n", "0"),
+        ("experiment", "--name", "doubling", "--n", "-2"),
+        ("experiment", "--name", "log-rank-sweep", "--ranks", "2", "--k", "4", "--l", "4",
+         "--instances", "0"),
+        ("experiment", "--name", "log-rank-sweep", "--ranks", "2", "--k", "4", "--l", "4",
+         "--instances", "-1"),
+        ("experiment", "--name", "nw-bias", "--k", "4", "--l", "4", "--rank", "1",
+         "--count", "-1"),
     ):
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import _reference_oracles as ref
 from dualbench import f2
 from dualbench.errors import DimensionMismatch, EmptySetError, FormatError
+from dualbench.experiments import run_experiment
 from dualbench.f2 import (
     F2Set,
     F2Vector,
@@ -263,8 +265,87 @@ def test_wht_parseval_exact():
 
 
 def test_wht_rejects_bad_length():
-    with pytest.raises(FormatError):
-        wht([1, 2, 3])
+    for values in ([], [1, 2, 3], [Fraction(1, 2)] * 3, [True] * 6, [1 << 70] * 5):
+        with pytest.raises(FormatError):
+            wht(values)
+
+
+def lane_path(values):
+    """wht(values), asserting that it took the lane-packed path."""
+    assert f2._wht_lanes(values) is not None
+    return wht(values)
+
+
+def loop_path(values):
+    """wht(values), asserting that it fell back to the element loop."""
+    assert f2._wht_lanes(values) is None
+    return wht(values)
+
+
+def test_wht_lanes_match_loop():
+    rng = random.Random(12)
+    for n in range(17):
+        for bound in (1, 1000, 1 << 40):
+            f = [rng.randint(-bound, bound) for _ in range(1 << n)]
+            assert lane_path(f) == f2._wht_loop(f), (n, bound)
+    s = random_set(rng, 12, 400)
+    g = lane_path(s.indicator())
+    assert g == f2._wht_loop(s.indicator())
+    squared = [v * v for v in g]
+    assert lane_path(squared) == f2._wht_loop(squared)
+
+
+def test_wht_lane_guard_boundary():
+    # sum |v| < 2^62 packs; at 2^62 the element loop takes over
+    limit = 1 << 62
+    rng = random.Random(13)
+    for total in (limit - 1, limit):
+        cases = [[total, 0], [0, -total], [1 << 61, (1 << 61) - total, 0, 0]]
+        for n in (3, 6, 10):
+            parts = sorted(rng.sample(range(1, total), (1 << n) - 1))
+            spread = [hi - lo for lo, hi in zip([0] + parts, parts + [total])]
+            cases.append([v if rng.random() < 0.5 else -v for v in spread])
+        for f in cases:
+            assert sum(map(abs, f)) == total
+            path = lane_path if total < limit else loop_path
+            assert path(f) == f2._wht_loop(f)
+
+
+def test_wht_non_int_inputs():
+    half = Fraction(1, 2)
+    assert loop_path([half, 1, 0, 3]) == [half + 4, half - 4, half - 2, half + 2]
+    assert loop_path([0.5, 1.0]) == [1.5, -0.5]
+    # outside int64, at its edge, and far outside
+    for f in ([1 << 63, 0], [-(1 << 63), 0], [1 << 70, -1, 0, 5]):
+        assert loop_path(f) == f2._wht_loop(f)
+    flags = [True, False, True, True]  # bools are ints: they pack
+    assert lane_path(flags) == [3, 1, -1, 1]
+    assert all(type(v) is int for v in wht(flags))
+
+
+def test_rep_table_lanes_match_loop(monkeypatch):
+    rng = random.Random(14)
+    s = F2Set(14, rng.sample(range(1 << 14), 600))
+    table = rep_table(s)
+    pairs = Counter(u ^ v for u in s.members for v in s.members)
+    assert table == [pairs[x] for x in range(1 << 14)]
+    monkeypatch.setattr(f2, "_wht_lanes", lambda values: None)
+    assert rep_table(s) == table
+
+
+def test_pipeline_transforms_take_the_lane_path(monkeypatch):
+    # the pipeline-dense benchmark's command: every transform it makes is an
+    # integer table inside the lane guard, so a guard edit that sends any of
+    # them to the element loop shows here, not only as a slower benchmark
+    tables, loops = [], []
+    rep_table_of, loop = f2.rep_table, f2._wht_loop
+    monkeypatch.setattr(f2, "rep_table", lambda s: tables.append(s.n) or rep_table_of(s))
+    monkeypatch.setattr(f2, "_wht_loop", lambda values: loops.append(len(values)) or loop(values))
+    config = {"family": "random", "n": 14, "size": 600}
+    report, _, _ = run_experiment("dual-pipeline", config, seed=0)
+    assert report["ok"]
+    assert tables and set(tables) == {14}
+    assert loops == []
 
 
 # -- spectrum ----------------------------------------------------------------

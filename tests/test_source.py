@@ -1,6 +1,8 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import dualbench
@@ -47,3 +49,18 @@ def test_only_f2_chooses_dense_tables():
                 if getattr(func, "id", None) == "wht" or getattr(func, "attr", None) == "wht":
                     found.append(f"{path.name}:{node.lineno}: wht call")
     assert found == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer looks each traced function up by name, so a
+    # rename or move must keep every one of its targets importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracer import TARGETS
+    finally:
+        sys.path.pop(0)
+    for name, module, path in TARGETS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
