@@ -30,10 +30,8 @@ from .errors import (
     ZeroDuality,
 )
 from .f2 import (
+    CharSums,
     F2Set,
-    char_sum,
-    char_table,
-    dense_pays,
     echelon_basis,
     in_spectrum,
     ip_rows,
@@ -62,37 +60,6 @@ class DualPair:
 
     def area(self) -> int:
         return len(self.a_side) * len(self.b_side)
-
-
-class _BiasOracle:
-    """Cached character sums of a fixed set B: char_sum memoised per word
-    until the words asked times |B| pay for a dense table (f2.dense_pays)."""
-
-    def __init__(self, b: F2Set):
-        self.b = b
-        self.size = len(b)
-        self._table: list[int] | None = None
-        self._memo: dict[int, int] = {}
-
-    def char(self, word: int) -> int:
-        if self._table is not None:
-            return self._table[word]
-        got = self._memo.get(word)
-        if got is None:
-            if dense_pays(self.b.n, (len(self._memo) + 1) * self.size):
-                self._table = char_table(self.b)
-                return self._table[word]
-            got = char_sum(self.b, word)
-            self._memo[word] = got
-        return got
-
-    def in_spectrum(self, word: int, alpha: Fraction) -> bool:
-        return in_spectrum(self.char(word), self.size, alpha)
-
-    def duality(self, words) -> Fraction:
-        words = list(words)
-        total = sum(self.char(w) for w in words)
-        return Fraction(abs(total), len(words) * self.size)
 
 
 @dataclass(frozen=True)
@@ -136,17 +103,18 @@ def markov_restrict(a: F2Set, b: F2Set):
     Returns (A1, eps1) with eps1 = D(A,B)/2 and A1 the members of A whose
     bias against B is at least eps1 in magnitude; |A1| >= eps1 |A| always.
     """
-    return _markov_restrict(a, _BiasOracle(b))
+    return _markov_restrict(a, CharSums(b))
 
 
-def _markov_restrict(a: F2Set, oracle: _BiasOracle):
-    if len(a) == 0 or oracle.size == 0:
+def _markov_restrict(a: F2Set, chars: CharSums):
+    size = len(chars.b)
+    if len(a) == 0 or size == 0:
         raise EmptySetError("markov_restrict needs nonempty sets")
-    d = oracle.duality(a.members)
+    d = chars.duality(a.members)
     if d == 0:
         raise ZeroDuality("duality measure is zero; nothing to restrict")
     eps1 = d / 2
-    kept = [w for w in a.members if oracle.in_spectrum(w, eps1)]
+    kept = [w for w in a.members if in_spectrum(chars(w), size, eps1)]
     a1 = F2Set(a.n, kept)
     if Fraction(len(a1)) < eps1 * len(a):
         raise InvariantViolation("Markov restriction bound failed")
@@ -154,7 +122,7 @@ def _markov_restrict(a: F2Set, oracle: _BiasOracle):
 
 
 def _next_level(
-    a_prev: F2Set, oracle: _BiasOracle, index: int, eps_next: Fraction
+    a_prev: F2Set, chars: CharSums, index: int, eps_next: Fraction
 ) -> LevelRecord:
     """One sumset step: keep sums in the eps_next spectrum, bucketed by
     representation count, choosing the bucket with the most ordered pairs.
@@ -172,10 +140,11 @@ def _next_level(
     if len(a_prev) == 0:
         raise EmptySetError("next_set needs a nonempty previous level")
     n = a_prev.n
+    size = len(chars.b)
     mass = [0] * n
     buckets: list[list[int]] = [[] for _ in range(n)]
     for x, c in rep_counts(a_prev).items():
-        if not oracle.in_spectrum(x, eps_next):
+        if not in_spectrum(chars(x), size, eps_next):
             continue
         j = min(c.bit_length() - 1, n - 1)
         mass[j] += c
@@ -184,7 +153,7 @@ def _next_level(
     if mass[best_j] == 0:
         raise EmptyNext(f"no pair lands in the {eps_next} spectrum")
     members = F2Set(n, buckets[best_j])
-    d_prev = oracle.duality(a_prev.members)
+    d_prev = chars.duality(a_prev.members)
     held = d_prev * d_prev >= 2 * eps_next
     need = eps_next * len(a_prev) * len(a_prev)
     eq_mass = Fraction(mass[best_j]) >= need / n
@@ -206,7 +175,7 @@ def _next_level(
 
 def next_set(a_prev: F2Set, b: F2Set, eps_next):
     """Public wrapper for one sumset step; returns (A_next, j)."""
-    level = _next_level(a_prev, _BiasOracle(b), 2, Fraction(eps_next))  # index is a label
+    level = _next_level(a_prev, CharSums(b), 2, Fraction(eps_next))  # index is a label
     return level.members, level.bucket
 
 
@@ -224,9 +193,9 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     if growth_bound <= 1:
         raise PreconditionViolation("growth bound K must exceed 1")
     n = a.n
-    oracle = _BiasOracle(b)
-    a1, eps1 = _markov_restrict(a, oracle)
-    d = oracle.duality(a.members)
+    chars = CharSums(b)
+    a1, eps1 = _markov_restrict(a, chars)
+    d = chars.duality(a.members)
     levels = [
         LevelRecord(
             index=1,
@@ -253,7 +222,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
         eps_i = eps_prev * eps_prev / 2
         # the guarantee precondition d_prev^2 >= 2 eps_i is exactly
         # d_prev >= eps_prev under this threshold recursion
-        nxt = _next_level(prev, oracle, i, eps_i)
+        nxt = _next_level(prev, chars, i, eps_i)
         levels.append(nxt)
         if Fraction(len(nxt.members)) <= growth_bound * len(prev):
             t = i - 1
@@ -295,8 +264,9 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction):
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionViolation("eps must be positive")
+    b_chars = CharSums(b)
     for w in a.members:
-        if not in_spectrum(char_sum(b, w), len(b), eps):
+        if not in_spectrum(b_chars(w), len(b), eps):
             raise PreconditionViolation(
                 f"element {w:#x} has bias below {eps}; A not in the spectrum"
             )
@@ -306,10 +276,11 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction):
         classes.setdefault(key, []).append(y)
 
     span_size = 1 << len(basis)
+    a_chars = CharSums(a)
 
     def score(item):
         _key, ys = item
-        charsum = char_sum(a, ys[0])
+        charsum = a_chars(ys[0])
         return (-(len(ys) * (len(a) + abs(charsum))), -len(ys), ys[0])
 
     _, chosen = min(classes.items(), key=score)

@@ -22,6 +22,7 @@ from .errors import (
     DualbenchError,
     FormatError,
     InvariantViolation,
+    MismatchError,
     SearchFailure,
 )
 from .f2 import duality_measure, format_set, read_set_file, write_set_file
@@ -59,12 +60,9 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, args, csv_header=None, csv_rows=None) -> None:
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "csv":
-        if csv_header is None:
-            raise FormatError("this command has no CSV form; use --format json")
-        _emit(xp.to_csv(csv_header, csv_rows), args.out)
+def _emit_report(report: dict, args, csv_rows=None) -> None:
+    if getattr(args, "format", "json") == "csv":
+        _emit(xp.to_csv(csv_rows), args.out)
     else:
         _emit(xp.to_json(report), args.out)
 
@@ -129,9 +127,7 @@ def cmd_analyze(args) -> int:
         "dedup_rows": deduped.n_rows,
         "dedup_cols": deduped.n_cols,
     }
-    report = _simple_report("analyze", args, payload)
-    header = list(payload.keys())
-    _emit_report(report, args, header, [payload])
+    _emit_report(_simple_report("analyze", args, payload), args, [payload])
     return EXIT_OK
 
 
@@ -241,19 +237,17 @@ def cmd_protocol(args) -> int:
         "binomial_leaf_reference": cost.binomial_leaf_reference,
         "audited_nodes": len(audit),
     }
-    report = _simple_report("protocol", args, payload)
-    header = list(payload.keys())
-    _emit_report(report, args, header, [payload])
+    _emit_report(_simple_report("protocol", args, payload), args, [payload])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     m = read_matrix_file(args.matrix)
     tree = read_tree_file(args.tree)
-    cost = verify(tree, m)
     try:
+        cost = verify(tree, m)
         audit = leaf_recurrence_audit(tree)
-    except AuditViolation as exc:  # stored stats that no build could have made
+    except (MismatchError, AuditViolation) as exc:  # a tree no build could have made
         raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
         "verified_entries": m.n_rows * m.n_cols,
@@ -276,10 +270,10 @@ def cmd_experiment(args) -> int:
         f"experiment {args.name}",
     )
     started = time.monotonic()
-    report, header, rows = xp.run_experiment(args.name, config, seed=args.seed)
+    report, rows = xp.run_experiment(args.name, config, seed=args.seed)
     if args.timings:
         report["timings"] = {"wall_seconds": round(time.monotonic() - started, 6)}
-    _emit_report(report, args, header, rows)
+    _emit_report(report, args, rows)
     if not report.get("ok", True):
         return EXIT_INVARIANT
     if report.get("search_failures"):
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, fmt=True, exact_cap=False):
+    def common(p, seed=True, fmt=False, exact_cap=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
@@ -343,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--set-a", dest="set_a", default=None)
     p.add_argument("--set-b", dest="set_b", default=None)
-    common(p, fmt=False)
+    common(p)
     p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("gen-sets", help="write a set file")
@@ -353,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="dimension for subspace families")
     p.add_argument("--outliers", type=int, default=None)
     p.add_argument("--size", type=int, default=None, help="size for the random family")
-    common(p, fmt=False)
+    common(p)
     p.set_defaults(func=cmd_gen_sets)
 
     p = sub.add_parser("analyze", help="ranks, counts and discrepancy of a matrix")
     p.add_argument("--matrix", required=True)
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factor", help="inner-product factorization of a matrix")
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="exact")
     p.add_argument("--tree-out", dest="tree_out", default=None,
                    help="write the tree JSON here")
-    common(p, exact_cap=True)
+    common(p, fmt=True, exact_cap=True)
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("verify", help="re-verify a stored tree against a matrix")
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=_growth_bound, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-determinism)")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=cmd_experiment)
 
     return parser

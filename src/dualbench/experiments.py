@@ -216,12 +216,10 @@ def generate_matrix(family: str, params: dict, seed: int = 0) -> BoolMatrix:
             rng,
         )
     if family == "random-dense":
-        return make_random_dense(
-            _need(params, "k", family),
-            _need(params, "l", family),
-            float(params.get("p") if params.get("p") is not None else 0.5),
-            rng,
-        )
+        p = float(params.get("p") if params.get("p") is not None else 0.5)
+        if not 0 <= p <= 1:
+            raise FormatError(f"--p must be a probability in [0, 1], got {p}")
+        return make_random_dense(_need(params, "k", family), _need(params, "l", family), p, rng)
     if family == "from-sets":
         return make_from_sets(params["set_a"], params["set_b"])
     raise FormatError(f"unknown matrix family {family!r}")
@@ -250,7 +248,9 @@ def to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def to_csv(header: list[str], rows: list[dict]) -> str:
+def to_csv(rows: list[dict]) -> str:
+    """One line per row under a header of the first row's keys."""
+    header = list(rows[0]) if rows else []
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[h]) for h in header))
@@ -339,7 +339,7 @@ def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
     return value
 
 
-def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
+def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]:
     family = config.get("family", "subspace")
     n = int(config.get("n", 6))
     params = {
@@ -395,10 +395,10 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[str], 
             "area": trace.final.area() if trace.ok else 0,
         }
     )
-    return report, ["family", "n", "ok", "failed_stage", "area"], rows
+    return report, rows
 
 
-def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
+def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]]:
     ranks = config.get("ranks", [2, 3, 4])
     k = int(config.get("k", 12))
     l = int(config.get("l", 12))
@@ -440,11 +440,10 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[str],
         )
     report["results"]["detail"] = detail
     report["results"]["aggregate"] = aggregate_rows
-    header = ["rank", "instances", "mean_leaves", "mean_depth", "rank_over_log_rank"]
-    return report, header, aggregate_rows
+    return report, aggregate_rows
 
 
-def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
+def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]]:
     """Duality measure against the exact maximum dual pair on weight-w slices.
 
     One row per n: D(A,A), the exact oracle's maximum pair area and sides,
@@ -484,21 +483,10 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[str],
     decreasing = all(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1))
     report["results"]["rows"] = rows
     report["results"]["ratio_strictly_decreasing"] = decreasing
-    header = [
-        "n",
-        "set_size",
-        "duality",
-        "max_pair_area",
-        "a_side",
-        "b_side",
-        "area_ratio",
-        "area_ratio_float",
-        "min_side_ratio",
-    ]
-    return report, header, rows
+    return report, rows
 
 
-def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
+def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
     n = _int_at_least(config, "n", 10, 2)  # the weight-2 slice needs n >= 2
     instances = [
         ("weight-slice", {"n": n, "w": 1}),
@@ -534,24 +522,10 @@ def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[str], list[
             )
             report["ok"] = False
     report["results"]["rows"] = rows
-    header = [
-        "family",
-        "n",
-        "size",
-        "doubling",
-        "span_ratio",
-        "log2_span_ratio",
-        "freiman_log2_bound",
-        "green_tao_log2_bound",
-        "sanders_log2_bound",
-        "within_freiman",
-        "within_green_tao",
-        "within_sanders",
-    ]
-    return report, header, rows
+    return report, rows
 
 
-def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[str], list[dict]]:
+def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[dict]]:
     count = _int_at_least(config, "count", 20, 1)
     k = int(config.get("k", 12))
     l = int(config.get("l", 12))
@@ -604,17 +578,7 @@ def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[str], list[d
         )
     report["results"]["rows"] = rows
     report["results"]["not_found"] = not_found
-    header = [
-        "instance",
-        "rows",
-        "cols",
-        "rank_real",
-        "found",
-        "exhaustive_nonexistence",
-        "area_ratio",
-        "discrepancy",
-    ]
-    return report, header, rows
+    return report, rows
 
 
 # name -> (experiment, the config keys it reads)
@@ -634,7 +598,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, config: dict, seed: int = 0):
-    """Dispatch a named experiment; returns (report, csv_header, csv_rows)."""
+    """Dispatch a named experiment; returns (report, csv_rows)."""
     if name not in EXPERIMENTS:
         raise FormatError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"

@@ -316,12 +316,39 @@ def char_sum(b: F2Set, word: int) -> int:
     return len(b) - 2 * odd
 
 
-def char_table(b: F2Set) -> list[int] | None:
-    """Dense table of char_sum(b, x) for all x, or None above DENSE_CAP;
-    callers asking word by word build it once dense_pays(n, words x |b|)."""
-    if b.n > DENSE_CAP:
-        return None
+def char_table(b: F2Set) -> list[int]:
+    """char_sum(b, x) for every word x, as a dense table of length 2^n."""
     return wht(b.indicator())
+
+
+class CharSums:
+    """The character sums of a fixed set b, word by word: the one
+    character-sum kernel.  ``CharSums(b)(x)`` is char_sum(b, x), memoised per
+    word until the distinct words asked times |b| pay for a dense table
+    (dense_pays); from then on it reads char_table(b)."""
+
+    __slots__ = ("b", "_memo", "_table")
+
+    def __init__(self, b: F2Set):
+        self.b = b
+        self._memo: dict[int, int] = {}
+        self._table: list[int] | None = None
+
+    def __call__(self, word: int) -> int:
+        if self._table is not None:
+            return self._table[word]
+        got = self._memo.get(word)
+        if got is None:
+            if dense_pays(self.b.n, (len(self._memo) + 1) * len(self.b)):
+                self._table = char_table(self.b)
+                return self._table[word]
+            got = self._memo[word] = char_sum(self.b, word)
+        return got
+
+    def duality(self, words: Sequence[int]) -> Fraction:
+        """D(words, b): the absolute mean of (-1)^<x,y> over words x b."""
+        total = sum(map(self, words))
+        return Fraction(abs(total), len(words) * len(self.b))
 
 
 def bias(b: F2Set, x: F2Vector | int) -> Fraction:
@@ -349,7 +376,7 @@ def spectrum(b: F2Set, alpha) -> SpectrumResult:
     if not 0 <= alpha <= 1:
         raise FormatError(f"alpha must be in [0,1], got {alpha}")
     size = 1 << b.n
-    table = wht(b.indicator())
+    table = char_table(b)
     m = len(b)
     members = [x for x in range(size) if in_spectrum(table[x], m, alpha)]
     biases = {x: Fraction(table[x], m) for x in range(size)}
@@ -366,8 +393,7 @@ def duality_measure(a: F2Set, b: F2Set) -> Fraction:
     _same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("duality measure needs two nonempty sets")
-    total = sum(char_sum(b, x) for x in a.members)
-    return Fraction(abs(total), len(a) * len(b))
+    return CharSums(b).duality(a.members)
 
 
 def ip_rows(xs: Sequence[int], ys: Sequence[int]) -> list[int]:

@@ -337,10 +337,11 @@ def simulate(tree: ProtocolTree, x: int, y: int) -> tuple[int, int]:
 
 
 def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
-    """Simulate every entry, then check the tree's whole-matrix numbers.
+    """Check the tree's stored matrix, simulate every entry, then check the
+    tree's whole-matrix numbers.
 
-    Raises MismatchError on any disagreement with the matrix, and FormatError
-    when the tree's stored matrix and index maps are not dedup(m).  Asserted
+    Raises FormatError when the tree's stored matrix and index maps are not
+    dedup(m), and MismatchError on any disagreement with the matrix.  Asserted
     on the deduplicated matrix: rank <= size <= 2^(2 rank) and the leaf-count
     bounds rank - 1 <= L <= 2 * size.  The per-node stat invariants are
     checked when each NodeStats is made, so a tree holds no node that breaks
@@ -348,14 +349,14 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     """
     if m.n_rows != tree.source_rows or m.n_cols != tree.source_cols:
         raise FormatError("tree was built from a matrix of different shape")
+    if (tree.matrix, tree.row_map, tree.col_map) != dedup(m):
+        raise FormatError("the tree's stored matrix and index maps are not dedup of the matrix")
     for x in range(m.n_rows):
         for y in range(m.n_cols):
             got, _bits = simulate(tree, x, y)
             expected = m.entry(x, y)
             if got != expected:
                 raise MismatchError(x, y, got, expected)
-    if (tree.matrix, tree.row_map, tree.col_map) != dedup(m):
-        raise FormatError("the tree's stored matrix and index maps are not dedup of the matrix")
 
     r = rank_real(tree.matrix)
     size = tree.matrix.size()

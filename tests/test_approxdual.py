@@ -8,7 +8,6 @@ import pytest
 
 from dualbench.approxdual import (
     DualPair,
-    _BiasOracle,
     base_case_dual,
     default_growth_bound,
     exact_dual_oracle,
@@ -412,24 +411,6 @@ def test_sparse_paths_above_dense_cap():
     pair = trace.final
     assert pair.a_side.issubset(s) and pair.b_side.issubset(s)
     assert is_dual_pair(pair.a_side, pair.b_side) == pair.constant_bit
-
-
-def test_bias_oracle_builds_its_table_once_it_pays():
-    # the oracle memoises char_sum per word until the distinct words asked
-    # times |B| reach 2^n (n <= DENSE_CAP), then reads one dense table; both
-    # give char_sum.  `built` is the count of distinct words at which the
-    # table appears (None: never)
-    rng = random.Random("bias-oracle")
-    for n, size, built in ((6, 8, 8), (6, 7, 10), (8, 3, None), (21, 12, None)):
-        b = F2Set(n, rng.sample(range(1 << n), size))
-        oracle = _BiasOracle(b)
-        words = rng.sample(range(1 << n), 40)
-        for k, word in enumerate(words + words):
-            assert oracle.char(word) == char_sum(b, word)
-            asked = min(k + 1, len(words))
-            assert (oracle._table is not None) == (built is not None and asked >= built)
-        if built is None:
-            assert set(oracle._memo) == set(words)
 
 
 # -- exact oracle and greedy ------------------------------------------------------------

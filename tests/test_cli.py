@@ -197,7 +197,10 @@ def test_protocol_build_verify_round_trip(tmp_path):
                "--out", str(tmp_path / "v.json")) == 0
 
 
-def test_verify_mismatch_is_invariant_exit(tmp_path):
+def test_verify_mismatch_of_a_loaded_tree_is_a_format_error(tmp_path, capsys):
+    # a loaded tree that disagrees with the matrix is bad input, not a bug:
+    # a tree of another matrix of the same shape, or a tree with one leaf
+    # output flipped, exits 1 with one error line naming the tree file
     m1 = tmp_path / "m1.txt"
     m2 = tmp_path / "m2.txt"
     m1.write_text("2 2\n10\n01\n")
@@ -205,7 +208,25 @@ def test_verify_mismatch_is_invariant_exit(tmp_path):
     tree_file = tmp_path / "tree.json"
     assert run("protocol", "--matrix", str(m1), "--tree-out", str(tree_file),
                "--out", str(tmp_path / "p.json")) == 0
-    assert run("verify", "--matrix", str(m2), "--tree", str(tree_file)) == 3
+    capsys.readouterr()
+    assert run("verify", "--matrix", str(m2), "--tree", str(tree_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    mfile = tmp_path / "m.txt"
+    run("gen-matrix", "--family", "random-f2-rank", "--k", "8", "--l", "8",
+        "--rank", "3", "--seed", "7", "--out", str(mfile))
+    assert run("protocol", "--matrix", str(mfile), "--strategy", "greedy",
+               "--tree-out", str(tree_file), "--out", str(tmp_path / "p.json")) == 0
+    doc = json.loads(tree_file.read_text())
+    leaf = next(c[k] for c, k in _tree_slots(doc) if isinstance(c[k], dict) and c[k].get("type") == "leaf")
+    leaf["output"] ^= 1
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_file}: protocol mismatch") and len(err.splitlines()) == 1, err
 
 
 def test_verify_rejects_a_tree_of_another_matrix(tmp_path, capsys):
@@ -392,6 +413,9 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         ("analyze", "--matrix", str(v), "--exact-cap", "3"),
         ("verify", "--matrix", str(v)),
         ("nonsense-verb",),
+        # --format only where a command has a CSV form
+        ("factor", "--matrix", str(m), "--format", "csv"),
+        ("factor", "--matrix", str(m), "--format", "json"),
         # a flag the chosen strategy does not read
         (*dual, "--strategy", "greedy", "--K", "5", "--exact-cap", "1"),
         (*dual, "--strategy", "exact", "--K", "5"),
@@ -405,6 +429,9 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
         ("gen-matrix", "--family", "random-f2-rank", "--k", "4", "--l", "4", "--rank", "2",
          "--p", "0.3"),
         ("gen-matrix", "--family", "random-dense", "--k", "4", "--l", "4", "--set-a", str(v)),
+        # a chance of a 1 outside [0, 1]
+        *(("gen-matrix", "--family", "random-dense", "--k", "4", "--l", "4", "--p", p)
+          for p in ("2", "-1", "nan", "inf", "-inf", "1.0001")),
         ("gen-sets", "--family", "subspace", "--n", "4", "--d", "2", "--size", "9", "--w", "3"),
         ("gen-sets", "--family", "random", "--n", "4", "--size", "3", "--outliers", "1"),
         # counts and dimensions an experiment cannot run with

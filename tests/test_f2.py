@@ -9,6 +9,7 @@ from dualbench import f2
 from dualbench.errors import DimensionMismatch, EmptySetError, FormatError
 from dualbench.experiments import run_experiment
 from dualbench.f2 import (
+    CharSums,
     F2Set,
     F2Vector,
     bias,
@@ -342,7 +343,7 @@ def test_pipeline_transforms_take_the_lane_path(monkeypatch):
     monkeypatch.setattr(f2, "rep_table", lambda s: tables.append(s.n) or rep_table_of(s))
     monkeypatch.setattr(f2, "_wht_loop", lambda values: loops.append(len(values)) or loop(values))
     config = {"family": "random", "n": 14, "size": 600}
-    report, _, _ = run_experiment("dual-pipeline", config, seed=0)
+    report, _ = run_experiment("dual-pipeline", config, seed=0)
     assert report["ok"]
     assert tables and set(tables) == {14}
     assert loops == []
@@ -386,18 +387,34 @@ def test_spectrum_empty_set():
 
 def test_dense_pays_rule_and_char_table(monkeypatch):
     # the one rule: a 2^n table iff n <= DENSE_CAP and 2^n <= the direct work;
-    # char_table builds its table whenever it fits and leaves the asking to
-    # callers (the bias oracle)
+    # char_table builds its table whenever asked and leaves the asking to
+    # CharSums, which asks dense_pays first
     assert dense_pays(6, 64) and not dense_pays(6, 63)
     assert not dense_pays(f2.DENSE_CAP + 1, 1 << 40)
     rng = random.Random("char-table")
     for n, size in ((4, 3), (6, 8), (10, 5)):
         b = F2Set(n, rng.sample(range(1 << n), size))
         assert char_table(b) == [char_sum(b, x) for x in range(1 << n)]
-    assert char_table(F2Set(f2.DENSE_CAP + 1, [1, 2])) is None
     monkeypatch.setattr(f2, "DENSE_CAP", 3)
-    assert char_table(F2Set(4, range(16))) is None
     assert not dense_pays(4, 1 << 40)
+
+
+def test_char_sums_build_their_table_once_it_pays():
+    # CharSums memoises char_sum per word until the distinct words asked
+    # times |b| reach 2^n (n <= DENSE_CAP), then reads one dense table; both
+    # give char_sum.  `built` is the count of distinct words at which the
+    # table appears (None: never)
+    rng = random.Random("bias-oracle")
+    for n, size, built in ((6, 8, 8), (6, 7, 10), (8, 3, None), (21, 12, None)):
+        b = F2Set(n, rng.sample(range(1 << n), size))
+        chars = CharSums(b)
+        words = rng.sample(range(1 << n), 40)
+        for k, word in enumerate(words + words):
+            assert chars(word) == char_sum(b, word)
+            asked = min(k + 1, len(words))
+            assert (chars._table is not None) == (built is not None and asked >= built)
+        if built is None:
+            assert set(chars._memo) == set(words)
 
 
 # -- duality measure ---------------------------------------------------------
@@ -415,6 +432,25 @@ def test_duality_examples():
 
     a = F2Set.from_strings(["01", "10"])
     assert duality_measure(a, F2Set.from_strings(["11"])) == 1
+
+
+def test_duality_measure_is_the_sum_of_char_sums(monkeypatch):
+    # duality_measure(a, b) = |sum_{x in a} char_sum(b, x)| / (|a| |b|) on
+    # either side of the dense rule, and above DENSE_CAP, where no table is
+    # built however many words are asked
+    tables = []
+    char_table_of = f2.char_table
+    monkeypatch.setattr(f2, "char_table", lambda b: tables.append(b.n) or char_table_of(b))
+    rng = random.Random("duality-kernel")
+    for n, size_a, size_b, dense in ((8, 5, 6, False), (8, 60, 40, True),
+                                     (f2.DENSE_CAP + 1, 50, 30, False)):
+        a = F2Set(n, rng.sample(range(1 << n), size_a))
+        b = F2Set(n, rng.sample(range(1 << n), size_b))
+        assert dense_pays(n, size_a * size_b) == dense
+        total = sum(char_sum(b, x) for x in a.members)
+        tables.clear()
+        assert duality_measure(a, b) == Fraction(abs(total), size_a * size_b)
+        assert tables == ([n] if dense else [])
 
 
 def test_duality_errors():

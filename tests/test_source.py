@@ -29,7 +29,7 @@ def test_checks_survive_optimised_mode():
 
 def test_only_f2_chooses_dense_tables():
     # f2 alone decides between a dense 2^n transform table and direct sums,
-    # so only f2 names DENSE_CAP or calls wht
+    # so only f2 names DENSE_CAP, dense_pays or char_table, or calls wht
     found = []
     for path in SOURCES:
         if path.name == "f2.py":
@@ -42,8 +42,9 @@ def test_only_f2_chooses_dense_tables():
                 names.append(node.attr)
             elif isinstance(node, ast.alias):
                 names.append(node.name)
-            if "DENSE_CAP" in names:
-                found.append(f"{path.name}:{node.lineno}: DENSE_CAP")
+            for name in ("DENSE_CAP", "dense_pays", "char_table"):
+                if name in names:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
             if isinstance(node, ast.Call):
                 func = node.func
                 if getattr(func, "id", None) == "wht" or getattr(func, "attr", None) == "wht":
