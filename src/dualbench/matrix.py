@@ -1,9 +1,11 @@
 """Exact boolean-matrix analytics.
 
 Matrices are stored row-major as bit words (bit j of a row word is column j).
-Ranks are exact: over F2 by word-level elimination, over the rationals by
-fraction-free integer elimination.  Submatrix search routines return views
-whose claimed properties are always re-verified before returning.
+Ranks are exact: over F2 by word-level elimination; over the rationals by a
+GF(3) elimination on bit planes, certified by the counts of distinct nonzero
+rows and columns, with fraction-free integer elimination when it is not.
+Submatrix search routines return views whose claimed properties are always
+re-verified before returning.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class BoolMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def row_list(self, i: int) -> list[int]:
-        return [(self.rows[i] >> j) & 1 for j in range(self.n_cols)]
-
     def to_lines(self) -> list[str]:
         return ["".join(str((r >> j) & 1) for j in range(self.n_cols)) for r in self.rows]
 
@@ -87,11 +86,18 @@ class BoolMatrix:
         )
 
     def take(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
+        runs = []  # [source column, width mask, target column] of each run of adjacent columns
+        for new_j, j in enumerate(col_idx):
+            if runs and j == runs[-1][0] + runs[-1][1].bit_length():
+                runs[-1][1] = runs[-1][1] << 1 | 1
+            else:
+                runs.append([j, 1, new_j])
         rows = []
         for i in row_idx:
             word = 0
-            for new_j, j in enumerate(col_idx):
-                word |= ((self.rows[i] >> j) & 1) << new_j
+            source = self.rows[i]
+            for j, width, new_j in runs:
+                word |= ((source >> j) & width) << new_j
             rows.append(word)
         return BoolMatrix(len(row_idx), len(col_idx), rows)
 
@@ -216,15 +222,69 @@ def rank_f2(m: BoolMatrix) -> int:
 
 
 def rank_real(m: BoolMatrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
+    """Rank over the rationals, exact with no tolerance parameter.
 
-    All intermediate entries are integers (minors of the original matrix),
-    so the result is exact with no tolerance parameter.
+    The rank mod 3 is a lower bound (a minor that is nonzero mod 3 is
+    nonzero), and the numbers of distinct nonzero rows and of distinct
+    nonzero columns are upper bounds.  When the GF(3) rank meets either
+    bound it is the rank; otherwise fraction-free (Bareiss) elimination on
+    the distinct nonzero rows decides.
     """
-    a = [m.row_list(i) for i in range(m.n_rows)]
-    k, l = m.n_rows, m.n_cols
-    rank = 0
-    piv_row = 0
+    words = list(dict.fromkeys(word for word in m.rows if word))
+    bound = min(len(words), m.n_cols)
+    low = _rank_gf3(words, bound)
+    if low == bound or low == _distinct_nonzero_columns(words, m.n_cols):
+        return low
+    return _rank_bareiss(words, m.n_cols)
+
+
+def _rank_gf3(words: Sequence[int], stop: int) -> int:
+    """Rank mod 3 of 0/1 row words, or stop once the rank reaches it.
+
+    A row over GF(3) is two bit planes (ones, twos): the columns holding 1
+    and those holding 2.  Adding two rows takes a few whole-word operations,
+    and negating one swaps its planes.  Each basis row is scaled to hold 1
+    at its lowest nonzero column, its key.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    for ones in words:
+        twos = 0
+        nonzero = ones
+        while nonzero:
+            lead = nonzero & -nonzero
+            row = basis.get(lead)
+            if row is None:
+                basis[lead] = (ones, twos) if ones & lead else (twos, ones)
+                if len(basis) == stop:
+                    return stop
+                break
+            b1, b2 = row
+            if ones & lead:  # a 1 at lead: add -row, its planes swapped
+                b1, b2 = b2, b1
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+            nonzero = ones | twos
+    return len(basis)
+
+
+def _distinct_nonzero_columns(words: Sequence[int], n_cols: int) -> int:
+    cols = [0] * n_cols
+    for i, word in enumerate(words):
+        while word:
+            low = word & -word
+            cols[low.bit_length() - 1] |= 1 << i
+            word ^= low
+    return len(set(cols) - {0})
+
+
+def _rank_bareiss(words: Sequence[int], l: int) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    All intermediate entries are integers (minors of the original matrix).
+    """
+    a = [[(word >> j) & 1 for j in range(l)] for word in words]
+    k = len(a)
+    piv_row = 0  # also the rank so far
     prev = 1
     for col in range(l):
         pivot = None
@@ -245,11 +305,10 @@ def rank_real(m: BoolMatrix) -> int:
                 row_r[c] = (row_r[c] * p - factor * row_p[c]) // prev
             row_r[col] = 0
         prev = p
-        rank += 1
         piv_row += 1
         if piv_row == k:
             break
-    return rank
+    return piv_row
 
 
 @dataclass(frozen=True)
@@ -423,13 +482,6 @@ def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView
 def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
     """Largest monochromatic rectangle, enumerating the smaller dimension."""
     return _mono_scan(m, transposed=m.n_cols < m.n_rows, exact_cap=exact_cap)
-
-
-def max_mono_exact_other_dimension(
-    m: BoolMatrix, exact_cap: int = EXACT_CAP
-) -> SubmatrixView:
-    """max_mono_exact's search, enumerating the dimension it skips."""
-    return _mono_scan(m, transposed=not (m.n_cols < m.n_rows), exact_cap=exact_cap)
 
 
 # -- biased submatrix search -----------------------------------------------------
@@ -643,8 +695,3 @@ def format_matrix(m: BoolMatrix) -> str:
 
 def read_matrix_file(path) -> BoolMatrix:
     return parse_matrix_text(read_text(path))
-
-
-def write_matrix_file(path, m: BoolMatrix) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(m))

@@ -5,14 +5,17 @@ rectangle Q, let the player whose block beside Q has the smaller rank
 announce membership of their input in Q's side, and recurse on the two
 halves.  Each sent bit is one internal node; leaves output the entry value.
 Simulation, full verification against the source matrix, and a recurrence
-audit of the per-node rank/area bookkeeping are provided.
+audit of the per-node rank/area bookkeeping are provided.  Each tree holds
+one rank memo over blocks of its stored matrix, shared by the build, verify
+and the audit, so no block is ranked twice.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -84,8 +87,43 @@ class Internal:
     child1: "ProtocolNode"  # input inside the split
     stats: NodeStats
 
+    def __post_init__(self):
+        # The speaker's off-Q block has the smaller rank, ties to the row
+        # player; a rectangle spanning all rows (rank_s = 0) forces the column.
+        rr, rs = self.stats.rank_r, self.stats.rank_s
+        if self.speaker == "row" and rr > rs:
+            raise InvariantViolation(f"row speaks although rank_r {rr} > rank_s {rs}")
+        if self.speaker == "col" and not (rs < rr or rs == 0):
+            raise InvariantViolation(f"col speaks although rank_s {rs} >= rank_r {rr}")
+
 
 ProtocolNode = Union[Leaf, Internal]
+
+
+class BlockRanks:
+    """rank_real of the blocks rows x cols of one matrix, each block ranked
+    at most once.  A tree holds one for its stored matrix; it lives as long
+    as the tree, never longer."""
+
+    __slots__ = ("matrix", "_ranks")
+
+    def __init__(self, matrix: BoolMatrix):
+        self.matrix = matrix
+        self._ranks: dict[tuple, int] = {}
+
+    def __call__(self, rows: tuple[int, ...], cols: tuple[int, ...], block=None) -> int:
+        """The rank of the block; block, when given, is matrix.take(rows, cols)."""
+        got = self._ranks.get((rows, cols))
+        if got is None:
+            if block is None:
+                block = self.matrix.take(rows, cols)
+            got = self._ranks[rows, cols] = rank_real(block)
+        return got
+
+
+def _mask(indices) -> int:
+    """The word with the bits at indices set."""
+    return sum(1 << j for j in indices)
 
 
 @dataclass(frozen=True)
@@ -99,6 +137,7 @@ class ProtocolTree:
     leaves: int
     depth: int
     internal_nodes: int
+    ranks: BlockRanks = field(compare=False, repr=False)  # the memo over matrix's blocks
 
 
 @dataclass(frozen=True)
@@ -237,27 +276,22 @@ def build_protocol(
     (or all columns) forces the other player to speak so the split stays
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
-    trap (DepthCapExceeded).  Each block is ranked at most once per call.
+    trap (DepthCapExceeded).  Blocks are ranked through the tree's memo.
     """
     if mono_finder is None:
         mono_finder = mono_finder_exact()
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
-    ranks: dict[tuple, int] = {}  # (rows, cols) -> rank_real of that block of core
-
-    def rank(rows: tuple[int, ...], cols: tuple[int, ...], block=None) -> int:
-        got = ranks.get((rows, cols))
-        if got is None:
-            got = ranks[rows, cols] = rank_real(core.take(rows, cols) if block is None else block)
-        return got
+    rank = BlockRanks(core)
 
     def build(rows: tuple[int, ...], cols: tuple[int, ...], depth: int) -> ProtocolNode:
         if depth > depth_cap:
             raise DepthCapExceeded(f"protocol recursion passed {depth_cap} bits")
-        sub = core.take(rows, cols)
-        zeros, ones = sub.counts()
-        if zeros == 0 or ones == 0:
+        mask = _mask(cols)
+        ones = sum((core.rows[i] & mask).bit_count() for i in rows)
+        if ones == 0 or ones == len(rows) * len(cols):
             return Leaf(output=0 if ones == 0 else 1)
+        sub = core.take(rows, cols)
         q = mono_finder(sub)
         q_rows = tuple(rows[i] for i in q.rows)
         q_cols = tuple(cols[j] for j in q.cols)
@@ -308,6 +342,7 @@ def build_protocol(
         leaves=leaves,
         depth=depth,
         internal_nodes=internal,
+        ranks=rank,
     )
 
 
@@ -337,28 +372,48 @@ def simulate(tree: ProtocolTree, x: int, y: int) -> tuple[int, int]:
 
 
 def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
-    """Check the tree's stored matrix, simulate every entry, then check the
-    tree's whole-matrix numbers.
+    """Check the tree's stored matrix, its answers and its node ranks, then
+    the tree's whole-matrix numbers.
 
     Raises FormatError when the tree's stored matrix and index maps are not
-    dedup(m), and MismatchError on any disagreement with the matrix.  Asserted
-    on the deduplicated matrix: rank <= size <= 2^(2 rank) and the leaf-count
-    bounds rank - 1 <= L <= 2 * size.  The per-node stat invariants are
-    checked when each NodeStats is made, so a tree holds no node that breaks
-    them.
+    dedup(m).  The answers are checked by leaf blocks: every leaf's block of
+    the stored matrix must be constant and equal to its output.  As every
+    split is a subset of its node's block, that is the same as simulating
+    every entry; on a failure the entries are simulated, so the first wrong
+    entry raises MismatchError.  Each internal node's stored rank must be
+    its block's rank (AuditViolation).  Asserted on the deduplicated matrix:
+    rank <= size <= 2^(2 rank) and the leaf-count bounds
+    rank - 1 <= L <= 2 * size.  The per-node stat invariants are checked
+    when each NodeStats is made, so a tree holds no node that breaks them.
     """
     if m.n_rows != tree.source_rows or m.n_cols != tree.source_cols:
         raise FormatError("tree was built from a matrix of different shape")
     if (tree.matrix, tree.row_map, tree.col_map) != dedup(m):
         raise FormatError("the tree's stored matrix and index maps are not dedup of the matrix")
-    for x in range(m.n_rows):
-        for y in range(m.n_cols):
-            got, _bits = simulate(tree, x, y)
-            expected = m.entry(x, y)
-            if got != expected:
-                raise MismatchError(x, y, got, expected)
+    core = tree.matrix
+    answers_agree = True
+    internal = []
+    for node, rows, cols, path, _blocks in _walk(tree):
+        if isinstance(node, Leaf):
+            mask = _mask(cols)
+            want = mask if node.output else 0
+            answers_agree = answers_agree and all((core.rows[i] & mask) == want for i in rows)
+        else:
+            internal.append((node.stats.rank, rows, cols, path))
+    if not answers_agree:
+        for x in range(m.n_rows):
+            for y in range(m.n_cols):
+                got, _bits = simulate(tree, x, y)
+                expected = m.entry(x, y)
+                if got != expected:
+                    raise MismatchError(x, y, got, expected)
+        raise InvariantViolation("a leaf block disagrees but every entry simulates")
+    for stored, rows, cols, path in internal:
+        actual = tree.ranks(rows, cols)
+        if stored != actual:
+            raise AuditViolation(path, f"stored rank {stored} != block rank {actual}")
 
-    r = rank_real(tree.matrix)
+    r = tree.ranks(tuple(range(core.n_rows)), tuple(range(core.n_cols)))
     size = tree.matrix.size()
     if r > size:
         raise InvariantViolation(f"rank {r} exceeds size {size}")
@@ -385,6 +440,24 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     )
 
 
+def _walk(tree: ProtocolTree):
+    """Yield (node, rows, cols, path, child blocks) for every node, depth
+    first with child0 before child1; rows x cols is the node's block of the
+    stored matrix and the child blocks are _child_blocks's pair, or None at
+    a leaf."""
+    core = tree.matrix
+    stack = [(tree.root, tuple(range(core.n_rows)), tuple(range(core.n_cols)), "")]
+    while stack:
+        node, rows, cols, path = stack.pop()
+        if isinstance(node, Leaf):
+            yield node, rows, cols, path, None
+            continue
+        out_block, in_block = _child_blocks(node.speaker, node.split, rows, cols)
+        yield node, rows, cols, path, (out_block, in_block)
+        stack.append((node.child1, *in_block, path + "1"))
+        stack.append((node.child0, *out_block, path + "0"))
+
+
 def _child_blocks(speaker: str, split, rows: tuple[int, ...], cols: tuple[int, ...]):
     """The (rows, cols) blocks of child0 (input outside the split) and child1
     (inside) of a node whose block is rows x cols."""
@@ -407,17 +480,15 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
     intended invariant is ambiguous): whether the in child's rank is also at
     most half the parent rank.  The whole-matrix numbers are verify's.
     """
-    core = tree.matrix
     nodes: list[dict] = []
-
-    def walk(node: ProtocolNode, rows: tuple[int, ...], cols: tuple[int, ...], path: str):
-        if isinstance(node, Leaf):
-            return
+    for node, rows, cols, path, blocks in _walk(tree):
+        if blocks is None:
+            continue
         s = node.stats
         area = len(rows) * len(cols)
         if area != s.area:
             raise AuditViolation(path, f"recorded area {s.area} != actual {area}")
-        out_sets, in_sets = _child_blocks(node.speaker, node.split, rows, cols)
+        out_sets, in_sets = blocks
         in_area = len(in_sets[0]) * len(in_sets[1])
         out_area = len(out_sets[0]) * len(out_sets[1])
         if not (in_area < area and out_area < area):
@@ -426,7 +497,7 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
             raise AuditViolation(
                 path, f"out-child area {out_area} exceeds {area} - |Q|={s.mono_area}"
             )
-        in_rank = rank_real(core.take(*in_sets))
+        in_rank = tree.ranks(*in_sets)
         adjacent = s.rank_r if node.speaker == "row" else s.rank_s
         if in_rank > adjacent + 1:
             raise AuditViolation(
@@ -447,10 +518,6 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
                 "in_rank_at_most_half_parent": 2 * in_rank <= s.rank + 1,
             }
         )
-        walk(node.child0, *out_sets, path=path + "0")
-        walk(node.child1, *in_sets, path=path + "1")
-
-    walk(tree.root, tuple(range(core.n_rows)), tuple(range(core.n_cols)), "")
     return nodes
 
 
@@ -502,9 +569,13 @@ def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: st
     """Load the node at path, whose block is rows x cols of the stored matrix.
 
     The split must be a proper nonempty subset of the speaker's side of the
-    block, and the stored stats must pass NodeStats's own checks and fit the
-    block: area, rank at most min(|rows|, |cols|), and a mono_area that is a
-    multiple of the split size.  Ranks within those bounds are taken as stored.
+    block, the stored stats must pass NodeStats's own checks and fit the
+    block (area, rank at most min(|rows|, |cols|), and a mono_area that is a
+    multiple of the split size), and the speaker must be the one the ranks
+    name (Internal's check).  verify re-derives each node's rank from its
+    block.  rank_r and rank_s cannot be re-derived: their blocks lie beside
+    Q, and a tree stores only the speaker's side of Q, so they are taken as
+    stored once they pass these checks.
     """
     kind = _get(data, "type", str)
     if kind == "leaf":
@@ -547,13 +618,12 @@ def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: st
     if stats.mono_area % len(split):
         raise bad(f"mono_area {stats.mono_area} is not a multiple of the split size {len(split)}")
     blocks = _child_blocks(speaker, split, rows, cols)
-    return Internal(
-        speaker=speaker,
-        split=tuple(split),
-        child0=_node_from_dict(children[0], *blocks[0], path + "0"),
-        child1=_node_from_dict(children[1], *blocks[1], path + "1"),
-        stats=stats,
-    )
+    child0 = _node_from_dict(children[0], *blocks[0], path + "0")
+    child1 = _node_from_dict(children[1], *blocks[1], path + "1")
+    try:
+        return Internal(speaker, tuple(split), child0, child1, stats)
+    except InvariantViolation as exc:
+        raise bad(str(exc)) from None
 
 
 def tree_to_dict(tree: ProtocolTree) -> dict:
@@ -613,11 +683,44 @@ def tree_from_dict(data: dict) -> ProtocolTree:
         leaves=leaves,
         depth=depth,
         internal_nodes=internal,
+        ranks=BlockRanks(matrix),
     )
 
 
 def format_tree(tree: ProtocolTree) -> str:
-    return json.dumps(tree_to_dict(tree), indent=2) + "\n"
+    """json.dumps(tree_to_dict(tree), indent=2) plus a newline, the same
+    bytes several times faster than json's pure-Python indenting encoder."""
+    out: list[str] = []
+    _write_json(tree_to_dict(tree), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2) gives for a dict or list
+    of nested dicts, lists, str and int to out; newline is the line break
+    plus the indent of value's own line."""
+    is_dict = type(value) is dict
+    if not is_dict and type(value) is not list:
+        raise TypeError(f"cannot write {type(value).__name__} as tree JSON")
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    sep = ("{" if is_dict else "[") + inner
+    for item in value:
+        if is_dict:
+            sep += encode_basestring_ascii(item) + ": "
+            item = value[item]
+        if type(item) is str:
+            out.append(sep + encode_basestring_ascii(item))
+        elif type(item) is int:
+            out.append(sep + int.__repr__(item))
+        else:
+            out.append(sep)
+            _write_json(item, inner, out)
+        sep = "," + inner
+    out.append(newline + ("}" if is_dict else "]"))
 
 
 def parse_tree_text(text: str) -> ProtocolTree:

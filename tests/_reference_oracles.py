@@ -9,7 +9,9 @@ subset DP over all 2^k row subsets for maximum monochromatic rectangles.
 `dualbench.f2.echelon_basis` became the one reduced echelon kernel.
 `bsg_extract_s_side` is `dualbench.adcomb.bsg_extract` as it was before its
 neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
-and counts pair sums directly instead of by transform.
+and counts pair sums directly instead of by transform.  `rank_fraction` is
+the rank over the rationals by Gauss-Jordan elimination on Fractions, for
+`dualbench.matrix.rank_real`.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
@@ -291,3 +293,20 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )
+
+
+def rank_fraction(m: BoolMatrix) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    a = [[Fraction(m.entry(i, j)) for j in range(m.n_cols)] for i in range(m.n_rows)]
+    rank = 0
+    for col in range(m.n_cols):
+        piv = next((r for r in range(rank, m.n_rows) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(m.n_rows):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col] / a[rank][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank

@@ -338,6 +338,16 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc["root"]["stats"].update(rank_r=0, rank_s=0)
     err = check(doc, "root rank_r and rank_s zeroed")
     assert str(bad_file) in err and "in-child rank" in err
+    # verify re-derives each node's rank, and the loader checks the speaker
+    assert valid["root"]["speaker"] == "row"
+    assert [valid["root"]["stats"][k] for k in ("rank", "rank_r", "rank_s")] == [5, 2, 2]
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"]["rank"] = 4
+    err = check(doc, "root rank 5 -> 4")
+    assert str(bad_file) in err and "at node root: stored rank 4 != block rank 5" in err
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["stats"]["rank_s"] = 0
+    assert "node root: row speaks although rank_r 2 > rank_s 0" in check(doc, "root rank_s 2 -> 0")
     text = tree_file.read_bytes()
     check(text[:40] + b"\xe9" + text[40:], "non-ASCII byte")
 

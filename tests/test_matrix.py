@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+import _reference_oracles as ref
+from dualbench import matrix
 from dualbench.errors import CapExceeded, NotFound, PreconditionViolation
 from dualbench.experiments import make_ip_matrix
 from dualbench.f2 import F2Set, duality_measure, parity_dot
@@ -17,7 +19,6 @@ from dualbench.matrix import (
     find_mono_via_dual,
     format_matrix,
     max_mono_exact,
-    max_mono_exact_other_dimension,
     parse_matrix_text,
     rank_f2,
     rank_real,
@@ -35,25 +36,6 @@ def all_ones(k, l):
 
 def random_matrix(rng, k, l):
     return BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
-
-
-def rank_fraction_oracle(m):
-    """Independent exact rank via Fraction Gaussian elimination."""
-    a = [[Fraction(m.entry(i, j)) for j in range(m.n_cols)] for i in range(m.n_rows)]
-    rank = 0
-    row = 0
-    for col in range(m.n_cols):
-        piv = next((r for r in range(row, m.n_rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(m.n_rows):
-            if r != row and a[r][col] != 0:
-                f = a[r][col] / a[row][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-    return rank
 
 
 # -- dedup ---------------------------------------------------------------------
@@ -104,7 +86,64 @@ def test_rank_real_matches_fraction_oracle():
     rng = random.Random(22)
     for _ in range(120):
         m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        assert rank_real(m) == rank_fraction_oracle(m)
+        assert rank_real(m) == ref.rank_fraction(m)
+
+
+def test_rank_real_matches_reference_with_repeated_and_zero_rows():
+    rng = random.Random(2201)
+    repeated = 0
+    for _ in range(300):
+        k, l = rng.randint(1, 12), rng.randint(1, 12)
+        pool = [rng.randrange(1 << l) for _ in range(rng.randint(1, 5))] + [0]
+        rows = [rng.choice(pool) if rng.random() < 0.6 else rng.randrange(1 << l)
+                for _ in range(k)]
+        m = BoolMatrix(k, l, rows)
+        repeated += len(set(rows)) < k
+        assert rank_real(m) == ref.rank_fraction(m), (k, l, rows)
+    assert repeated >= 100
+
+
+def test_rank_real_thin_and_zero_blocks():
+    rng = random.Random(2202)
+    for n in range(1, 10):
+        for _ in range(5):
+            row = random_matrix(rng, 1, n)
+            col = random_matrix(rng, n, 1)
+            assert rank_real(row) == ref.rank_fraction(row) == (1 if row.rows[0] else 0)
+            assert rank_real(col) == ref.rank_fraction(col) == (1 if any(col.rows) else 0)
+        assert rank_real(BoolMatrix(n, n + 1, [0] * n)) == 0
+
+
+def j_minus_i(n):
+    return BoolMatrix(n, n, [((1 << n) - 1) ^ (1 << i) for i in range(n)])
+
+
+def test_rank_real_full_over_q_but_singular_mod_3():
+    m = j_minus_i(4)  # determinant -3
+    assert matrix._rank_gf3(m.rows, 4) == 3
+    assert rank_real(m) == ref.rank_fraction(m) == 4
+
+
+def test_rank_real_certifies_or_falls_back(monkeypatch):
+    calls = []
+    bareiss = matrix._rank_bareiss
+
+    def spy(words, l):
+        calls.append(words)
+        return bareiss(words, l)
+
+    monkeypatch.setattr(matrix, "_rank_bareiss", spy)
+    # certified by the row count, then by the distinct nonzero columns: six
+    # distinct rows over four distinct columns, two of them doubled
+    base = BoolMatrix.from_lists([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                  [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1]])
+    doubled = base.take(range(6), [0, 1, 2, 3, 0, 3])
+    for m, want in ((identity(6), 6), (make_ip_matrix(3), 7), (doubled, 4)):
+        assert rank_real(m) == ref.rank_fraction(m) == want
+    assert calls == []
+    # GF(3) rank 3 meets neither bound, so Bareiss decides
+    assert rank_real(j_minus_i(4)) == 4
+    assert len(calls) == 1
 
 
 def test_rank_f2_at_most_rank_real():
@@ -219,7 +258,7 @@ def test_max_mono_agrees_with_other_dimension():
     for _ in range(80):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         a = max_mono_exact(m)
-        b = max_mono_exact_other_dimension(m)
+        b = ref.max_mono_exact_other_dimension(m)
         assert a.area() == b.area()
         assert (a.rows, a.cols) == (b.rows, b.cols)
         assert a.area() == brute_force_max_mono_area(m)

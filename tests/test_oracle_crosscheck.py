@@ -1,9 +1,9 @@
 """Seeded cross-checks of the exact oracles against the reference searches.
 
-`exact_dual_oracle` and both `max_mono_exact` orientations run on the one
-Close-by-One engine, so they no longer check each other.  These tests hold
-them to the old branch-and-bound and 2^k subset DP in `_reference_oracles`,
-tie-breaks included.
+`exact_dual_oracle` and `max_mono_exact` run on the one Close-by-One engine,
+so they no longer check each other.  These tests hold them to the old
+branch-and-bound and 2^k subset DP in `_reference_oracles`, tie-breaks
+included.
 """
 
 import random
@@ -11,7 +11,7 @@ import random
 import _reference_oracles as ref
 from dualbench.approxdual import exact_dual_oracle
 from dualbench.f2 import F2Set
-from dualbench.matrix import BoolMatrix, max_mono_exact, max_mono_exact_other_dimension
+from dualbench.matrix import BoolMatrix, max_mono_exact
 
 
 def test_exact_dual_oracle_matches_reference():
@@ -40,10 +40,6 @@ def test_max_mono_exact_matches_reference():
             rows[rng.randrange(k)] = rows[rng.randrange(k)]
         m = BoolMatrix(k, l, rows)
         duplicated += len(set(rows)) < k
-        for oracle, reference in (
-            (max_mono_exact, ref.max_mono_exact),
-            (max_mono_exact_other_dimension, ref.max_mono_exact_other_dimension),
-        ):
-            got, want = oracle(m), reference(m)
-            assert (got.rows, got.cols) == (want.rows, want.cols), (k, l, rows)
+        got, want = max_mono_exact(m), ref.max_mono_exact(m)
+        assert (got.rows, got.cols) == (want.rows, want.cols), (k, l, rows)
     assert duplicated >= 100

@@ -1,13 +1,17 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from dualbench import protocol
+from dualbench.cli import main
 from dualbench.errors import FormatError, InvariantViolation, MismatchError
-from dualbench.experiments import make_ip_matrix
+from dualbench.experiments import make_ip_matrix, make_random_f2_rank
 from dualbench.matrix import BoolMatrix, rank_real
 from dualbench.protocol import (
+    Internal,
     Leaf,
     NodeStats,
     build_protocol,
@@ -157,7 +161,8 @@ def test_node_stats_check_themselves():
             NodeStats(**{**good, **change})
 
 
-def test_build_ranks_each_block_once(monkeypatch):
+def test_build_ranks_each_block_once(monkeypatch, tmp_path):
+    # build, verify and the audit share the tree's rank memo
     origin = {}  # id of a taken block -> its (rows, cols)
     ranked = []
     take = BoolMatrix.take
@@ -177,8 +182,36 @@ def test_build_ranks_each_block_once(monkeypatch):
     for finder in (mono_finder_exact(), mono_finder_greedy()):
         for _ in range(10):
             ranked.clear()
-            build_protocol(random_low_rank(rng, 8, 8, 3), mono_finder=finder)
+            m = random_low_rank(rng, 8, 8, 3)
+            tree = build_protocol(m, mono_finder=finder)
+            verify(tree, m)
+            leaf_recurrence_audit(tree)
             assert len(ranked) == len(set(ranked)), ranked
+    # one protocol verb on a 64x64 matrix of F2 rank 10
+    mfile = tmp_path / "m.txt"
+    assert main(["gen-matrix", "--family", "random-f2-rank", "--k", "64", "--l", "64",
+                 "--rank", "10", "--seed", "3", "--out", str(mfile)]) == 0
+    ranked.clear()
+    assert main(["protocol", "--matrix", str(mfile), "--strategy", "greedy",
+                 "--out", str(tmp_path / "p.json")]) == 0
+    assert len(ranked) > 100
+    assert len(ranked) == len(set(ranked))
+
+
+def test_internal_checks_the_speaker_rule():
+    stats = NodeStats(area=12, rank=3, rank_r=1, rank_s=2, mono_area=4,
+                      mono_fraction=Fraction(1, 3), mono_value=1)
+    Internal("row", (0,), Leaf(0), Leaf(1), stats)
+    with pytest.raises(InvariantViolation, match="col speaks"):
+        Internal("col", (0,), Leaf(0), Leaf(1), stats)
+    flipped = dataclasses.replace(stats, rank_r=2, rank_s=1)
+    Internal("col", (0,), Leaf(0), Leaf(1), flipped)
+    with pytest.raises(InvariantViolation, match="row speaks"):
+        Internal("row", (0,), Leaf(0), Leaf(1), flipped)
+    # a rectangle spanning all rows leaves rank_s = 0, and the column player speaks
+    spanning = dataclasses.replace(stats, rank_r=0, rank_s=0)
+    Internal("col", (0,), Leaf(0), Leaf(1), spanning)
+    Internal("row", (0,), Leaf(0), Leaf(1), spanning)
 
 
 def test_random_dense_matrices_all_strategies():
@@ -228,6 +261,40 @@ def test_verify_shape_check():
         verify(tree, identity(3))
 
 
+def _first_wrong_entry(tree, m):
+    for x in range(m.n_rows):
+        for y in range(m.n_cols):
+            if simulate(tree, x, y)[0] != m.entry(x, y):
+                return x, y
+    return None
+
+
+def _flip_leaf(node, target, seen):
+    """node with its target-th leaf (depth first) flipped; seen counts leaves."""
+    if isinstance(node, Leaf):
+        seen.append(node)
+        return Leaf(1 - node.output) if len(seen) - 1 == target else node
+    return dataclasses.replace(
+        node,
+        child0=_flip_leaf(node.child0, target, seen),
+        child1=_flip_leaf(node.child1, target, seen),
+    )
+
+
+def test_flipped_leaf_raises_the_first_wrong_entry():
+    rng = random.Random(69)
+    for _ in range(10):
+        m = random_low_rank(rng, rng.randint(3, 9), rng.randint(3, 9), 3)
+        tree = build_protocol(m, mono_finder=mono_finder_greedy())
+        if tree.leaves < 2:
+            continue
+        target = rng.randrange(tree.leaves)
+        bad = dataclasses.replace(tree, root=_flip_leaf(tree.root, target, []))
+        with pytest.raises(MismatchError) as caught:
+            verify(bad, m)
+        assert (caught.value.row, caught.value.col) == _first_wrong_entry(bad, m)
+
+
 def test_verify_detects_mismatch():
     m = identity(2)
     tree = build_protocol(m)
@@ -258,6 +325,13 @@ def test_tree_dict_rejects_tampering():
     data["stats"]["leaves"] = 99
     with pytest.raises(FormatError):
         tree_from_dict(data)
+
+
+def test_format_tree_is_indented_json():
+    rng = random.Random(70)
+    for m in (all_ones(3, 4), BoolMatrix(1, 1, [1]), make_random_f2_rank(64, 64, 10, rng)):
+        tree = build_protocol(m, mono_finder=mono_finder_greedy())
+        assert format_tree(tree) == json.dumps(tree_to_dict(tree), indent=2) + "\n"
 
 
 def test_tree_serialization_stable():
