@@ -228,10 +228,14 @@ def rank_real(m: BoolMatrix) -> int:
     nonzero), and the numbers of distinct nonzero rows and of distinct
     nonzero columns are upper bounds.  When the GF(3) rank meets either
     bound it is the rank; otherwise fraction-free (Bareiss) elimination on
-    the distinct nonzero rows decides.
+    the distinct nonzero rows decides.  The elimination stops early at the
+    count of distinct nonzero rows or of nonzero columns, whichever is less.
     """
     words = list(dict.fromkeys(word for word in m.rows if word))
-    bound = min(len(words), m.n_cols)
+    support = 0
+    for word in words:
+        support |= word
+    bound = min(len(words), support.bit_count())
     low = _rank_gf3(words, bound)
     if low == bound or low == _distinct_nonzero_columns(words, m.n_cols):
         return low

@@ -111,12 +111,13 @@ class BlockRanks:
         self.matrix = matrix
         self._ranks: dict[tuple, int] = {}
 
-    def __call__(self, rows: tuple[int, ...], cols: tuple[int, ...], block=None) -> int:
-        """The rank of the block; block, when given, is matrix.take(rows, cols)."""
+    def __call__(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        """The rank of the block, ranked as its row words masked to cols."""
         got = self._ranks.get((rows, cols))
         if got is None:
-            if block is None:
-                block = self.matrix.take(rows, cols)
+            mask = _mask(cols)
+            words = [self.matrix.rows[i] & mask for i in rows]
+            block = BoolMatrix(len(rows), self.matrix.n_cols, words)
             got = self._ranks[rows, cols] = rank_real(block)
         return got
 
@@ -311,7 +312,7 @@ def build_protocol(
             speaker = "row" if rank_r <= rank_s else "col"
         stats = NodeStats(
             area=len(rows) * len(cols),
-            rank=rank(rows, cols, sub),
+            rank=rank(rows, cols),
             rank_r=rank_r,
             rank_s=rank_s,
             mono_area=q.area(),

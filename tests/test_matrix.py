@@ -69,6 +69,21 @@ def test_dedup_preserves_entries_through_maps():
 # -- ranks ---------------------------------------------------------------------
 
 
+def test_take_matches_entries():
+    # runs of adjacent columns, scattered, reversed and repeated indices
+    rng = random.Random(71)
+    for _ in range(60):
+        k, l = rng.randint(1, 9), rng.randint(1, 70)
+        m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
+        rows = [rng.randrange(k) for _ in range(rng.randint(1, 2 * k))]
+        start = rng.randrange(l)
+        for cols in (range(start, l), sorted(rng.sample(range(l), rng.randint(1, l))),
+                     list(range(l))[::-1], [rng.randrange(l) for _ in range(rng.randint(1, l))]):
+            got = m.take(rows, cols)
+            assert (got.n_rows, got.n_cols) == (len(rows), len(cols))
+            assert got.to_lines() == ["".join(str(m.entry(i, j)) for j in cols) for i in rows]
+
+
 def test_rank_f2_examples():
     assert rank_f2(identity(5)) == 5
     assert rank_f2(all_ones(4, 6)) == 1

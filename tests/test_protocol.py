@@ -11,6 +11,7 @@ from dualbench.errors import FormatError, InvariantViolation, MismatchError
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
 from dualbench.matrix import BoolMatrix, rank_real
 from dualbench.protocol import (
+    BlockRanks,
     Internal,
     Leaf,
     NodeStats,
@@ -163,20 +164,22 @@ def test_node_stats_check_themselves():
 
 def test_build_ranks_each_block_once(monkeypatch, tmp_path):
     # build, verify and the audit share the tree's rank memo
-    origin = {}  # id of a taken block -> its (rows, cols)
-    ranked = []
-    take = BoolMatrix.take
+    asked = []  # the (rows, cols) of each BlockRanks call in progress
+    ranked = []  # the (rows, cols) of each block handed to rank_real
+    call = BlockRanks.__call__
 
-    def take_spy(self, rows, cols):
-        block = take(self, rows, cols)
-        origin[id(block)] = (tuple(rows), tuple(cols))
-        return block
+    def call_spy(self, rows, cols):
+        asked.append((rows, cols))
+        try:
+            return call(self, rows, cols)
+        finally:
+            asked.pop()
 
     def rank_spy(m):
-        ranked.append(origin[id(m)])
+        ranked.append(asked[-1])
         return rank_real(m)
 
-    monkeypatch.setattr(BoolMatrix, "take", take_spy)
+    monkeypatch.setattr(BlockRanks, "__call__", call_spy)
     monkeypatch.setattr(protocol, "rank_real", rank_spy)
     rng = random.Random(67)
     for finder in (mono_finder_exact(), mono_finder_greedy()):
