@@ -17,6 +17,11 @@ Two extractors and one diagnostic:
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 
+``bsg_extract`` keeps its graph as member-index masks: member i's
+neighbourhood A & (x_i + S) is an |A|-bit int with bit j set iff x_i + x_j
+is in S, built on first use by walking the smaller of A and S, so
+codegrees are popcounts of mask intersections.
+
 Every pair-sum count here comes from ``f2.rep_counts``, which alone decides
 between a dense 2^n transform table and direct sums.  ``pfr_extract``'s
 greedy covers are coset sizes, not pair sums: it keeps the span as its
@@ -30,6 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     DensityTooLow,
@@ -43,6 +49,7 @@ from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, wht
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools -> binary digits
 
 
 @dataclass(frozen=True)
@@ -77,32 +84,6 @@ class DoublingReport:
     within_sanders: bool
 
 
-def _prune_by_codegree(neighbors, start: tuple, codegree: dict, threshold: Fraction) -> tuple:
-    """Iteratively drop members whose codegree inside the set is below
-    threshold * |set|; stops at a fixed point.
-
-    ``codegree`` maps each member to its neighbor count inside ``start`` and
-    is maintained incrementally as members fall out (integer arithmetic
-    only, one intersection pass amortized across thresholds by the caller).
-    """
-    current = set(start)
-    codeg = dict(codegree)
-    num, den = threshold.numerator, threshold.denominator
-    while current:
-        bar = num * len(current)
-        bad = [x for x in current if codeg[x] * den < bar]
-        if not bad:
-            break
-        for x in bad:
-            current.remove(x)
-            codeg.pop(x)
-        for x in bad:
-            for y in neighbors(x):
-                if y in current:
-                    codeg[y] -= 1
-    return tuple(sorted(current))
-
-
 def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     """Extract a subset of ``a`` with small measured doubling.
 
@@ -113,6 +94,9 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     with the smallest measured doubling (ties: larger subset, then canonical
     order).  The whole input set is always a candidate, so the result is
     never worse than not extracting at all.
+
+    Neighbourhoods and pruned sets are masks over member index, and
+    candidates are read back as sorted member tuples.
     """
     rho = Fraction(rho)
     if len(a) == 0 or len(s) == 0:
@@ -129,43 +113,47 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         raise DensityTooLow(f"pair density {density} < required {rho}")
 
     members = a.members
-    member_set = a._lookup
-    sum_set = s._lookup
-    memo: dict[int, frozenset] = {}
+    size = len(members)
+    index = {x: i for i, x in enumerate(members)}
+    in_s = s._lookup.__contains__
 
-    def neighbors(x: int) -> frozenset:
-        # A & (x + S), walking whichever of A and S is smaller
-        got = memo.get(x)
-        if got is None:
-            if len(members) < len(s):
-                got = frozenset(y for y in members if x ^ y in sum_set)
-            else:
-                got = frozenset(x ^ w for w in s.members if x ^ w in member_set)
-            memo[x] = got
-        return got
+    @cache
+    def row(i: int) -> int:
+        # A & (members[i] + S) as a mask over member index: bit j is set iff
+        # members[i] + members[j] is in S, so the graph is symmetric.  One
+        # C-level pass over A, read as a binary numeral whose last digit is
+        # member 0, or a walk over S when S is the smaller set.
+        x = members[i]
+        if len(s) < size:
+            return sum(1 << index[y] for y in map(x.__xor__, s.members) if y in index)
+        return int(bytes(map(in_s, map(x.__xor__, reversed(members)))).translate(_DIGITS), 2)
 
     rng = random.Random(seed)
-    pivot_pool = list(members)
-    picked = (
-        pivot_pool
-        if len(pivot_pool) <= BSG_PIVOTS
-        else sorted(rng.sample(pivot_pool, BSG_PIVOTS))
-    )
+    picked = range(size) if size <= BSG_PIVOTS else sorted(rng.sample(range(size), BSG_PIVOTS))
 
     candidates = {members}
     seen_bases = set()
     for pivot in picked:
-        base = tuple(sorted(neighbors(pivot)))
+        base = row(pivot)
         if not base or base in seen_bases:
             continue
         seen_bases.add(base)
-        candidates.add(base)
-        base_set = set(base)
-        codegree = {x: len(neighbors(x) & base_set) for x in base}
+        start = [(i, row(i)) for i in range(size) if base >> i & 1]
+        candidates.add(tuple(members[i] for i, _ in start))
         for threshold in (Fraction(1, 4), Fraction(1, 2)):
-            pruned = _prune_by_codegree(neighbors, base, codegree, threshold)
-            if pruned:
-                candidates.add(pruned)
+            # drop every member whose codegree in the current set is below
+            # threshold * |set|, until none is
+            num, den = threshold.numerator, threshold.denominator
+            mask, kept = base, start
+            while kept:
+                bar = num * len(kept)
+                held = [(i, r) for i, r in kept if (r & mask).bit_count() * den >= bar]
+                if len(held) == len(kept):
+                    break
+                kept = held
+                mask = sum(1 << i for i, _ in kept)
+            if kept:
+                candidates.add(tuple(members[i] for i, _ in kept))
 
     floor = Fraction(len(a)) * rho * rho / 8
     sized = [c for c in candidates if Fraction(len(c)) >= floor]

@@ -92,6 +92,7 @@ class SequenceState:
     duality: Fraction
     levels: tuple[LevelRecord, ...]  # levels 1 .. t+1
     t: int
+    chars: CharSums = field(compare=False, repr=False)  # of source_b, for base_case_dual
 
     def level(self, i: int) -> LevelRecord:
         return self.levels[i - 1]
@@ -241,14 +242,15 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
         duality=d,
         levels=tuple(levels),
         t=t,
+        chars=chars,
     )
 
 
 # -- small-span dual pairs --------------------------------------------------------
 
 
-def _small_span(a: F2Set, b: F2Set, eps: Fraction):
-    """Dual pair when A sits inside the eps-spectrum of B.
+def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
+    """Dual pair when A sits inside the eps-spectrum of B = b_chars.b.
 
     Partition B by the inner-product pattern against a basis of span(A): all
     elements of one class act identically on span(A), so any class B' plus
@@ -257,6 +259,7 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction):
     pair -- is chosen, which guarantees |A'| >= |A|/2 and
     |B'| >= |B| / (2 |span A|) >= (eps/2) |B| / |span A|.
     """
+    b = b_chars.b
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
@@ -264,7 +267,6 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction):
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionViolation("eps must be positive")
-    b_chars = CharSums(b)
     for w in a.members:
         if not in_spectrum(b_chars(w), len(b), eps):
             raise PreconditionViolation(
@@ -312,7 +314,7 @@ def _small_span(a: F2Set, b: F2Set, eps: Fraction):
 
 def small_span_dual(a: F2Set, b: F2Set, eps) -> DualPair:
     """Dual pair from a set that lies inside the eps-spectrum of B."""
-    pair, _record = _small_span(a, b, Fraction(eps))
+    pair, _record = _small_span(a, CharSums(b), Fraction(eps))
     return pair
 
 
@@ -340,7 +342,7 @@ def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
     rho = eps_next / state.n
     bsg = bsg_extract(a_t, a_next, rho, seed=seed)
     pfr = pfr_extract(bsg.subset)
-    pair, record = _small_span(pfr.subset, state.source_b, eps_t)
+    pair, record = _small_span(pfr.subset, state.chars, eps_t)
     return BaseCaseResult(pair=pair, bsg=bsg, pfr=pfr, small_span=record)
 
 

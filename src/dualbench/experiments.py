@@ -353,13 +353,15 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
     b = generate_sets(family, params, seed) if family != "subspace-plus-noise" else a
     growth = config.get("K")
     trace = find_dual_pair(a, b, growth_bound=growth, seed=seed)
+    # D(A, B) as the pipeline measured it, on its one character table of B
+    duality = trace.state.duality if trace.state is not None else duality_measure(a, b)
     report = report_envelope("dual-pipeline", seed, dict(config))
     report["results"]["instance"] = {
         "family": family,
         "n": n,
         "size_a": len(a),
         "size_b": len(b),
-        "duality": rat(duality_measure(a, b)),
+        "duality": rat(duality),
         "growth_bound": rat(growth if growth is not None else default_growth_bound(n)),
     }
     report["results"]["pipeline"] = trace_payload(trace)

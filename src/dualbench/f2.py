@@ -237,50 +237,57 @@ def wht(values: Sequence) -> list:
 
     Exact on integer (and Fraction) inputs; the input is not modified.
     Integer tables with sum |v| < 2^62, such as indicators and the squared
-    tables of ``rep_table``, take the lane-packed ``_wht_lanes``; anything
-    else (Fractions, floats, ints beyond 63 bits, larger sums) takes
-    ``_wht_loop``, the one exact fallback.  Both give the same list.
+    tables of ``rep_table``, take the lane-packed ``_wht_lanes`` in the
+    narrowest of 16-, 32- or 64-bit lanes whose guard the sum meets;
+    anything else (Fractions, floats, larger sums) takes ``_wht_loop``, the
+    one exact fallback.  Both give the same list.
     """
     size = len(values)
     if size == 0 or size & (size - 1):
         raise FormatError(f"table length {size} is not a power of two")
-    raw = _wht_lanes(values)
-    if raw is None:
+    lanes = _wht_lanes(values)
+    if lanes is None:
         return _wht_loop(values)
-    return memoryview(raw).cast("q").tolist()
+    return lanes.tolist()
 
 
-_LANE_OFFSET = (1 << 62).to_bytes(8, "little")
+# (array code, lane width in bits) of the 16-, 32- and 64-bit lanes
+_LANES = tuple((code, 8 * array(code).itemsize) for code in "hiq")
 
 
-def _wht_lanes(values: Sequence) -> bytes | None:
-    """The transform of a power-of-two table as little-endian 64-bit lanes;
-    None unless every value is an int with sum |v| < 2^62 and the machine is
-    little-endian, the byte order the lanes assume.
+def _wht_lanes(values: Sequence) -> memoryview | None:
+    """The transform of a power-of-two table as a memoryview of signed
+    lanes of the narrowest width w in 16, 32 and 64 bits with
+    sum |v| < 2^(w-2); None unless every value is an int, the sum meets the
+    64-bit guard and the machine is little-endian, the byte order the lanes
+    assume.  Indicators of up to 2^14 members fit 16-bit lanes, and the
+    squared spectra of ``rep_table`` (sum 2^n |s|) 32-bit lanes.
 
-    Value y sits in lane y of one int as v + 2^62, and each butterfly level
-    is a handful of whole-int operations.  Every lane only ever holds a
-    signed partial sum of the inputs plus the offset, so the guard keeps it
-    in [0, 2^64) and no carry or borrow crosses a lane.  At n = 20 each int
-    here is 8 MB, so the steps are in-place and every local dies on return.
+    Value y sits in lane y of one int as v + 2^(w-2), and each butterfly
+    level is a handful of whole-int operations.  Every lane only ever holds
+    a signed partial sum of the inputs plus the offset, so the guard keeps
+    it in [0, 2^w) and no carry or borrow crosses a lane.  At n = 20 each
+    int here is up to 8 MB, so the steps are in-place and every local dies
+    on return.
     """
     if sys.byteorder != "little":
         return None
     try:
-        lanes = array("q", values)  # the int and 64-bit checks, in C
-    except (TypeError, OverflowError):
-        return None
-    if sum(map(abs, values)) >= 1 << 62:
+        total = sum(map(abs, values))
+        code, width = next((c, w) for c, w in _LANES if total < 1 << (w - 2))
+        lanes = array(code, values)  # the int check, in C
+    except (TypeError, StopIteration):  # not all ints, or sum |v| >= 2^62
         return None
     size = len(lanes)
     p = int.from_bytes(lanes, "little")
     del lanes
-    c = int.from_bytes(_LANE_OFFSET * size, "little")  # 2^62 in every lane
-    p ^= c << 1  # two's complement v -> v + 2^63
-    p -= c  # -> v + 2^62
-    shift = 32 * size  # 64 bits per lane, h = size / 2 lanes
+    offset = (1 << (width - 2)).to_bytes(width // 8, "little")
+    c = int.from_bytes(offset * size, "little")  # 2^(w-2) in every lane
+    p ^= c << 1  # two's complement v -> v + 2^(w-1)
+    p -= c  # -> v + 2^(w-2)
+    shift = width // 2 * size  # w bits per lane, h = size / 2 lanes
     m = (1 << shift) - 1  # the low h lanes of every 2h-lane block
-    while shift >= 64:
+    while shift >= width:
         a = p & m
         p >>= shift
         p &= m  # b, the high lanes moved down
@@ -291,8 +298,8 @@ def _wht_lanes(values: Sequence) -> bytes | None:
         m &= m >> shift  # for the next h: lanes [0, h) of every 4h-lane block,
         m |= m << (2 * shift)  # then of every 2h-lane block
     p += c
-    p ^= c << 1  # v + 2^62 -> v + 2^63 -> two's complement v
-    return p.to_bytes(8 * size, "little")
+    p ^= c << 1  # v + 2^(w-2) -> v + 2^(w-1) -> two's complement v
+    return memoryview(p.to_bytes(width // 8 * size, "little")).cast(code)
 
 
 def _wht_loop(values: Sequence) -> list:

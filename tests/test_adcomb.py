@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import _reference_oracles as ref
-from dualbench.adcomb import bsg_extract, doubling_report, pfr_extract
+from dualbench.adcomb import BSG_PIVOTS, bsg_extract, doubling_report, pfr_extract
 from dualbench.errors import DensityTooLow, EmptyResult, EmptySetError
 from dualbench.f2 import F2Set, span, sumset
 
@@ -79,8 +79,8 @@ def test_bsg_seed_determinism():
 
 
 def test_bsg_matches_s_side_reference():
-    # neighbourhoods A & (x + S) walk the smaller of A and S; the result is
-    # the S-side walk's, on both sides of |A| < |S|
+    # the member-index mask graph gives the S-side walk's result, tie-breaks
+    # included, on both sides of |A| < |S| and on the graph's edge cases
     rng = random.Random(43)
     cases = []
     for _ in range(40):
@@ -93,6 +93,29 @@ def test_bsg_matches_s_side_reference():
     cases.append((noisy, cube))  # |A| = 84 > |S| = 64
     wide = random_set(rng, 10, 200)
     cases.append((wide, sumset(wide, wide)))
+    # S holds 0: every member is its own neighbour
+    for _ in range(5):
+        a = random_set(rng, 8, 60)
+        picks = rng.sample(sumset(a, a).members, min(20, len(sumset(a, a))))
+        cases.append((a, F2Set(8, [0] + picks)))
+    # |A| <= BSG_PIVOTS: every member is a pivot, with and without 0 in S
+    for size in (1, 2, 5, BSG_PIVOTS):
+        a = F2Set(7, rng.sample(range(1 << 7), size))
+        sums = sumset(a, a)
+        cases.append((a, sums))
+        if len(sums) > 1:
+            cases.append((a, F2Set(7, sums.members[1:])))
+    # pivots sharing a base: with S = V, every member of a coset of V has
+    # that coset as its neighbourhood, and 12 of 24 pivots meet 3 cosets
+    v = subspace(6, 1, 2, 4)
+    cosets = F2Set(6, [x ^ shift for x in v.members for shift in (0, 8, 16)])
+    assert len(cosets) > BSG_PIVOTS
+    cases += [(cosets, v)] * 3
+    # S = {w} with 0 not in it: a base {x + w} has no edge inside, so each
+    # threshold prunes it to empty
+    for _ in range(3):
+        a = F2Set(6, rng.sample(range(1, 64), 20))
+        cases.append((a, F2Set(6, [a.members[0] ^ a.members[1]])))
     sides = set()
     for a, s in cases:
         sides.add(len(a) < len(s))

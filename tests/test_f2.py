@@ -296,20 +296,31 @@ def test_wht_lanes_match_loop():
     assert lane_path(squared) == f2._wht_loop(squared)
 
 
+def lane_width(values):
+    """The lane width in bits that wht(values) packs into; None for the loop."""
+    lanes = f2._wht_lanes(values)
+    return None if lanes is None else 8 * lanes.itemsize
+
+
 def test_wht_lane_guard_boundary():
-    # sum |v| < 2^62 packs; at 2^62 the element loop takes over
-    limit = 1 << 62
+    # sum |v| < 2^(w-2) packs into w-bit lanes, the narrowest of 16, 32 and
+    # 64 bits; at 2^62 the element loop takes over
     rng = random.Random(13)
-    for total in (limit - 1, limit):
-        cases = [[total, 0], [0, -total], [1 << 61, (1 << 61) - total, 0, 0]]
-        for n in (3, 6, 10):
-            parts = sorted(rng.sample(range(1, total), (1 << n) - 1))
-            spread = [hi - lo for lo, hi in zip([0] + parts, parts + [total])]
-            cases.append([v if rng.random() < 0.5 else -v for v in spread])
-        for f in cases:
-            assert sum(map(abs, f)) == total
-            path = lane_path if total < limit else loop_path
-            assert path(f) == f2._wht_loop(f)
+    edges = {1 << 14: (16, 32), 1 << 30: (32, 64), 1 << 62: (64, None)}
+    for limit, widths in edges.items():
+        for total, width in zip((limit - 1, limit), widths):
+            half = limit // 2
+            cases = [[total], [-total], [half, half - total, 0, 0]]
+            for size in (2, 1 << 10):
+                cuts = sorted(rng.sample(range(1, total), size - 1))
+                parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+                mixed = [-v if i % 2 else v for i, v in enumerate(parts)]
+                rng.shuffle(mixed)
+                cases.append(mixed)
+            for f in cases:
+                assert sum(map(abs, f)) == total
+                assert lane_width(f) == width, (total, len(f))
+                assert wht(f) == f2._wht_loop(f)
 
 
 def test_wht_non_int_inputs():
@@ -336,17 +347,28 @@ def test_rep_table_lanes_match_loop(monkeypatch):
 
 def test_pipeline_transforms_take_the_lane_path(monkeypatch):
     # the pipeline-dense benchmark's command: every transform it makes is an
-    # integer table inside the lane guard, so a guard edit that sends any of
-    # them to the element loop shows here, not only as a slower benchmark
-    tables, loops = [], []
-    rep_table_of, loop = f2.rep_table, f2._wht_loop
+    # integer table inside the lane guard, indicators in 16-bit lanes and
+    # rep_table's squared spectra in 32-bit lanes, so a guard edit that
+    # widens them or sends any to the element loop shows here, not only as
+    # a slower benchmark
+    tables, loops, widths = [], [], {}
+    rep_table_of, loop, lanes_of = f2.rep_table, f2._wht_loop, f2._wht_lanes
+
+    def lanes(values):
+        got = lanes_of(values)
+        kind = "indicator" if set(values) <= {0, 1} else "squared"
+        widths.setdefault(kind, set()).add(None if got is None else 8 * got.itemsize)
+        return got
+
     monkeypatch.setattr(f2, "rep_table", lambda s: tables.append(s.n) or rep_table_of(s))
     monkeypatch.setattr(f2, "_wht_loop", lambda values: loops.append(len(values)) or loop(values))
+    monkeypatch.setattr(f2, "_wht_lanes", lanes)
     config = {"family": "random", "n": 14, "size": 600}
     report, _ = run_experiment("dual-pipeline", config, seed=0)
     assert report["ok"]
     assert tables and set(tables) == {14}
     assert loops == []
+    assert widths == {"indicator": {16}, "squared": {32}}
 
 
 # -- spectrum ----------------------------------------------------------------

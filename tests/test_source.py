@@ -29,7 +29,9 @@ def test_checks_survive_optimised_mode():
 
 def test_only_f2_chooses_dense_tables():
     # f2 alone decides between a dense 2^n transform table and direct sums,
-    # so only f2 names DENSE_CAP, dense_pays or char_table, or calls wht
+    # so only f2 names DENSE_CAP, dense_pays or char_table, or calls wht;
+    # lane packing stays in f2's one kernel, so only f2 imports array or
+    # names _wht_lanes
     found = []
     for path in SOURCES:
         if path.name == "f2.py":
@@ -42,9 +44,13 @@ def test_only_f2_chooses_dense_tables():
                 names.append(node.attr)
             elif isinstance(node, ast.alias):
                 names.append(node.name)
-            for name in ("DENSE_CAP", "dense_pays", "char_table"):
+            for name in ("DENSE_CAP", "dense_pays", "char_table", "_wht_lanes"):
                 if name in names:
                     found.append(f"{path.name}:{node.lineno}: {name}")
+            if isinstance(node, ast.Import) and any(a.name == "array" for a in node.names):
+                found.append(f"{path.name}:{node.lineno}: import array")
+            if isinstance(node, ast.ImportFrom) and node.module == "array":
+                found.append(f"{path.name}:{node.lineno}: from array import")
             if isinstance(node, ast.Call):
                 func = node.func
                 if getattr(func, "id", None) == "wht" or getattr(func, "attr", None) == "wht":
