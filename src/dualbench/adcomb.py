@@ -22,8 +22,9 @@ neighbourhood A & (x_i + S) is an |A|-bit int with bit j set iff x_i + x_j
 is in S, built on first use by walking the smaller of A and S, so
 codegrees are popcounts of mask intersections.
 
-Every pair-sum count here comes from ``f2.rep_counts``, which alone decides
-between a dense 2^n transform table and direct sums.  ``pfr_extract``'s
+Every pair-sum count here comes from ``f2.rep_counts``, and every sumset
+size from ``f2.sumset_size``; f2 alone decides between a dense 2^n
+transform table and direct sums.  ``pfr_extract``'s
 greedy covers are coset sizes, not pair sums: it keeps the span as its
 reduced echelon basis and counts the members' ``f2.coset_rep``.
 """
@@ -45,7 +46,7 @@ from .errors import (
     PreconditionViolation,
 )
 # wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
-from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, wht
+from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, sumset_size, wht
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
@@ -162,7 +163,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
 
     for c in sized:
         if c not in sumset_sizes:
-            sumset_sizes[c] = len(rep_counts(F2Set(a.n, c)))
+            sumset_sizes[c] = sumset_size(F2Set(a.n, c))
 
     # score by doubling relative to the candidate itself, preferring larger
     # candidates on ties; scoring against |a| instead collapses to singletons
@@ -257,7 +258,7 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
         ratio=Fraction(len(subset), len(a)),
         strategy=strategy,
         size_check_waived=False,
-        input_doubling=Fraction(len(rep_counts(a)), len(a)),
+        input_doubling=Fraction(sumset_size(a), len(a)),
     )
 
 
@@ -271,7 +272,7 @@ def doubling_report(a: F2Set) -> DoublingReport:
     """
     if len(a) == 0:
         raise EmptySetError("doubling_report needs a nonempty set")
-    k = Fraction(len(rep_counts(a)), len(a))
+    k = Fraction(sumset_size(a), len(a))
     span_ratio = Fraction(len(span(a)), len(a))
     kf = float(k)  # K >= 1 always: a -> a + a0 injects A into A + A
     log2_span = math.log2(float(span_ratio))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .adcomb import BsgResult, PfrResult, bsg_extract, pfr_extract
 from .errors import (
@@ -36,7 +36,6 @@ from .f2 import (
     in_spectrum,
     ip_rows,
     is_dual_pair,
-    parity_dot,
     rep_counts,
 )
 from .matrix import max_closed_rectangle
@@ -246,6 +245,14 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     )
 
 
+def _split(words: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
+    """(words at the clear bits of mask, words at its set bits); bit k is words[k]."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    for w, digit in zip(words, reversed(format(mask, f"0{len(words)}b"))):
+        sides[digit == "1"].append(w)
+    return sides
+
+
 # -- small-span dual pairs --------------------------------------------------------
 
 
@@ -286,13 +293,8 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
         return (-(len(ys) * (len(a) + abs(charsum))), -len(ys), ys[0])
 
     _, chosen = min(classes.items(), key=score)
-    rep_y = chosen[0]
-    side0 = [x for x in a.members if parity_dot(x, rep_y) == 0]
-    side1 = [x for x in a.members if parity_dot(x, rep_y) == 1]
-    if len(side0) >= len(side1):
-        kept, bit = side0, 0
-    else:
-        kept, bit = side1, 1
+    side0, side1 = _split(a.members, ip_rows([chosen[0]], a.members)[0])
+    kept, bit = (side0, 0) if len(side0) >= len(side1) else (side1, 1)
     pair = DualPair(F2Set(a.n, kept), F2Set(b.n, chosen), bit)
     if 2 * len(pair.a_side) < len(a):
         raise InvariantViolation("majority side lost more than half of A")
@@ -393,22 +395,21 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
     component = min(components, key=lambda c: (-len(c), c[0]))
     anchor = component[0]
 
-    side0 = [y for y in pair_i.b_side.members if parity_dot(anchor, y) == 0]
-    side1 = [y for y in pair_i.b_side.members if parity_dot(anchor, y) == 1]
-    b_keep = side0 if len(side0) >= len(side1) else side1
+    b_members = pair_i.b_side.members
+    side0, side1 = _split(b_members, ip_rows([anchor], b_members)[0])
+    b_keep, bit = (side0, 0) if len(side0) >= len(side1) else (side1, 1)
 
     if pair_i.constant_bit == 0:
         a_keep = component
-        bit = parity_dot(anchor, b_keep[0])
     else:
+        full = (1 << len(b_keep)) - 1
         class0, class1 = [], []
-        for x in component:
-            vals = {parity_dot(x, y) for y in b_keep}
-            if len(vals) != 1:
+        for x, row in zip(component, ip_rows(component, b_keep)):
+            if row not in (0, full):
                 raise InvariantViolation(
                     "component element has non-constant product against B'"
                 )
-            (class0 if vals.pop() == 0 else class1).append(x)
+            (class1 if row else class0).append(x)
         a_keep, bit = (class0, 0) if len(class0) >= len(class1) else (class1, 1)
 
     pair = DualPair(F2Set(a_prev.n, a_keep), F2Set(a_prev.n, b_keep), bit)
@@ -536,23 +537,23 @@ def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("greedy_dual_pair needs nonempty sets")
-    best_seed = None
-    for x in a.members:
-        ones = [y for y in b.members if parity_dot(x, y)]
-        zeros = [y for y in b.members if not parity_dot(x, y)]
-        for bit, side in ((0, zeros), (1, ones)):
-            if side and (best_seed is None or len(side) > len(best_seed[2])):
-                best_seed = (x, bit, side)
-    x0, bit, b_side = best_seed
-    chosen = [x0]
-    for x in a.members:
-        if x == x0:
+    # sides[i][c]: the y in b with <a[i], y> = c, as a mask over b's member
+    # index; the seed is the first (i, c) with the largest side
+    full = (1 << len(b)) - 1
+    sides = [(full ^ row, row) for row in ip_rows(a.members, b.members)]
+    seeds = [(i, bit) for i in range(len(a)) for bit in (0, 1)]
+    i0, bit = max(seeds, key=lambda seed: sides[seed[0]][seed[1]].bit_count())
+    b_side = sides[i0][bit]
+    chosen = [a.members[i0]]
+    for i, side in enumerate(sides):
+        if i == i0:
             continue
-        narrowed = [y for y in b_side if parity_dot(x, y) == bit]
-        if narrowed and (len(chosen) + 1) * len(narrowed) >= len(chosen) * len(b_side):
-            chosen.append(x)
+        narrowed = b_side & side[bit]
+        kept = narrowed.bit_count()
+        if kept and (len(chosen) + 1) * kept >= len(chosen) * b_side.bit_count():
+            chosen.append(a.members[i])
             b_side = narrowed
-    return DualPair(F2Set(a.n, chosen), F2Set(b.n, b_side), bit)
+    return DualPair(F2Set(a.n, chosen), F2Set(b.n, _split(b.members, b_side)[1]), bit)
 
 
 def exact_dual_oracle(

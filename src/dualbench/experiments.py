@@ -18,7 +18,7 @@ from itertools import combinations
 from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, NotFound
-from .f2 import F2Set, duality_measure, ip_rows, span
+from .f2 import F2Set, combine, duality_measure, ip_rows, span
 from .matrix import BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
 from .protocol import build_protocol, finder_for, verify
 
@@ -133,14 +133,7 @@ def make_random_f2_rank(k: int, l: int, r: int, rng: random.Random) -> BoolMatri
             continue
         if rank_f2(BoolMatrix(r, l, right)) != r:
             continue
-        rows = []
-        for x in left:
-            acc = 0
-            for s in range(r):
-                if (x >> s) & 1:
-                    acc ^= right[s]
-            rows.append(acc)
-        m = BoolMatrix(k, l, rows)
+        m = BoolMatrix(k, l, [combine(x, right) for x in left])
         if rank_f2(m) == r:
             return m
 
@@ -182,13 +175,8 @@ def make_block_low_rank(k: int, l: int, r: int, rng: random.Random) -> BoolMatri
         blocks = [
             ((1 << bounds[i + 1]) - 1) ^ ((1 << bounds[i]) - 1) for i in range(r)
         ]
-        rows = []
-        for _ in range(k):
-            picks = rng.randrange(1 << r)
-            rows.append(
-                sum(blocks[i] for i in range(r) if (picks >> i) & 1)
-            )
-        m = BoolMatrix(k, l, rows)
+        # the blocks are disjoint, so a XOR of blocks is their union
+        m = BoolMatrix(k, l, [combine(rng.randrange(1 << r), blocks) for _ in range(k)])
         if rank_real(m) == r:
             return m
 

@@ -232,6 +232,14 @@ def rep_counts(s: F2Set) -> dict[int, int]:
     return Counter(u ^ v for u in s.members for v in s.members)
 
 
+def sumset_size(s: F2Set) -> int:
+    """|s + s|: the words with a nonzero rep_table entry when the dense
+    table pays against the |s|^2 pair sums, else the distinct pair sums."""
+    if dense_pays(s.n, len(s) * len(s)):
+        return (1 << s.n) - rep_table(s).count(0)
+    return len({u ^ v for u in s.members for v in s.members})
+
+
 def wht(values: Sequence) -> list:
     """Walsh-Hadamard transform: out[x] = sum_y values[y] * (-1)^<x,y>.
 
@@ -332,14 +340,16 @@ class CharSums:
     """The character sums of a fixed set b, word by word: the one
     character-sum kernel.  ``CharSums(b)(x)`` is char_sum(b, x), memoised per
     word until the distinct words asked times |b| pay for a dense table
-    (dense_pays); from then on it reads char_table(b)."""
+    (dense_pays); from then on it reads char_table(b).  A direct sum is
+    |b| - 2 popcount(combine(x, transpose(b))), b transposed on the first."""
 
-    __slots__ = ("b", "_memo", "_table")
+    __slots__ = ("b", "_memo", "_table", "_columns")
 
     def __init__(self, b: F2Set):
         self.b = b
         self._memo: dict[int, int] = {}
         self._table: list[int] | None = None
+        self._columns: list[int] | None = None
 
     def __call__(self, word: int) -> int:
         if self._table is not None:
@@ -349,7 +359,10 @@ class CharSums:
             if dense_pays(self.b.n, (len(self._memo) + 1) * len(self.b)):
                 self._table = char_table(self.b)
                 return self._table[word]
-            got = self._memo[word] = char_sum(self.b, word)
+            if self._columns is None:
+                self._columns = transpose(self.b.members, self.b.n)
+            odd = combine(word, self._columns).bit_count()
+            got = self._memo[word] = len(self.b) - 2 * odd
         return got
 
     def duality(self, words: Sequence[int]) -> Fraction:
@@ -403,9 +416,34 @@ def duality_measure(a: F2Set, b: F2Set) -> Fraction:
     return CharSums(b).duality(a.members)
 
 
+def transpose(words: Sequence[int], width: int) -> list[int]:
+    """The column words of the rows ``words``, each below 2^width: bit i of
+    column j is bit j of words[i].  Zips the rows' digit strings, row 0 last."""
+    if not width:  # format(w, "00b") still writes one digit
+        return []
+    if not words:
+        return [0] * width
+    digits = zip(*(format(w, f"0{width}b") for w in reversed(words)))
+    return [int("".join(column), 2) for column in digits][::-1]
+
+
+def combine(x: int, rows: Sequence[int]) -> int:
+    """The XOR of rows[k] over the set bits k of x; bits of x at or past
+    len(rows) are ignored."""
+    x &= (1 << len(rows)) - 1
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return acc
+
+
 def ip_rows(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Inner-product matrix as row words: bit j of row i is <xs[i], ys[j]>."""
-    return [sum(parity_dot(x, y) << j for j, y in enumerate(ys)) for x in xs]
+    """Inner-product matrix as row words: bit j of row i is <xs[i], ys[j]>,
+    row i being the XOR of the columns of ys at the set bits of xs[i]."""
+    columns = transpose(ys, max(ys, default=0).bit_length())
+    return [combine(x, columns) for x in xs]
 
 
 def is_dual_pair(a: F2Set, b: F2Set) -> int | None:
@@ -413,12 +451,8 @@ def is_dual_pair(a: F2Set, b: F2Set) -> int | None:
     _same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         return None
-    first = parity_dot(a.members[0], b.members[0])
-    for x in a.members:
-        for y in b.members:
-            if parity_dot(x, y) != first:
-                return None
-    return first
+    rows = set(ip_rows(a.members, b.members))  # one row each all 0 or all 1
+    return {0: 0, (1 << len(b)) - 1: 1}.get(rows.pop()) if len(rows) == 1 else None
 
 
 # -- set file format ---------------------------------------------------------

@@ -23,9 +23,10 @@ from .errors import (
     PreconditionViolation,
     read_text,
 )
-from .f2 import F2Set, echelon_basis, ip_rows
+from .f2 import F2Set, echelon_basis, ip_rows, transpose
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
+_NOT_BITS = str.maketrans("", "", "01")  # str.translate table: what is left is not a bit
 
 
 class BoolMatrix:
@@ -65,25 +66,28 @@ class BoolMatrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BoolMatrix":
-        return cls.from_lists([[int(c) for c in line] for line in lines])
+        """Rows as {0,1} strings, column 0 first."""
+        l = len(lines[0]) if lines else 0
+        for line in lines:
+            if len(line) != l:
+                raise FormatError("ragged rows")
+            stray = line.translate(_NOT_BITS)
+            if stray:
+                raise FormatError(f"entry {stray[0]} is not a bit")
+        return cls(len(lines), l, [int(line[::-1] or "0", 2) for line in lines])
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
     def to_lines(self) -> list[str]:
-        return ["".join(str((r >> j) & 1) for j in range(self.n_cols)) for r in self.rows]
+        return [format(r, f"0{self.n_cols}b")[::-1] for r in self.rows]
 
-    def column_word(self, j: int) -> int:
-        """Column j packed over row indices (bit i = entry (i, j))."""
-        word = 0
-        for i, r in enumerate(self.rows):
-            word |= ((r >> j) & 1) << i
-        return word
+    def columns(self) -> list[int]:
+        """The column words: bit i of column j is entry (i, j)."""
+        return transpose(self.rows, self.n_cols)
 
     def transpose(self) -> "BoolMatrix":
-        return BoolMatrix(
-            self.n_cols, self.n_rows, [self.column_word(j) for j in range(self.n_cols)]
-        )
+        return BoolMatrix(self.n_cols, self.n_rows, self.columns())
 
     def take(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
         runs = []  # [source column, width mask, target column] of each run of adjacent columns
@@ -183,34 +187,25 @@ def dedup(m: BoolMatrix) -> tuple[BoolMatrix, tuple[int, ...], tuple[int, ...]]:
     Returns the compressed matrix plus maps sending each original row/column
     index to its surviving representative's index.
     """
-    seen: dict[int, int] = {}
-    keep_rows: list[int] = []
-    row_map = []
-    for i, word in enumerate(m.rows):
-        if word not in seen:
-            seen[word] = len(keep_rows)
-            keep_rows.append(i)
-        row_map.append(seen[word])
-    stage = m.take(keep_rows, range(m.n_cols))
+    keep_rows, row_map = _first_occurrences(m.rows)
+    keep_cols, col_map = _first_occurrences(m.columns())
+    return m.take(keep_rows, keep_cols), row_map, col_map
 
-    seen_cols: dict[int, int] = {}
-    keep_cols: list[int] = []
-    col_map = []
-    for j in range(stage.n_cols):
-        word = stage.column_word(j)
-        if word not in seen_cols:
-            seen_cols[word] = len(keep_cols)
-            keep_cols.append(j)
-        col_map.append(seen_cols[word])
-    out = stage.take(range(stage.n_rows), keep_cols)
-    return out, tuple(row_map), tuple(col_map)
+
+def _first_occurrences(words: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The indices of each word's first occurrence, ascending, and for
+    every index the position of its word's first occurrence among them."""
+    first: dict[int, int] = {}
+    for i, word in enumerate(words):
+        first.setdefault(word, i)
+    position = {word: k for k, word in enumerate(first)}
+    return list(first.values()), tuple(position[word] for word in words)
 
 
 def has_duplicates(m: BoolMatrix) -> bool:
     if len(set(m.rows)) != m.n_rows:
         return True
-    cols = [m.column_word(j) for j in range(m.n_cols)]
-    return len(set(cols)) != m.n_cols
+    return len(set(m.columns())) != m.n_cols
 
 
 # -- ranks ---------------------------------------------------------------------
@@ -237,7 +232,7 @@ def rank_real(m: BoolMatrix) -> int:
         support |= word
     bound = min(len(words), support.bit_count())
     low = _rank_gf3(words, bound)
-    if low == bound or low == _distinct_nonzero_columns(words, m.n_cols):
+    if low == bound or low == len(set(transpose(words, m.n_cols)) - {0}):
         return low
     return _rank_bareiss(words, m.n_cols)
 
@@ -269,16 +264,6 @@ def _rank_gf3(words: Sequence[int], stop: int) -> int:
             ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
             nonzero = ones | twos
     return len(basis)
-
-
-def _distinct_nonzero_columns(words: Sequence[int], n_cols: int) -> int:
-    cols = [0] * n_cols
-    for i, word in enumerate(words):
-        while word:
-            low = word & -word
-            cols[low.bit_length() - 1] |= 1 << i
-            word ^= low
-    return len(set(cols) - {0})
 
 
 def _rank_bareiss(words: Sequence[int], l: int) -> int:
@@ -340,21 +325,12 @@ def factorize_f2(m: BoolMatrix) -> Factorization:
     if has_duplicates(m):
         raise PreconditionViolation("factorize_f2 needs a deduplicated matrix")
     basis = echelon_basis(m.rows)
-    pivots = [(row & -row).bit_length() - 1 for row in basis]
     r = len(basis)
     dim = max(r, 1)  # all-zero matrix factors through F2^1 with zero vectors
-    row_words = []
-    for word in m.rows:
-        a = 0
-        for s, p in enumerate(pivots):
-            a |= ((word >> p) & 1) << s
-        row_words.append(a)
-    col_words = []
-    for j in range(m.n_cols):
-        b = 0
-        for s, brow in enumerate(basis):
-            b |= ((brow >> j) & 1) << s
-        col_words.append(b)
+    columns = m.columns()
+    pivot_columns = [columns[(row & -row).bit_length() - 1] for row in basis]
+    row_words = transpose(pivot_columns, m.n_rows)
+    col_words = transpose(basis, m.n_cols)
     if tuple(ip_rows(row_words, col_words)) != m.rows:
         raise InvariantViolation("factorization failed to reproduce the matrix")
     return Factorization(
@@ -416,9 +392,7 @@ def max_closed_rectangle(masks, n_y: int, key, floor: int = 0):
     best = None  # (key, xmask, ymask, bit)
     for bit in (0, 1):
         rows = [m[bit] for m in masks]
-        cols = [
-            sum(((row >> y) & 1) << x for x, row in enumerate(rows)) for y in range(n_y)
-        ]
+        cols = transpose(rows, n_y)
 
         def closure(ymask: int) -> int:
             xmask = (1 << n_x) - 1
@@ -583,7 +557,7 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
     if _meets_delta(abs(zeros - ones), total, r):
         return verified(range(m.n_rows), range(m.n_cols))
 
-    col_words = [m.column_word(j) for j in range(m.n_cols)]
+    col_words = m.columns()
     pool: list[tuple[int, ...]] = [(i,) for i in range(m.n_rows)]
     pool += _similarity_clusters(m)
     pool += _eigen_sign_split(m)
@@ -599,12 +573,11 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
         if cols is not None:
             return verified(row_set, cols)
 
-    transposed = m.n_cols < m.n_rows
-    work = m.transpose() if transposed else m
-    if work.n_rows <= exact_cap:
-        work_cols = [work.column_word(j) for j in range(work.n_cols)]
-        for s in range(1, 1 << work.n_rows):
-            cols = _column_scan(work_cols, work.n_cols, s, s.bit_count(), r, total)
+    transposed = m.n_cols < m.n_rows  # enumerate subsets of the smaller side
+    enum_size, other = (m.n_cols, m.rows) if transposed else (m.n_rows, col_words)
+    if enum_size <= exact_cap:
+        for s in range(1, 1 << enum_size):
+            cols = _column_scan(other, len(other), s, s.bit_count(), r, total)
             if cols is not None:
                 row_set = _bits_to_tuple(s)
                 if transposed:
@@ -688,7 +661,7 @@ def parse_matrix_text(text: str) -> BoolMatrix:
     if len(body) != k:
         raise FormatError(f"expected {k} rows, got {len(body)}")
     for line in body:
-        if len(line) != l or any(c not in "01" for c in line):
+        if len(line) != l or line.translate(_NOT_BITS):
             raise FormatError(f"bad matrix row {line!r}")
     return BoolMatrix.from_strings(body)
 

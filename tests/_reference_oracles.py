@@ -7,6 +7,9 @@ branch-and-bound over subsets of one side for maximum-area dual pairs, and a
 subset DP over all 2^k row subsets for maximum monochromatic rectangles.
 `_rref_f2` is the eliminator `dualbench.matrix` kept before
 `dualbench.f2.echelon_basis` became the one reduced echelon kernel.
+`greedy_dual_pair` is `dualbench.approxdual.greedy_dual_pair` as it was
+before it read its parities as rows of `dualbench.f2.ip_rows`: it computes
+each inner product pair by pair on member lists.
 `bsg_extract_s_side` is `dualbench.adcomb.bsg_extract` as it was before its
 neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
 and counts pair sums directly instead of by transform.  `rank_fraction` is
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from dualbench.adcomb import BSG_PIVOTS, BsgResult
-from dualbench.approxdual import DualPair, greedy_dual_pair
+from dualbench.approxdual import DualPair
 from dualbench.errors import (
     CapExceeded,
     DensityTooLow,
@@ -120,6 +123,28 @@ def exact_dual_oracle(
     if swap:
         return DualPair(y_side, x_side, bit)
     return DualPair(x_side, y_side, bit)
+
+
+def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
+    """Best single-element seed, then grow the A side whenever the area
+    does not drop; every parity taken pair by pair."""
+    best_seed = None
+    for x in a.members:
+        ones = [y for y in b.members if parity_dot(x, y)]
+        zeros = [y for y in b.members if not parity_dot(x, y)]
+        for bit, side in ((0, zeros), (1, ones)):
+            if side and (best_seed is None or len(side) > len(best_seed[2])):
+                best_seed = (x, bit, side)
+    x0, bit, b_side = best_seed
+    chosen = [x0]
+    for x in a.members:
+        if x == x0:
+            continue
+        narrowed = [y for y in b_side if parity_dot(x, y) == bit]
+        if narrowed and (len(chosen) + 1) * len(narrowed) >= len(chosen) * len(b_side):
+            chosen.append(x)
+            b_side = narrowed
+    return DualPair(F2Set(a.n, chosen), F2Set(b.n, b_side), bit)
 
 
 def _mono_candidates_by_rows(m: BoolMatrix):

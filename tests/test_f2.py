@@ -6,6 +6,7 @@ import pytest
 
 import _reference_oracles as ref
 from dualbench import f2
+from dualbench.approxdual import greedy_dual_pair
 from dualbench.errors import DimensionMismatch, EmptySetError, FormatError
 from dualbench.experiments import run_experiment
 from dualbench.f2 import (
@@ -15,6 +16,7 @@ from dualbench.f2 import (
     bias,
     char_sum,
     char_table,
+    combine,
     coset_rep,
     dense_pays,
     duality_measure,
@@ -30,6 +32,8 @@ from dualbench.f2 import (
     span,
     spectrum,
     sumset,
+    sumset_size,
+    transpose,
     wht,
 )
 
@@ -73,6 +77,63 @@ def test_ip_rows_bits_are_inner_products():
             assert row >> len(ys) == 0
             for j, y in enumerate(ys):
                 assert (row >> j) & 1 == inner_product(F2Vector(6, x), F2Vector(6, y))
+
+
+def test_ip_rows_edges():
+    # bits of xs above every y meet only zero columns; no ys, no bits
+    xs = [0b1111000, 0b1111011, 0b1000001]
+    assert ip_rows(xs, [0b011, 0b001, 0b010]) == [0b000, 0b110, 0b011]
+    assert ip_rows(xs, []) == [0, 0, 0]
+    assert ip_rows(xs, [0, 0]) == [0, 0, 0]
+    assert ip_rows([], [0b011]) == []
+    assert ip_rows(range(4), range(4)) == [0b0000, 0b1010, 0b1100, 0b0110]
+
+
+def test_transpose_entry_by_entry():
+    # bit i of column j is bit j of words[i], for words below 2^width
+    rng = random.Random("transpose")
+    cases = [([], 5), ([], 0), ([0, 0, 0], 4), ([0, 0], 0), ([1], 1), ([0b101, 0b1], 9)]
+    cases.append(([rng.randrange(1 << 7) for _ in range(70)], 7))  # over 64 rows
+    cases.append(([rng.randrange(1 << 24) for _ in range(130)], 24))
+    cases += [([rng.randrange(1 << 24) for _ in range(rng.randint(1, 30))], 24) for _ in range(5)]
+    for words, width in cases:
+        columns = transpose(words, width)
+        assert len(columns) == width
+        for j, column in enumerate(columns):
+            assert column >> len(words) == 0
+            for i, word in enumerate(words):
+                assert (column >> i) & 1 == (word >> j) & 1
+        assert transpose(columns, len(words)) == (list(words) if width else [0] * len(words))
+
+
+def test_combine_is_the_xor_of_the_selected_rows():
+    rng = random.Random("combine")
+    for _ in range(200):
+        rows = [rng.randrange(1 << 80) for _ in range(rng.randint(0, 12))]
+        x = rng.randrange(1 << 16)  # bits at or past len(rows) are ignored
+        want = 0
+        for k, row in enumerate(rows):
+            if (x >> k) & 1:
+                want ^= row
+        assert combine(x, rows) == want
+
+
+def test_greedy_dual_pair_matches_pairwise_reference():
+    # small dimensions and sets holding 0 give many tied seeds and tied
+    # narrowings, which both versions must break the same way
+    rng = random.Random("greedy-ties")
+    tied = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = random_set(rng, n, 20)
+        b = random_set(rng, n, 20)
+        if rng.random() < 0.3:
+            a = F2Set(n, a.members + (0,))
+        ones = [sum(f2.parity_dot(x, y) for y in b.members) for x in a.members]
+        seeds = sorted(v for k in ones for v in (len(b) - k, k) if v)
+        tied += seeds.count(seeds[-1]) > 1
+        assert greedy_dual_pair(a, b) == ref.greedy_dual_pair(a, b)
+    assert tied >= 50
 
 
 def assert_reduced_echelon(basis):
@@ -237,6 +298,21 @@ def test_rep_counts_matches_pair_enumeration(monkeypatch):
     s = cases[0]
     assert rep_counts(s) == brute_counts(s)
     assert dense_calls == []
+
+
+def test_sumset_size_matches_pair_enumeration(monkeypatch):
+    # the same dense rule as rep_counts: 2^n - (zeros of the table) when it
+    # pays, the set of pair sums otherwise
+    dense_calls = []
+    monkeypatch.setattr(f2, "rep_table", lambda s: dense_calls.append(s) or rep_table(s))
+    rng = random.Random("sumset-size")
+    cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
+    cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
+    cases += [F2Set(3, [5]), F2Set(4, range(16)), F2Set(21, rng.sample(range(1 << 21), 10))]
+    for s in cases:
+        dense_calls.clear()
+        assert sumset_size(s) == len(brute_counts(s)) == len(sumset(s, s))
+        assert dense_calls == ([s] if f2.dense_pays(s.n, len(s) ** 2) else []), s
 
 
 # -- wht ---------------------------------------------------------------------
@@ -439,6 +515,19 @@ def test_char_sums_build_their_table_once_it_pays():
             assert set(chars._memo) == set(words)
 
 
+def test_char_sums_direct_sums_above_dense_cap():
+    # at n = 21 no table is ever built: every value is a popcount of one
+    # combine over the transposed members
+    n = 21
+    assert n > f2.DENSE_CAP
+    rng = random.Random("char-sums-21")
+    b = F2Set(n, rng.sample(range(1 << n), 300))
+    chars = CharSums(b)
+    for word in [0, (1 << n) - 1, *b.members[:20], *rng.sample(range(1 << n), 200)]:
+        assert chars(word) == char_sum(b, word)
+    assert chars._table is None
+
+
 # -- duality measure ---------------------------------------------------------
 
 
@@ -480,6 +569,22 @@ def test_duality_errors():
         duality_measure(F2Set(2, []), F2Set(2, [1]))
     with pytest.raises(DimensionMismatch):
         duality_measure(F2Set(2, [1]), F2Set(3, [1]))
+
+
+def test_is_dual_pair_is_the_pairwise_constant():
+    rng = random.Random("dual-pair-bit")
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = random_set(rng, n, 6)
+        b = random_set(rng, n, 6)
+        if rng.random() < 0.5:  # force duality often: b inside a's annihilator coset
+            shift = rng.choice([0, *b.members])
+            b = F2Set(n, [y for y in range(1 << n)
+                          if len({f2.parity_dot(x, y ^ shift) for x in a.members}) == 1][:6])
+            if not len(b):
+                continue
+        values = {f2.parity_dot(x, y) for x in a.members for y in b.members}
+        assert is_dual_pair(a, b) == (values.pop() if len(values) == 1 else None)
 
 
 def test_dual_pair_detection_matches_duality_one():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 import _reference_oracles as ref
 from dualbench import matrix
 from dualbench.errors import CapExceeded, NotFound, PreconditionViolation
-from dualbench.experiments import make_ip_matrix
+from dualbench.experiments import make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import F2Set, duality_measure, parity_dot
 from dualbench.matrix import (
     BoolMatrix,
@@ -372,6 +373,25 @@ def test_biased_rank_one_unbalanced_has_no_witness():
     assert info.value.exhaustive
 
 
+def test_biased_tall_matrices():
+    # with fewer columns than rows the exhaustive pass enumerates column
+    # subsets, and small tall matrices often need that pass
+    rng = random.Random("tall")
+    found = 0
+    for _ in range(80):
+        k = rng.randint(3, 7)
+        m = random_matrix(rng, k, rng.randint(2, k - 1))
+        try:
+            view = find_biased_submatrix(m)
+        except NotFound as info:
+            assert info.exhaustive
+            assert not exhaustive_biased_exists(m)
+            continue
+        assert contract_holds(m, view)
+        found += 1
+    assert found >= 30
+
+
 def test_biased_random_low_rank():
     # On rank >= 2 template matrices witnesses exist generically; when the
     # exhaustive search reports nonexistence, that verdict is double-checked
@@ -455,11 +475,62 @@ def test_stats_fields():
     assert 0 <= s.discrepancy <= 1
 
 
+def test_random_f2_rank_rows_are_factor_products():
+    # the rows are left x right over F2 for the generator's factor draws,
+    # replayed here on a twin generator with the same rejection rule
+    k, l, r = 9, 11, 4
+    for seed in range(4):
+        m = make_random_f2_rank(k, l, r, random.Random(seed))
+        twin = random.Random(seed)
+        while True:
+            left = [twin.randrange(1 << r) for _ in range(k)]
+            right = [twin.randrange(1 << l) for _ in range(r)]
+            if rank_f2(BoolMatrix(k, r, left)) != r or rank_f2(BoolMatrix(r, l, right)) != r:
+                continue
+            rows = []
+            for x in left:
+                rows.append(0)
+                for s in range(r):
+                    if (x >> s) & 1:
+                        rows[-1] ^= right[s]
+            if rank_f2(BoolMatrix(k, l, rows)) == r:
+                break
+        assert m.rows == tuple(rows)
+
+
 def test_matrix_file_round_trip():
     rng = random.Random(30)
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert parse_matrix_text(format_matrix(m)) == m
+
+
+def test_matrix_text_codec_entry_by_entry():
+    # character j of line i is entry (i, j), and columns() is the transpose
+    rng = random.Random("codec")
+    for k, l in ((1, 1), (3, 70), (70, 3), (5, 129)):
+        m = random_matrix(rng, k, l)
+        lines = m.to_lines()
+        assert lines == ["".join(str(m.entry(i, j)) for j in range(l)) for i in range(k)]
+        assert BoolMatrix.from_strings(lines) == m
+        assert m.columns() == [sum(m.entry(i, j) << i for i in range(k)) for j in range(l)]
+        assert m.transpose().to_lines() == ["".join(col) for col in zip(*lines)]
+
+
+def test_matrix_from_strings_errors():
+    from dualbench.errors import FormatError
+
+    for bad in ([], [""], ["01", "0"], ["0a1"], ["021"], ["0_1"], ["+1"], ["0 1"], ["01\n"]):
+        with pytest.raises(FormatError):
+            BoolMatrix.from_strings(bad)
+
+
+def test_matrix_file_names_the_bad_row():
+    from dualbench.errors import FormatError
+
+    for row in ("0a1", "021", "0_1", "+11", "01"):
+        with pytest.raises(FormatError, match=f"bad matrix row '{re.escape(row)}'"):
+            parse_matrix_text(f"2 3\n010\n{row}\n")
 
 
 def test_matrix_file_comments():
@@ -470,6 +541,6 @@ def test_matrix_file_comments():
 def test_matrix_file_errors():
     from dualbench.errors import FormatError
 
-    for bad in ("", "2 2\n01\n", "1 2\n012\n", "x y\n0\n"):
+    for bad in ("", "2 2\n01\n", "1 2\n012\n", "x y\n0\n", "1 3\n0_1\n", "1 2\n-1\n"):
         with pytest.raises(FormatError):
             parse_matrix_text(bad)

@@ -58,6 +58,30 @@ def test_only_f2_chooses_dense_tables():
     assert found == []
 
 
+def test_only_f2_computes_parities():
+    # inner-product parities come from f2's bit-matrix kernel (transpose,
+    # combine, ip_rows, CharSums), never one pair at a time: only f2 names
+    # parity_dot or takes a popcount's low bit
+    found = []
+    for path in SOURCES:
+        if path.name == "f2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if "parity_dot" in names:
+                found.append(f"{path.name}:{node.lineno}: parity_dot")
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.BitAnd)
+                and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "attr", None) == "bit_count"
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 1
+            ):
+                found.append(f"{path.name}:{node.lineno}: popcount parity")
+    assert found == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer looks each traced function up by name, so a
     # rename or move must keep every one of its targets importable
