@@ -37,7 +37,6 @@ from .matrix import (
     discrepancy,
     factorize_f2,
     find_biased_submatrix,
-    find_mono_via_dual,
     max_mono_exact,
     rank_f2,
     rank_real,
@@ -48,6 +47,7 @@ from .protocol import (
     ProtocolTree,
     build_protocol,
     leaf_recurrence_audit,
+    mono_via_dual,
     simulate,
     verify,
 )

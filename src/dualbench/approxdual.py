@@ -38,7 +38,7 @@ from .f2 import (
     is_dual_pair,
     rep_counts,
 )
-from .matrix import max_closed_rectangle
+from .matrix import EXACT_CAP, max_closed_rectangle
 
 
 @dataclass(frozen=True)
@@ -557,7 +557,7 @@ def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
 
 
 def exact_dual_oracle(
-    a: F2Set, b: F2Set, exact_cap: int = 20, enumerate_side: str = "auto"
+    a: F2Set, b: F2Set, exact_cap: int = EXACT_CAP, enumerate_side: str = "auto"
 ) -> DualPair:
     """Maximum-area dual pair by a closure search over the smaller side.
 

@@ -19,7 +19,7 @@ from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, NotFound
 from .f2 import F2Set, combine, duality_measure, ip_rows, span
-from .matrix import BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
+from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
 from .protocol import build_protocol, finder_for, verify
 
 SCHEMA_VERSION = 1
@@ -338,7 +338,7 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
         "outliers": int(config.get("outliers", 3)),
     }
     a = generate_sets(family, params, seed)
-    b = generate_sets(family, params, seed) if family != "subspace-plus-noise" else a
+    b = a  # the pipeline measures A against itself
     growth = config.get("K")
     trace = find_dual_pair(a, b, growth_bound=growth, seed=seed)
     # D(A, B) as the pipeline measured it, on its one character table of B
@@ -357,7 +357,7 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
         report["search_failures"].append(
             f"pipeline stage {trace.failed_stage}: {trace.failure_message}"
         )
-    oracle_cap = int(config.get("oracle_cap", 20))
+    oracle_cap = int(config.get("oracle_cap", EXACT_CAP))
     rows: list[dict] = []
     if min(len(a), len(b)) <= oracle_cap:
         oracle = exact_dual_oracle(a, b, exact_cap=oracle_cap)

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, EmptySetError, FormatError, read_text
 
 MAX_DIMENSION = 24
 DENSE_CAP = 20  # build 2^n tables only up to this dimension
+NOT_BITS = str.maketrans("", "", "01")  # str.translate table: what is left is not a bit
 
 
 def _check_dim(n: int) -> None:
@@ -475,7 +476,10 @@ def parse_set_text(text: str) -> F2Set:
             raise FormatError(
                 f"inconsistent element width: {len(line)} != {width}"
             )
-    return F2Set.from_strings(lines)
+    for line in lines:
+        if line.translate(NOT_BITS):
+            raise FormatError(f"not a {{0,1}} string: {line!r}")
+    return F2Set(width, [int(line, 2) for line in lines])
 
 
 def format_set(s: F2Set) -> str:

@@ -12,21 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CapExceeded,
     FormatError,
     InvariantViolation,
-    MonochromaticityViolation,
     NotFound,
     PreconditionViolation,
     read_text,
 )
-from .f2 import F2Set, echelon_basis, ip_rows, transpose
+from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, transpose
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
-_NOT_BITS = str.maketrans("", "", "01")  # str.translate table: what is left is not a bit
 
 
 class BoolMatrix:
@@ -71,7 +69,7 @@ class BoolMatrix:
         for line in lines:
             if len(line) != l:
                 raise FormatError("ragged rows")
-            stray = line.translate(_NOT_BITS)
+            stray = line.translate(NOT_BITS)
             if stray:
                 raise FormatError(f"entry {stray[0]} is not a bit")
         return cls(len(lines), l, [int(line[::-1] or "0", 2) for line in lines])
@@ -591,52 +589,6 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
     raise NotFound("heuristics exhausted below exact scale", exhaustive=False)
 
 
-def find_mono_via_dual(
-    m: BoolMatrix,
-    dual_finder: Callable[[F2Set, F2Set], "object"],
-    exact_cap: int = EXACT_CAP,
-) -> SubmatrixView:
-    """Monochromatic rectangle through the duality bridge.
-
-    Pipeline: biased submatrix -> inner-product factorization -> dual pair of
-    the factor sets -> the corresponding rectangle, which must come back
-    monochromatic (verified, with duplicates re-expanded into the view).
-    """
-    if has_duplicates(m):
-        raise PreconditionViolation("find_mono_via_dual needs a deduplicated matrix")
-    biased = find_biased_submatrix(m, exact_cap=exact_cap)
-    sub = biased.materialize()
-    core, row_map, col_map = dedup(sub)
-    fact = factorize_f2(core)
-    pair = dual_finder(fact.a_set, fact.b_set)
-    picked_rows = {
-        i for i, w in enumerate(fact.row_words) if w in pair.a_side
-    }
-    picked_cols = {
-        j for j, w in enumerate(fact.col_words) if w in pair.b_side
-    }
-    rows = tuple(
-        sorted(
-            biased.rows[i_sub]
-            for i_sub in range(sub.n_rows)
-            if row_map[i_sub] in picked_rows
-        )
-    )
-    cols = tuple(
-        sorted(
-            biased.cols[j_sub]
-            for j_sub in range(sub.n_cols)
-            if col_map[j_sub] in picked_cols
-        )
-    )
-    view = SubmatrixView(m, rows, cols)
-    if not view.is_monochromatic():
-        raise MonochromaticityViolation(
-            "dual-pair rectangle is not monochromatic"
-        )
-    return view
-
-
 # -- matrix file format -----------------------------------------------------------
 # First non-comment line: "k l"; then k lines of l characters from {0,1}.
 
@@ -661,7 +613,7 @@ def parse_matrix_text(text: str) -> BoolMatrix:
     if len(body) != k:
         raise FormatError(f"expected {k} rows, got {len(body)}")
     for line in body:
-        if len(line) != l or line.translate(_NOT_BITS):
+        if len(line) != l or line.translate(NOT_BITS):
             raise FormatError(f"bad matrix row {line!r}")
     return BoolMatrix.from_strings(body)
 

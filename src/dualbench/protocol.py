@@ -7,7 +7,9 @@ halves.  Each sent bit is one internal node; leaves output the entry value.
 Simulation, full verification against the source matrix, and a recurrence
 audit of the per-node rank/area bookkeeping are provided.  Each tree holds
 one rank memo over blocks of its stored matrix, shared by the build, verify
-and the audit, so no block is ranked twice.
+and the audit, so no block is ranked twice.  A rectangle finder is a plain
+function from a matrix to a monochromatic view of it: max_mono_exact,
+greedy_rectangle or mono_via_dual, named by strategy in finder_for.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from fractions import Fraction
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
+from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import (
     AuditViolation,
     DegenerateSplit,
@@ -26,6 +30,8 @@ from .errors import (
     FormatError,
     InvariantViolation,
     MismatchError,
+    MonochromaticityViolation,
+    NotFound,
     read_text,
 )
 from .matrix import (
@@ -33,8 +39,9 @@ from .matrix import (
     BoolMatrix,
     SubmatrixView,
     dedup,
+    factorize_f2,
+    find_biased_submatrix,
     max_mono_exact,
-    parse_matrix_text,
     rank_f2,
     rank_real,
 )
@@ -156,97 +163,86 @@ class CostReport:
     binomial_leaf_reference: int  # C(ceil(log2 m) + ceil(log2 r), ceil(log2 r))
 
 
-def mono_finder_exact(exact_cap: int = 20) -> Callable[[BoolMatrix], SubmatrixView]:
-    def finder(m: BoolMatrix) -> SubmatrixView:
-        return max_mono_exact(m, exact_cap=exact_cap)
-
-    return finder
-
-
-def mono_finder_greedy() -> Callable[[BoolMatrix], SubmatrixView]:
+def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
     """Greedy row-growing rectangle: seed with the best single row per color,
     add rows while the forced-column area does not shrink."""
-
-    def finder(m: BoolMatrix) -> SubmatrixView:
-        full = (1 << m.n_cols) - 1
-        best = None
-        for color in (0, 1):
-            masks = [r if color else full ^ r for r in m.rows]
-            seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
-            forced = masks[seed]
-            if not forced:
-                continue
-            rows = [seed]
-            taken = {seed}
-            while True:
-                area = len(rows) * forced.bit_count()
-                pick = None
-                pick_area = -1
-                pick_mask = 0
-                for i in range(m.n_rows):
-                    if i in taken:
-                        continue
-                    nm = forced & masks[i]
-                    new_area = (len(rows) + 1) * nm.bit_count()
-                    if nm and new_area > pick_area:
-                        pick, pick_area, pick_mask = i, new_area, nm
-                if pick is None or pick_area < area:
-                    break
-                rows.append(pick)
-                taken.add(pick)
-                forced = pick_mask
-            cols = tuple(j for j in range(m.n_cols) if (forced >> j) & 1)
-            cand = (
-                -len(rows) * len(cols),
-                tuple(sorted(rows)),
-                cols,
-                color,
-            )
-            if best is None or cand < best:
-                best = cand
-        _, rows, cols, _color = best
-        return SubmatrixView(m, rows, cols)
-
-    return finder
+    full = (1 << m.n_cols) - 1
+    best = None
+    for color in (0, 1):
+        masks = [r if color else full ^ r for r in m.rows]
+        seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
+        forced = masks[seed]
+        if not forced:
+            continue
+        rows = [seed]
+        taken = {seed}
+        while True:
+            area = len(rows) * forced.bit_count()
+            pick = None
+            pick_area = -1
+            pick_mask = 0
+            for i in range(m.n_rows):
+                if i in taken:
+                    continue
+                nm = forced & masks[i]
+                new_area = (len(rows) + 1) * nm.bit_count()
+                if nm and new_area > pick_area:
+                    pick, pick_area, pick_mask = i, new_area, nm
+            if pick is None or pick_area < area:
+                break
+            rows.append(pick)
+            taken.add(pick)
+            forced = pick_mask
+        cols = tuple(j for j in range(m.n_cols) if (forced >> j) & 1)
+        cand = (-len(rows) * len(cols), tuple(sorted(rows)), cols, color)
+        if best is None or cand < best:
+            best = cand
+    _, rows, cols, _color = best
+    return SubmatrixView(m, rows, cols)
 
 
-def mono_finder_via_dual(
-    exact_cap: int = 20, seed: int = 0
-) -> Callable[[BoolMatrix], SubmatrixView]:
-    """Monochromatic rectangle through the duality pipeline.
+def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> SubmatrixView:
+    """Monochromatic rectangle through the Nisan-Wigderson bridge.
 
-    Falls back to the exact dual oracle (then greedy) when a pipeline stage
-    comes up empty, and to the plain greedy rectangle when no submatrix
-    meets the biased-stage bounds at all (certified nonexistence cases), so
-    protocol building always gets some rectangle back.
+    A biased submatrix of dedup(m) factors as inner products of F2 words
+    (factorize_f2), and a dual pair of its two factor sets is a
+    monochromatic rectangle.  The pair comes from the pipeline
+    (find_dual_pair); when a pipeline stage comes up empty, from the exact
+    oracle if the smaller set has at most exact_cap elements, else from
+    greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
+    rectangle is greedy_rectangle(m).  Every rectangle source is chosen
+    here.  The result is a view of m, duplicates included, and is verified
+    monochromatic.
     """
-    from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
-    from .errors import NotFound
-    from .matrix import find_mono_via_dual
-
-    greedy = mono_finder_greedy()
-
-    def dual_finder(a, b):
-        trace = find_dual_pair(a, b, seed=seed)
-        if trace.ok:
-            return trace.final
-        if min(len(a), len(b)) <= exact_cap:
-            return exact_dual_oracle(a, b, exact_cap=exact_cap)
-        return greedy_dual_pair(a, b)
-
-    def finder(m: BoolMatrix) -> SubmatrixView:
-        core, row_map, col_map = dedup(m)
-        try:
-            view = find_mono_via_dual(core, dual_finder, exact_cap=exact_cap)
-        except NotFound:
-            return greedy(m)
-        kept_rows = set(view.rows)
-        kept_cols = set(view.cols)
-        rows = tuple(i for i in range(m.n_rows) if row_map[i] in kept_rows)
-        cols = tuple(j for j in range(m.n_cols) if col_map[j] in kept_cols)
-        return SubmatrixView(m, rows, cols)
-
-    return finder
+    core, row_map, col_map = dedup(m)
+    try:
+        biased = find_biased_submatrix(core, exact_cap)
+    except NotFound:
+        return greedy_rectangle(m)
+    sub, sub_rows, sub_cols = dedup(biased.materialize())
+    fact = factorize_f2(sub)
+    a, b = fact.a_set, fact.b_set
+    trace = find_dual_pair(a, b, seed=seed)
+    if trace.ok:
+        pair = trace.final
+    elif min(len(a), len(b)) <= exact_cap:
+        pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
+    else:
+        pair = greedy_dual_pair(a, b)
+    kept_rows = {
+        biased.rows[p] for p, q in enumerate(sub_rows) if fact.row_words[q] in pair.a_side
+    }
+    kept_cols = {
+        biased.cols[p] for p, q in enumerate(sub_cols) if fact.col_words[q] in pair.b_side
+    }
+    view = SubmatrixView(
+        m,
+        tuple(i for i in range(m.n_rows) if row_map[i] in kept_rows),
+        tuple(j for j in range(m.n_cols) if col_map[j] in kept_cols),
+    )
+    if not view.is_monochromatic():
+        raise MonochromaticityViolation("dual-pair rectangle is not monochromatic")
+    return view
 
 
 STRATEGIES = ("exact", "greedy", "via-dual")
@@ -257,11 +253,11 @@ def finder_for(
 ) -> Callable[[BoolMatrix], SubmatrixView]:
     """The rectangle finder a strategy names: exact, greedy or via-dual."""
     if strategy == "exact":
-        return mono_finder_exact(exact_cap)
+        return partial(max_mono_exact, exact_cap=exact_cap)
     if strategy == "greedy":
-        return mono_finder_greedy()
+        return greedy_rectangle
     if strategy == "via-dual":
-        return mono_finder_via_dual(exact_cap, seed)
+        return partial(mono_via_dual, exact_cap=exact_cap, seed=seed)
     raise FormatError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
@@ -280,7 +276,7 @@ def build_protocol(
     trap (DepthCapExceeded).  Blocks are ranked through the tree's memo.
     """
     if mono_finder is None:
-        mono_finder = mono_finder_exact()
+        mono_finder = max_mono_exact
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
     rank = BlockRanks(core)
@@ -649,17 +645,18 @@ def tree_to_dict(tree: ProtocolTree) -> dict:
 
 def tree_from_dict(data: dict) -> ProtocolTree:
     """Load a tree document; a missing, mistyped or out-of-range field is a
-    FormatError.  Tree-level counts are re-derived; node stats are checked
-    by NodeStats and against each node's block (see _node_from_dict)."""
+    FormatError, and so is a matrix that is not exactly rows strings of cols
+    bits.  Tree-level counts are re-derived; node stats are checked by
+    NodeStats and against each node's block (see _node_from_dict)."""
     if not isinstance(data, dict) or data.get("format") != "protocol-tree":
         raise FormatError("not a protocol-tree document")
     if _get(data, "version", int) != TREE_FORMAT_VERSION:
         raise FormatError(f"unsupported protocol-tree version {data['version']}")
     lines = _get(data, "matrix", list)
-    if not all(type(line) is str for line in lines):
-        raise FormatError("tree field 'matrix' must hold row strings")
-    shape = f"{_get(data, 'rows', int)} {_get(data, 'cols', int)}"
-    matrix = parse_matrix_text("\n".join([shape, *lines]))
+    n_rows, n_cols = _get(data, "rows", int), _get(data, "cols", int)
+    if len(lines) != n_rows or not all(type(line) is str and len(line) == n_cols for line in lines):
+        raise FormatError(f"tree field 'matrix' must hold {n_rows} row strings of {n_cols} bits")
+    matrix = BoolMatrix.from_strings(lines)
     row_map = _indices(data, "row_map", matrix.n_rows)
     col_map = _indices(data, "col_map", matrix.n_cols)
     source_rows = _get(data, "source_rows", int)

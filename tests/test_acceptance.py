@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 from dualbench.approxdual import exact_dual_oracle, find_dual_pair
 from dualbench.cli import main as cli_main
@@ -37,9 +38,8 @@ from dualbench.matrix import (
 from dualbench.protocol import (
     build_protocol,
     format_tree,
-    mono_finder_exact,
-    mono_finder_greedy,
-    mono_finder_via_dual,
+    greedy_rectangle,
+    mono_via_dual,
     parse_tree_text,
     verify,
 )
@@ -200,9 +200,9 @@ def test_criterion_5_protocol_correctness():
     with criterion(5, 120.0, "protocol build/verify, 200 matrices x 3 strategies"):
         rng = random.Random("acceptance-5")
         finders = {
-            "exact": mono_finder_exact(),
-            "greedy": mono_finder_greedy(),
-            "via-dual": mono_finder_via_dual(seed=5),
+            "exact": max_mono_exact,
+            "greedy": greedy_rectangle,
+            "via-dual": partial(mono_via_dual, seed=5),
         }
         for idx in range(200):
             kind = idx % 3

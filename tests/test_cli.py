@@ -311,6 +311,18 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc["root"]["split"].append(8)
     check(doc, "split out of range")
     check([valid], "not an object")
+    # the stored matrix is exactly rows strings of cols bits: no blank,
+    # comment or padded entries
+    for extra in ("", "# hi", "   "):
+        doc = json.loads(tree_file.read_text())
+        doc["matrix"].append(extra)
+        assert "tree field 'matrix'" in check(doc, f"extra matrix entry {extra!r}")
+    doc = json.loads(tree_file.read_text())
+    doc["matrix"][0] = f" {doc['matrix'][0]} "
+    assert "tree field 'matrix'" in check(doc, "padded matrix row")
+    doc = json.loads(tree_file.read_text())
+    doc["matrix"].append(doc["matrix"][0])
+    assert "tree field 'matrix'" in check(doc, "one row too many")
     # stored node stats must fit the node's block
     doc = json.loads(tree_file.read_text())
     doc["root"]["stats"]["mono_value"] = 2

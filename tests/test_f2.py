@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -668,10 +669,17 @@ def test_set_file_comments_and_blanks():
 
 
 def test_set_file_rejects_ragged_lines():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="inconsistent element width: 3 != 2"):
         parse_set_text("01\n011\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="no elements"):
         parse_set_text("# only comments\n")
+    # each line is one int(line, 2) call, so what int alone would accept
+    # must fail the bit check first
+    for line in ("0a", "0_1", "+01", "-01", "0 1", "２1"):
+        with pytest.raises(FormatError, match=re.escape(f"not a {{0,1}} string: {line!r}")):
+            parse_set_text("1" * len(line) + f"\n{line}\n")
+    with pytest.raises(FormatError, match="dimension must be in 1..24, got 25"):
+        parse_set_text("1" * 25 + "\n")
 
 
 def test_vector_validation():

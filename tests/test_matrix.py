@@ -17,7 +17,6 @@ from dualbench.matrix import (
     discrepancy,
     factorize_f2,
     find_biased_submatrix,
-    find_mono_via_dual,
     format_matrix,
     max_mono_exact,
     parse_matrix_text,
@@ -415,53 +414,6 @@ def test_biased_random_low_rank():
         assert contract_holds(m, view)
         found += 1
     assert found >= 20
-
-
-# -- mono via dual ---------------------------------------------------------------
-
-
-def test_find_mono_via_dual_with_exact_finder():
-    from dualbench.approxdual import exact_dual_oracle
-
-    rng = random.Random(29)
-    done = 0
-    while done < 25:
-        m = random_matrix(rng, rng.randint(2, 8), rng.randint(2, 8))
-        m, _, _ = dedup(m)
-        try:
-            view = find_mono_via_dual(m, exact_dual_oracle)
-        except NotFound:
-            continue
-        assert view.is_monochromatic()
-        done += 1
-
-
-def test_find_mono_via_dual_all_ones():
-    from dualbench.approxdual import exact_dual_oracle
-
-    m = all_ones(1, 1)
-    view = find_mono_via_dual(m, exact_dual_oracle)
-    assert view.area() == 1
-
-
-def test_find_mono_via_dual_ip_matrix():
-    # the whole 4x4 inner-product matrix is already biased enough
-    # (discrepancy 1/4 vs the rank-3 floor), so the dual stage sees the full
-    # factor sets and the exact finder recovers a maximum rectangle
-    from dualbench.approxdual import exact_dual_oracle
-
-    m = make_ip_matrix(2)
-    assert discrepancy(m) == Fraction(1, 4)
-    view = find_mono_via_dual(m, exact_dual_oracle)
-    assert view.is_monochromatic()
-    assert view.area() == 4 == max_mono_exact(m).area()
-
-
-def test_find_mono_via_dual_requires_dedup():
-    from dualbench.approxdual import exact_dual_oracle
-
-    with pytest.raises(PreconditionViolation):
-        find_mono_via_dual(BoolMatrix.from_lists([[1, 1], [1, 1]]), exact_dual_oracle)
 
 
 # -- stats, file format -----------------------------------------------------------

@@ -2,14 +2,16 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from dualbench import protocol
+from dualbench.approxdual import PipelineTrace
 from dualbench.cli import main
 from dualbench.errors import FormatError, InvariantViolation, MismatchError
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
-from dualbench.matrix import BoolMatrix, rank_real
+from dualbench.matrix import BoolMatrix, dedup, max_mono_exact, rank_real
 from dualbench.protocol import (
     BlockRanks,
     Internal,
@@ -17,10 +19,9 @@ from dualbench.protocol import (
     NodeStats,
     build_protocol,
     format_tree,
+    greedy_rectangle,
     leaf_recurrence_audit,
-    mono_finder_exact,
-    mono_finder_greedy,
-    mono_finder_via_dual,
+    mono_via_dual,
     parse_tree_text,
     simulate,
     tree_from_dict,
@@ -119,7 +120,7 @@ def test_fuzz_greedy_strategy():
     rng = random.Random(62)
     for _ in range(40):
         m = random_low_rank(rng, rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3))
-        tree = build_protocol(m, mono_finder=mono_finder_greedy())
+        tree = build_protocol(m, mono_finder=greedy_rectangle)
         verify(tree, m)
         leaf_recurrence_audit(tree)
 
@@ -128,7 +129,7 @@ def test_fuzz_via_dual_strategy():
     rng = random.Random(63)
     for _ in range(15):
         m = random_low_rank(rng, rng.randint(2, 6), rng.randint(2, 6), 2)
-        tree = build_protocol(m, mono_finder=mono_finder_via_dual(seed=7))
+        tree = build_protocol(m, mono_finder=partial(mono_via_dual, seed=7))
         verify(tree, m)
         leaf_recurrence_audit(tree)
 
@@ -182,7 +183,7 @@ def test_build_ranks_each_block_once(monkeypatch, tmp_path):
     monkeypatch.setattr(BlockRanks, "__call__", call_spy)
     monkeypatch.setattr(protocol, "rank_real", rank_spy)
     rng = random.Random(67)
-    for finder in (mono_finder_exact(), mono_finder_greedy()):
+    for finder in (max_mono_exact, greedy_rectangle):
         for _ in range(10):
             ranked.clear()
             m = random_low_rank(rng, 8, 8, 3)
@@ -219,7 +220,7 @@ def test_internal_checks_the_speaker_rule():
 
 def test_random_dense_matrices_all_strategies():
     rng = random.Random(64)
-    finders = [mono_finder_exact(), mono_finder_greedy()]
+    finders = [max_mono_exact, greedy_rectangle]
     for _ in range(25):
         k, l = rng.randint(1, 6), rng.randint(1, 6)
         m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
@@ -237,7 +238,7 @@ def test_exact_leaf_count_not_larger_on_average():
     for _ in range(30):
         m = random_low_rank(rng, 6, 6, rng.randint(2, 3))
         exact_leaves = build_protocol(m).leaves
-        greedy_leaves = build_protocol(m, mono_finder=mono_finder_greedy()).leaves
+        greedy_leaves = build_protocol(m, mono_finder=greedy_rectangle).leaves
         if exact_leaves < greedy_leaves:
             wins += 1
         elif exact_leaves == greedy_leaves:
@@ -245,6 +246,82 @@ def test_exact_leaf_count_not_larger_on_average():
         else:
             losses += 1
     assert wins + ties >= losses
+
+
+# -- the via-dual finder ------------------------------------------------------------
+
+
+def test_mono_via_dual_random_views_are_monochromatic():
+    # duplicates included: mono_via_dual dedups its own input
+    rng = random.Random(29)
+    for _ in range(25):
+        k, l = rng.randint(2, 8), rng.randint(2, 8)
+        m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
+        view = mono_via_dual(m)
+        assert view.parent is m
+        assert view.is_monochromatic()
+
+
+def test_mono_via_dual_all_ones():
+    assert mono_via_dual(all_ones(1, 1)).area() == 1
+
+
+def test_mono_via_dual_ip_matrix():
+    # ip 2 to ip 4 are biased enough as a whole (ip 2 has discrepancy 1/4
+    # against its rank-3 floor), so the dual stage sees the full factor sets
+    for n in range(1, 5):
+        m = make_ip_matrix(n)
+        view = mono_via_dual(m)
+        assert view.is_monochromatic()
+        assert view.area() == max_mono_exact(m).area()
+
+
+def test_mono_via_dual_expands_duplicates():
+    # rows 0 and 2 are equal, and so are columns 1 and 3
+    m = BoolMatrix.from_lists([[1, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1]])
+    core, row_map, col_map = dedup(m)
+    assert (core.n_rows, core.n_cols) == (3, 3)
+    inner = mono_via_dual(core)
+    view = mono_via_dual(m)
+    assert view.rows == tuple(i for i in range(4) if row_map[i] in inner.rows)
+    assert view.cols == tuple(j for j in range(4) if col_map[j] in inner.cols)
+    assert view.is_monochromatic() and view.area() > inner.area()
+    # rows 0 and 2 are distinct but equal on the biased submatrix's
+    # columns: the pair keeps both through the submatrix's own dedup
+    view = mono_via_dual(BoolMatrix.from_strings(["000", "011", "010"]))
+    assert (view.rows, view.cols) == ((0, 2), (0, 2))
+
+
+def test_mono_via_dual_reaches_every_source(monkeypatch):
+    sources = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            if name != "find_dual_pair" or got.ok:
+                sources.append(name)
+            return got
+
+        monkeypatch.setattr(protocol, name, wrapped)
+
+    for name in ("find_dual_pair", "exact_dual_oracle", "greedy_dual_pair", "greedy_rectangle"):
+        spy(name, getattr(protocol, name))
+    cases = [
+        (all_ones(1, 1), "find_dual_pair"),
+        (BoolMatrix.from_lists([[0, 1, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]), "exact_dual_oracle"),
+        (BoolMatrix.from_lists([[0, 1, 1, 1]]), "greedy_rectangle"),  # no biased submatrix
+    ]
+    for m, source in cases:
+        sources.clear()
+        assert mono_via_dual(m).is_monochromatic()
+        assert sources == [source]
+    # a failed pipeline: the exact oracle up to a cap of the smaller factor
+    # set's size (4 words), greedy_dual_pair below it
+    spy("find_dual_pair", lambda a, b, seed=0: PipelineTrace(failed_stage="stub"))
+    for exact_cap, source in ((4, "exact_dual_oracle"), (3, "greedy_dual_pair")):
+        sources.clear()
+        assert mono_via_dual(make_ip_matrix(2), exact_cap=exact_cap).is_monochromatic()
+        assert sources == [source]
 
 
 # -- simulate edge cases ---------------------------------------------------------
@@ -288,7 +365,7 @@ def test_flipped_leaf_raises_the_first_wrong_entry():
     rng = random.Random(69)
     for _ in range(10):
         m = random_low_rank(rng, rng.randint(3, 9), rng.randint(3, 9), 3)
-        tree = build_protocol(m, mono_finder=mono_finder_greedy())
+        tree = build_protocol(m, mono_finder=greedy_rectangle)
         if tree.leaves < 2:
             continue
         target = rng.randrange(tree.leaves)
@@ -333,7 +410,7 @@ def test_tree_dict_rejects_tampering():
 def test_format_tree_is_indented_json():
     rng = random.Random(70)
     for m in (all_ones(3, 4), BoolMatrix(1, 1, [1]), make_random_f2_rank(64, 64, 10, rng)):
-        tree = build_protocol(m, mono_finder=mono_finder_greedy())
+        tree = build_protocol(m, mono_finder=greedy_rectangle)
         assert format_tree(tree) == json.dumps(tree_to_dict(tree), indent=2) + "\n"
 
 

@@ -82,6 +82,22 @@ def test_only_f2_computes_parities():
     assert found == []
 
 
+def test_no_function_level_imports():
+    # every import sits at the head of its module, so the module graph is
+    # read there and no call pays for an import; approxdual never imports
+    # protocol, so protocol imports it at the top
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{inner.lineno}: import in {node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer looks each traced function up by name, so a
     # rename or move must keep every one of its targets importable
