@@ -49,7 +49,7 @@ class F2Vector:
     @classmethod
     def from_string(cls, text: str) -> "F2Vector":
         """Parse a {0,1} string, most significant coordinate first."""
-        if not text or any(c not in "01" for c in text):
+        if not text or text.translate(NOT_BITS):
             raise FormatError(f"not a {{0,1}} string: {text!r}")
         return cls(len(text), int(text, 2))
 
@@ -83,19 +83,20 @@ class F2Set:
         raise AttributeError("F2Set is immutable")
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[F2Vector]) -> "F2Set":
-        vectors = list(vectors)
-        if not vectors:
-            raise EmptySetError("cannot infer dimension from zero vectors")
-        n = vectors[0].n
-        for v in vectors:
-            if v.n != n:
-                raise DimensionMismatch(f"{v.n} != {n}")
-        return cls(n, (v.bits for v in vectors))
-
-    @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "F2Set":
-        return cls.from_vectors(F2Vector.from_string(s) for s in lines)
+        """Parse {0,1} strings of one length, most significant coordinate
+        first: one str.translate check and one int() per string."""
+        lines = list(lines)
+        if not lines:
+            raise EmptySetError("cannot infer dimension from zero vectors")
+        n = F2Vector.from_string(lines[0]).n  # the first string fixes n
+        for line in lines:
+            if not line or line.translate(NOT_BITS):
+                raise FormatError(f"not a {{0,1}} string: {line!r}")
+        for line in lines:
+            if len(line) != n:
+                raise DimensionMismatch(f"{len(line)} != {n}")
+        return cls(n, [int(line, 2) for line in lines])
 
     def vectors(self) -> tuple[F2Vector, ...]:
         return tuple(F2Vector(self.n, w) for w in self.members)
@@ -476,10 +477,7 @@ def parse_set_text(text: str) -> F2Set:
             raise FormatError(
                 f"inconsistent element width: {len(line)} != {width}"
             )
-    for line in lines:
-        if line.translate(NOT_BITS):
-            raise FormatError(f"not a {{0,1}} string: {line!r}")
-    return F2Set(width, [int(line, 2) for line in lines])
+    return F2Set.from_strings(lines)
 
 
 def format_set(s: F2Set) -> str:

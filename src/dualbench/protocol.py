@@ -34,6 +34,7 @@ from .errors import (
     NotFound,
     read_text,
 )
+from .f2 import NOT_BITS
 from .matrix import (
     EXACT_CAP,
     BoolMatrix,
@@ -654,7 +655,10 @@ def tree_from_dict(data: dict) -> ProtocolTree:
         raise FormatError(f"unsupported protocol-tree version {data['version']}")
     lines = _get(data, "matrix", list)
     n_rows, n_cols = _get(data, "rows", int), _get(data, "cols", int)
-    if len(lines) != n_rows or not all(type(line) is str and len(line) == n_cols for line in lines):
+    if len(lines) != n_rows or not all(
+        type(line) is str and len(line) == n_cols and not line.translate(NOT_BITS)
+        for line in lines
+    ):
         raise FormatError(f"tree field 'matrix' must hold {n_rows} row strings of {n_cols} bits")
     matrix = BoolMatrix.from_strings(lines)
     row_map = _indices(data, "row_map", matrix.n_rows)

@@ -323,6 +323,9 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc = json.loads(tree_file.read_text())
     doc["matrix"].append(doc["matrix"][0])
     assert "tree field 'matrix'" in check(doc, "one row too many")
+    doc = json.loads(tree_file.read_text())
+    doc["matrix"][0] = "0a" + doc["matrix"][0][2:]
+    assert "tree field 'matrix'" in check(doc, "non-bit matrix entry")
     # stored node stats must fit the node's block
     doc = json.loads(tree_file.read_text())
     doc["root"]["stats"]["mono_value"] = 2
