@@ -18,10 +18,8 @@ from .approxdual import (
 )
 from .f2 import (
     F2Set,
-    F2Vector,
     SpectrumResult,
     duality_measure,
-    inner_product,
     rep_count,
     span,
     spectrum,

@@ -365,17 +365,14 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
         raise DimensionMismatch(f"{a_prev.n} != {a_i.n}")
     targets = pair_i.a_side._lookup
     prev_lookup = a_prev._lookup
-    # 0 in targets is always usable: x + x = 0 for any x in the level below
-    usable = (0 in targets and len(a_prev) > 0) or any(
-        x ^ s in prev_lookup for s in targets for x in a_prev.members
-    )
-    if not usable:
-        raise GraphEmpty("pair's A side is disjoint from the previous sumset")
-
     neighbors = {
         x: [x ^ s for s in targets if s and x ^ s in prev_lookup]
         for x in a_prev.members
     }
+    # 0 in targets is always usable: x + x = 0 for any x in the level below
+    usable = any(neighbors.values()) or (0 in targets and a_prev.members)
+    if not usable:
+        raise GraphEmpty("pair's A side is disjoint from the previous sumset")
     seen = set()
     components = []
     for start in a_prev.members:
@@ -465,35 +462,20 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
         default_growth_bound(a.n) if growth_bound is None else Fraction(growth_bound)
     )
     trace = PipelineTrace()
+    step = ""  # "[i->i-1]" while pull-back step i runs
     try:
-        state = run_sequence(a, b, growth)
-    except SearchFailure as exc:
-        trace.failed_stage = exc.stage
-        trace.failure_message = str(exc)
-        return trace
-    trace.state = state
-
-    try:
+        trace.state = state = run_sequence(a, b, growth)
         base = base_case_dual(state, seed=seed)
+        trace.bsg, trace.pfr, trace.small_span = base.bsg, base.pfr, base.small_span
+        trace.level_pairs[state.t] = pair = base.pair
+        for i in range(state.t, 1, -1):
+            step = f"[{i}->{i - 1}]"
+            pair = pull_back(state.level(i - 1).members, pair, state.level(i).members)
+            trace.level_pairs[i - 1] = pair
     except SearchFailure as exc:
-        trace.failed_stage = exc.stage
+        trace.failed_stage = exc.stage + step
         trace.failure_message = str(exc)
         return trace
-    trace.bsg = base.bsg
-    trace.pfr = base.pfr
-    trace.small_span = base.small_span
-
-    t = state.t
-    trace.level_pairs[t] = base.pair
-    pair = base.pair
-    for i in range(t, 1, -1):
-        try:
-            pair = pull_back(state.level(i - 1).members, pair, state.level(i).members)
-        except SearchFailure as exc:
-            trace.failed_stage = f"{exc.stage}[{i}->{i - 1}]"
-            trace.failure_message = str(exc)
-            return trace
-        trace.level_pairs[i - 1] = pair
 
     trace.final = pair
     trace.ratio_a = Fraction(len(pair.a_side), len(a))

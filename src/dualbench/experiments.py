@@ -323,13 +323,15 @@ def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
     """config[key] as an int (default when absent); FormatError below low."""
     value = int(config.get(key, default))
     if value < low:
-        raise FormatError(f"--{key} must be at least {low}, got {value}")
+        flag = key.replace("_", "-")
+        raise FormatError(f"--{flag} must be at least {low}, got {value}")
     return value
 
 
 def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]:
     family = config.get("family", "subspace")
-    n = int(config.get("n", 6))
+    n = _int_at_least(config, "n", 6, 1)
+    oracle_cap = _int_at_least(config, "oracle_cap", EXACT_CAP, 0)
     params = {
         "n": n,
         "d": int(config.get("d", max(1, n // 2))),
@@ -357,7 +359,6 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
         report["search_failures"].append(
             f"pipeline stage {trace.failed_stage}: {trace.failure_message}"
         )
-    oracle_cap = int(config.get("oracle_cap", EXACT_CAP))
     rows: list[dict] = []
     if min(len(a), len(b)) <= oracle_cap:
         oracle = exact_dual_oracle(a, b, exact_cap=oracle_cap)
@@ -446,7 +447,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
     """
     ns = config.get("ns", [6, 8, 10])
     w = int(config.get("w", 2))
-    oracle_cap = int(config.get("oracle_cap", 64))
+    oracle_cap = _int_at_least(config, "oracle_cap", 64, 0)
     report = report_envelope("counterexample", seed, dict(config))
     rows = []
     ratios = []

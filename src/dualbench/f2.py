@@ -34,37 +34,6 @@ def parity_dot(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class F2Vector:
-    """A vector in F2^n stored as an n-bit word."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        _check_dim(self.n)
-        if not 0 <= self.bits < (1 << self.n):
-            raise FormatError(f"word {self.bits:#x} does not fit in {self.n} bits")
-
-    @classmethod
-    def from_string(cls, text: str) -> "F2Vector":
-        """Parse a {0,1} string, most significant coordinate first."""
-        if not text or text.translate(NOT_BITS):
-            raise FormatError(f"not a {{0,1}} string: {text!r}")
-        return cls(len(text), int(text, 2))
-
-    def to_string(self) -> str:
-        return format(self.bits, f"0{self.n}b")
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return F2Vector(self.n, self.bits ^ other.bits)
-
-
 class F2Set:
     """An immutable subset of F2^n; members are ascending bit words."""
 
@@ -89,17 +58,16 @@ class F2Set:
         lines = list(lines)
         if not lines:
             raise EmptySetError("cannot infer dimension from zero vectors")
-        n = F2Vector.from_string(lines[0]).n  # the first string fixes n
-        for line in lines:
+        n = len(lines[0])  # the first string fixes n
+        for i, line in enumerate(lines):
             if not line or line.translate(NOT_BITS):
                 raise FormatError(f"not a {{0,1}} string: {line!r}")
+            if i == 0:  # a bad first string is named before a bad n
+                _check_dim(n)
         for line in lines:
             if len(line) != n:
                 raise DimensionMismatch(f"{len(line)} != {n}")
         return cls(n, [int(line, 2) for line in lines])
-
-    def vectors(self) -> tuple[F2Vector, ...]:
-        return tuple(F2Vector(self.n, w) for w in self.members)
 
     def to_lines(self) -> list[str]:
         return [format(w, f"0{self.n}b") for w in self.members]
@@ -117,8 +85,7 @@ class F2Set:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, item) -> bool:
-        word = item.bits if isinstance(item, F2Vector) else item
+    def __contains__(self, word) -> bool:
         return word in self._lookup
 
     def __eq__(self, other) -> bool:
@@ -137,20 +104,11 @@ class F2Set:
     def issubset(self, other: "F2Set") -> bool:
         return self.n == other.n and self._lookup <= other._lookup
 
-    def intersection(self, words: Iterable[int]) -> "F2Set":
-        return F2Set(self.n, (w for w in words if w in self._lookup))
 
-
-def _same_dim(a: F2Set | F2Vector, b: F2Set | F2Vector) -> int:
+def _same_dim(a: F2Set, b: F2Set) -> int:
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     return a.n
-
-
-def inner_product(a: F2Vector, b: F2Vector) -> int:
-    """Sum of coordinate products mod 2."""
-    _same_dim(a, b)
-    return parity_dot(a.bits, b.bits)
 
 
 def sumset(a: F2Set, b: F2Set) -> F2Set:
@@ -195,12 +153,9 @@ def span(a: F2Set) -> F2Set:
     return F2Set(a.n, words)
 
 
-def rep_count(s: F2Set, x: F2Vector | int) -> int:
-    """Number of ordered pairs (u, v) in s x s with u + v = x."""
-    word = x.bits if isinstance(x, F2Vector) else x
-    if isinstance(x, F2Vector):
-        _same_dim(s, x)
-    elif not 0 <= word < (1 << s.n):
+def rep_count(s: F2Set, word: int) -> int:
+    """Number of ordered pairs (u, v) in s x s with u + v = word."""
+    if not 0 <= word < (1 << s.n):
         raise DimensionMismatch(f"word {word:#x} not in F2^{s.n}")
     lookup = s._lookup
     return sum(1 for u in s.members if u ^ word in lookup)
@@ -373,11 +328,10 @@ class CharSums:
         return Fraction(abs(total), len(words) * len(self.b))
 
 
-def bias(b: F2Set, x: F2Vector | int) -> Fraction:
-    """Signed mean of (-1)^<x,y> over y in b, as an exact rational."""
+def bias(b: F2Set, word: int) -> Fraction:
+    """Signed mean of (-1)^<word,y> over y in b, as an exact rational."""
     if len(b) == 0:
         raise EmptySetError("bias over an empty set")
-    word = x.bits if isinstance(x, F2Vector) else x
     return Fraction(char_sum(b, word), len(b))
 
 

@@ -19,8 +19,11 @@ from dualbench.approxdual import (
     run_sequence,
     small_span_dual,
 )
+from dualbench import approxdual
 from dualbench.errors import (
     CapExceeded,
+    DensityTooLow,
+    GraphEmpty,
     InvariantViolation,
     PreconditionViolation,
     ZeroDuality,
@@ -287,12 +290,18 @@ def test_pull_back_halving_and_validity_random():
 
 
 def test_pull_back_graph_empty():
-    from dualbench.errors import GraphEmpty
-
     a_prev = F2Set(3, [0b001])
     pair_up = DualPair(F2Set(3, [0b111]), F2Set(3, [0b000]), 0)
     with pytest.raises(GraphEmpty):
         pull_back(a_prev, pair_up, F2Set(3, [0b111]))
+
+
+def test_pull_back_zero_a_side_keeps_one_element():
+    # the A side {0} joins no two elements, yet x + x = 0 for every x
+    a_prev = F2Set(3, [1, 2, 4, 7])
+    b = F2Set(3, [3, 5, 6])
+    pair = pull_back(a_prev, DualPair(F2Set(3, [0]), b, 0), F2Set(3, [0, 3]))
+    assert pair == DualPair(F2Set(3, [1]), F2Set(3, [3, 5]), 1)
 
 
 # -- find_dual_pair -------------------------------------------------------------------
@@ -382,6 +391,43 @@ def test_pipeline_zero_duality_captured():
     trace = find_dual_pair(F2Set(2, range(4)), F2Set(2, [1]))
     assert not trace.ok
     assert trace.failed_stage == "markov_restrict"
+
+
+# t = 3 at K = 2, so the pipeline pulls back twice
+THREE_LEVELS = (F2Set(6, [1, 4, 16, 21, 25, 27, 32, 44, 48, 58]), F2Set(6, [24, 26, 55]), 2)
+
+
+def test_pipeline_pull_back_failure_is_labelled(monkeypatch):
+    whole = find_dual_pair(*THREE_LEVELS)
+    assert whole.ok and whole.state.t == 3
+    real = approxdual.pull_back
+    for i in (3, 2):
+        level_i = whole.state.level(i).members
+
+        def failing(a_prev, pair_i, a_i, level_i=level_i):
+            if a_i == level_i:
+                raise GraphEmpty("patched")
+            return real(a_prev, pair_i, a_i)
+
+        monkeypatch.setattr(approxdual, "pull_back", failing)
+        trace = find_dual_pair(*THREE_LEVELS)
+        assert trace.failed_stage == f"pull_back[{i}->{i - 1}]"
+        assert trace.failure_message == "patched"
+        assert trace.final is None and trace.ratio_a is None
+        assert trace.bsg == whole.bsg and trace.small_span == whole.small_span
+        assert trace.level_pairs == {lv: whole.level_pairs[lv] for lv in range(i, 4)}
+
+
+def test_pipeline_bsg_failure_is_labelled(monkeypatch):
+    def failing(*args, **kwargs):
+        raise DensityTooLow("patched")
+
+    monkeypatch.setattr(approxdual, "bsg_extract", failing)
+    trace = find_dual_pair(SELF_ORTH, SELF_ORTH)
+    assert trace.failed_stage == "bsg"
+    assert trace.failure_message == "patched"
+    assert trace.state is not None and trace.state.t == 1
+    assert trace.bsg is None and trace.pfr is None and trace.level_pairs == {}
 
 
 def test_sparse_paths_above_dense_cap():

@@ -490,6 +490,20 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["K"] == "32/2"
 
 
+def test_experiment_dimension_and_oracle_cap_name_their_flag(capsys):
+    for argv, message in (
+        (("dual-pipeline", "--n", "0"), "--n must be at least 1, got 0"),
+        (("dual-pipeline", "--n", "4", "--oracle-cap", "-1"),
+         "--oracle-cap must be at least 0, got -1"),
+        (("counterexample", "--ns", "6", "--oracle-cap", "-1"),
+         "--oracle-cap must be at least 0, got -1"),
+    ):
+        assert run("experiment", "--name", *argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run("experiment", "--name", "counterexample", "--ns", "6", "--strategy",

@@ -13,7 +13,6 @@ from dualbench.experiments import run_experiment
 from dualbench.f2 import (
     CharSums,
     F2Set,
-    F2Vector,
     bias,
     char_sum,
     char_table,
@@ -23,9 +22,9 @@ from dualbench.f2 import (
     duality_measure,
     echelon_basis,
     format_set,
-    inner_product,
     ip_rows,
     is_dual_pair,
+    parity_dot,
     parse_set_text,
     rep_count,
     rep_counts,
@@ -37,10 +36,6 @@ from dualbench.f2 import (
     transpose,
     wht,
 )
-
-
-def vec(s):
-    return F2Vector.from_string(s)
 
 
 def words(s, *strs):
@@ -56,15 +51,10 @@ def random_set(rng, n, max_size):
 
 
 def test_inner_product_examples():
-    assert inner_product(vec("101"), vec("110")) == 1
-    assert inner_product(vec("111"), vec("111")) == 1
+    assert parity_dot(0b101, 0b110) == 1
+    assert parity_dot(0b111, 0b111) == 1
     for b in range(8):
-        assert inner_product(F2Vector(3, 0), F2Vector(3, b)) == 0
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner_product(vec("10"), vec("100"))
+        assert parity_dot(0, b) == 0
 
 
 def test_ip_rows_bits_are_inner_products():
@@ -77,7 +67,7 @@ def test_ip_rows_bits_are_inner_products():
         for x, row in zip(xs, rows):
             assert row >> len(ys) == 0
             for j, y in enumerate(ys):
-                assert (row >> j) & 1 == inner_product(F2Vector(6, x), F2Vector(6, y))
+                assert (row >> j) & 1 == parity_dot(x, y)
 
 
 def test_ip_rows_edges():
@@ -254,9 +244,9 @@ def test_span_size_power_of_two():
 
 def test_rep_count_examples():
     s = F2Set.from_strings(["00", "01", "10"])
-    assert rep_count(s, F2Vector(2, 0)) == len(s)
-    assert rep_count(s, vec("11")) == 2
-    assert rep_count(F2Set.from_strings(["00", "01"]), vec("10")) == 0
+    assert rep_count(s, 0) == len(s)
+    assert rep_count(s, 0b11) == 2
+    assert rep_count(F2Set.from_strings(["00", "01"]), 0b10) == 0
 
 
 def test_rep_table_matches_pair_enumeration():
@@ -680,12 +670,8 @@ def test_set_file_rejects_ragged_lines():
             parse_set_text("1" * len(line) + f"\n{line}\n")
     with pytest.raises(FormatError, match="dimension must be in 1..24, got 25"):
         parse_set_text("1" * 25 + "\n")
-
-
-def test_vector_validation():
-    with pytest.raises(FormatError):
-        F2Vector(2, 4)
-    with pytest.raises(FormatError):
-        F2Vector(0, 0)
-    with pytest.raises(FormatError):
-        F2Vector.from_string("01x")
+    # the first line's bit check, then its width, then the other lines' bits
+    with pytest.raises(FormatError, match="dimension must be in 1..24, got 25"):
+        parse_set_text("1" * 25 + "\n" + "0a" + "1" * 23 + "\n")
+    with pytest.raises(FormatError, match=re.escape("not a {0,1} string: '0a")):
+        parse_set_text("0a" + "1" * 23 + "\n" + "1" * 25 + "\n")
