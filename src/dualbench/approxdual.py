@@ -6,8 +6,10 @@ small-span core at the top via dense-subgraph (BSG) and span-shrinking (PFR)
 steps, converts the core into a fully-dual pair, and pulls that pair back
 down the tower one level at a time.  Every dual pair is verified
 exhaustively on construction; every level records the exact inequalities it
-was supposed to satisfy.  An exact closure-search oracle provides
-ground-truth maximum-area dual pairs at small scale.
+was supposed to satisfy.  A dual pair of A, B is a monochromatic rectangle
+of the inner-product matrix M[x][y] = <x, y> on A x B, so the exact oracle
+and the greedy pair are matrix's two rectangle finders, max_mono_exact and
+greedy_rectangle, on that matrix.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .adcomb import BsgResult, PfrResult, bsg_extract, pfr_extract
 from .errors import (
-    CapExceeded,
     DimensionMismatch,
     EmptyNext,
     EmptySetError,
@@ -38,7 +40,7 @@ from .f2 import (
     is_dual_pair,
     rep_counts,
 )
-from .matrix import EXACT_CAP, max_closed_rectangle
+from .matrix import EXACT_CAP, BoolMatrix, check_exact_cap, greedy_rectangle, max_mono_exact
 
 
 @dataclass(frozen=True)
@@ -512,73 +514,39 @@ def _claim_references(state: SequenceState) -> dict:
 # -- exact oracle and greedy ----------------------------------------------------------
 
 
-def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
-    """Cheap deterministic dual pair: best single-element seed, then grow
-    the A side whenever the area does not drop."""
+def _check_sets(a: F2Set, b: F2Set, caller: str) -> None:
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("greedy_dual_pair needs nonempty sets")
-    # sides[i][c]: the y in b with <a[i], y> = c, as a mask over b's member
-    # index; the seed is the first (i, c) with the largest side
-    full = (1 << len(b)) - 1
-    sides = [(full ^ row, row) for row in ip_rows(a.members, b.members)]
-    seeds = [(i, bit) for i in range(len(a)) for bit in (0, 1)]
-    i0, bit = max(seeds, key=lambda seed: sides[seed[0]][seed[1]].bit_count())
-    b_side = sides[i0][bit]
-    chosen = [a.members[i0]]
-    for i, side in enumerate(sides):
-        if i == i0:
-            continue
-        narrowed = b_side & side[bit]
-        kept = narrowed.bit_count()
-        if kept and (len(chosen) + 1) * kept >= len(chosen) * b_side.bit_count():
-            chosen.append(a.members[i])
-            b_side = narrowed
-    return DualPair(F2Set(a.n, chosen), F2Set(b.n, _split(b.members, b_side)[1]), bit)
+        raise EmptySetError(f"{caller} needs nonempty sets")
 
 
-def exact_dual_oracle(
-    a: F2Set, b: F2Set, exact_cap: int = EXACT_CAP, enumerate_side: str = "auto"
-) -> DualPair:
-    """Maximum-area dual pair by a closure search over the smaller side.
-
-    A maximum-area dual pair is closed: each side holds every element
-    compatible with the other side under its constant bit, or it could
-    grow.  So the Close-by-One engine (`max_closed_rectangle`) enumerates
-    the closed pairs of the enumerated side, cutting a branch only when its
-    best possible area is strictly below the incumbent, which starts at the
-    greedy pair's area.  The search stays exact: maximum area, ties by the
-    enumerated side's canonical member order, then constant bit 0.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("exact_dual_oracle needs nonempty sets")
-    if enumerate_side == "auto":
-        swap = len(b) < len(a)
-    elif enumerate_side in ("a", "b"):
-        swap = enumerate_side == "b"
-    else:
-        raise PreconditionViolation(f"bad enumerate_side {enumerate_side!r}")
-    xs_set, ys_set = (b, a) if swap else (a, b)
-    if len(xs_set) > exact_cap:
-        raise CapExceeded(
-            f"enumerated side has {len(xs_set)} elements; cap is {exact_cap}"
-        )
-    xs = xs_set.members
-    ys = ys_set.members
-    full = (1 << len(ys)) - 1
-    masks = [(full ^ m1, m1) for m1 in ip_rows(xs, ys)]
-
-    def key(xmask: int, _ymask: int, bit: int):
-        return tuple(x for xi, x in enumerate(xs) if (xmask >> xi) & 1), bit
-
-    xmask, ymask, bit = max_closed_rectangle(
-        masks, len(ys), key, floor=greedy_dual_pair(a, b).area()
+def _dual_pair(finder, a: F2Set, b: F2Set) -> DualPair:
+    """finder's rectangle of the inner-product matrix M[i][j] = <a_i, b_j>
+    on A x B, read as a dual pair: a monochromatic rectangle of M is a dual
+    pair of (A, B), and its value is the constant bit."""
+    view = finder(BoolMatrix(len(a), len(b), ip_rows(a.members, b.members)))
+    return DualPair(
+        F2Set(a.n, [a.members[i] for i in view.rows]),
+        F2Set(b.n, [b.members[j] for j in view.cols]),
+        view.value(),
     )
-    x_side = F2Set(a.n, key(xmask, ymask, bit)[0])
-    y_side = F2Set(a.n, [y for yi, y in enumerate(ys) if (ymask >> yi) & 1])
-    if swap:
-        return DualPair(y_side, x_side, bit)
-    return DualPair(x_side, y_side, bit)
+
+
+def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
+    """Cheap deterministic dual pair: greedy_rectangle on the inner-product
+    matrix of A x B."""
+    _check_sets(a, b, "greedy_dual_pair")
+    return _dual_pair(greedy_rectangle, a, b)
+
+
+def exact_dual_oracle(a: F2Set, b: F2Set, exact_cap: int = EXACT_CAP) -> DualPair:
+    """Maximum-area dual pair: max_mono_exact on the inner-product matrix of
+    A x B, enumerating the smaller set (at most exact_cap elements).
+
+    Ties go to the smallest A indices, then B indices, then constant bit 0.
+    The cap is checked before the |A| x |B| matrix is built.
+    """
+    _check_sets(a, b, "exact_dual_oracle")
+    check_exact_cap(len(a), len(b), exact_cap)
+    return _dual_pair(partial(max_mono_exact, exact_cap=exact_cap), a, b)

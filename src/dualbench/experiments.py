@@ -391,8 +391,8 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
 
 def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]]:
     ranks = config.get("ranks", [2, 3, 4])
-    k = int(config.get("k", 12))
-    l = int(config.get("l", 12))
+    k = _int_at_least(config, "k", 12, 1)
+    l = _int_at_least(config, "l", 12, 1)
     per_rank = _int_at_least(config, "instances", 5, 1)
     finder = finder_for(config.get("strategy", "exact"))
     report = report_envelope("log-rank-sweep", seed, dict(config))
@@ -448,6 +448,9 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
     ns = config.get("ns", [6, 8, 10])
     w = int(config.get("w", 2))
     oracle_cap = _int_at_least(config, "oracle_cap", 64, 0)
+    for n in ns:  # each slice needs n >= w, and a dimension is at least 1
+        if n < max(1, w):
+            raise FormatError(f"--ns entries must be at least {max(1, w)}, got {n}")
     report = report_envelope("counterexample", seed, dict(config))
     rows = []
     ratios = []
@@ -518,8 +521,8 @@ def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
 
 def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[dict]]:
     count = _int_at_least(config, "count", 20, 1)
-    k = int(config.get("k", 12))
-    l = int(config.get("l", 12))
+    k = _int_at_least(config, "k", 12, 1)
+    l = _int_at_least(config, "l", 12, 1)
     r = int(config.get("rank", 4))
     report = report_envelope("nw-bias", seed, dict(config))
     rows = []

@@ -374,19 +374,18 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def max_closed_rectangle(masks, n_y: int, key, floor: int = 0):
+def max_closed_rectangle(masks, n_y: int, key):
     """Maximum-area rectangle of a two-colour relation, by Close-by-One.
 
     masks[x] = (ymask of the y related to x under bit 0, ymask under bit 1).
     A maximum-area rectangle (xmask, ymask, bit) is closed: each side is all
     that the other side allows.  Per bit, this visits each closed pair once
     (Kuznetsov's Close-by-One), cutting a branch only when its best possible
-    area is strictly below the incumbent, which starts at floor.  Returns
-    the maximum rectangle of area >= floor with the smallest
-    key(xmask, ymask, bit), or None when no rectangle reaches floor.
+    area is strictly below the incumbent.  Returns the maximum rectangle
+    with the smallest key(xmask, ymask, bit).
     """
     n_x = len(masks)
-    best_area = floor
+    best_area = 0
     best = None  # (key, xmask, ymask, bit)
     for bit in (0, 1):
         rows = [m[bit] for m in masks]
@@ -423,23 +422,28 @@ def max_closed_rectangle(masks, n_y: int, key, floor: int = 0):
 
         full_y = (1 << n_y) - 1
         visit(closure(full_y), full_y, 0)
-    return None if best is None else best[1:]
+    return best[1:]
 
 
-def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView:
-    """Maximum-area monochromatic rectangle, enumerating closed row sets of
-    one orientation.
+def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
+    """CapExceeded when a k x l exact search would enumerate more than
+    exact_cap rows or columns; it enumerates the smaller dimension."""
+    if min(k, l) > exact_cap:
+        raise CapExceeded(f"enumerated dimension {min(k, l)} exceeds exact cap {exact_cap}")
+
+
+def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
+    """Largest monochromatic rectangle, enumerating the closed sets of the
+    smaller dimension.
 
     Best candidate under (larger area, then lexicographically smallest row
-    set, then column set, then color 0 before 1), stated on the original
-    orientation.  The search visits every maximum-area rectangle whichever
-    dimension it enumerates, so the winner does not depend on it.
+    set, then column set, then color 0 before 1), stated on m.  The search
+    visits every maximum-area rectangle whichever dimension it enumerates,
+    so the winner does not depend on it.
     """
+    check_exact_cap(m.n_rows, m.n_cols, exact_cap)
+    transposed = m.n_cols < m.n_rows
     work = m.transpose() if transposed else m
-    if work.n_rows > exact_cap:
-        raise CapExceeded(
-            f"enumerated dimension {work.n_rows} exceeds exact cap {exact_cap}"
-        )
     full_cols = (1 << work.n_cols) - 1
     masks = [(full_cols ^ r, r) for r in work.rows]
 
@@ -450,14 +454,46 @@ def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView
             return other_side, enum_side, color
         return enum_side, other_side, color
 
-    xmask, ymask, color = max_closed_rectangle(masks, work.n_cols, key)
-    rows, cols, _color = key(xmask, ymask, color)
+    rows, cols, _color = key(*max_closed_rectangle(masks, work.n_cols, key))
     return SubmatrixView(m, rows, cols)
 
 
-def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
-    """Largest monochromatic rectangle, enumerating the smaller dimension."""
-    return _mono_scan(m, transposed=m.n_cols < m.n_rows, exact_cap=exact_cap)
+def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
+    """Greedy row-growing rectangle: seed with the best single row per color,
+    add rows while the forced-column area does not shrink."""
+    full = (1 << m.n_cols) - 1
+    best = None
+    for color in (0, 1):
+        masks = [r if color else full ^ r for r in m.rows]
+        seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
+        forced = masks[seed]
+        if not forced:
+            continue
+        rows = [seed]
+        taken = {seed}
+        while True:
+            area = len(rows) * forced.bit_count()
+            pick = None
+            pick_area = -1
+            pick_mask = 0
+            for i in range(m.n_rows):
+                if i in taken:
+                    continue
+                nm = forced & masks[i]
+                new_area = (len(rows) + 1) * nm.bit_count()
+                if nm and new_area > pick_area:
+                    pick, pick_area, pick_mask = i, new_area, nm
+            if pick is None or pick_area < area:
+                break
+            rows.append(pick)
+            taken.add(pick)
+            forced = pick_mask
+        cols = tuple(j for j in range(m.n_cols) if (forced >> j) & 1)
+        cand = (-len(rows) * len(cols), tuple(sorted(rows)), cols, color)
+        if best is None or cand < best:
+            best = cand
+    _, rows, cols, _color = best
+    return SubmatrixView(m, rows, cols)
 
 
 # -- biased submatrix search -----------------------------------------------------

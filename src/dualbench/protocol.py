@@ -8,8 +8,9 @@ Simulation, full verification against the source matrix, and a recurrence
 audit of the per-node rank/area bookkeeping are provided.  Each tree holds
 one rank memo over blocks of its stored matrix, shared by the build, verify
 and the audit, so no block is ranked twice.  A rectangle finder is a plain
-function from a matrix to a monochromatic view of it: max_mono_exact,
-greedy_rectangle or mono_via_dual, named by strategy in finder_for.
+function from a matrix to a monochromatic view of it: matrix's exact and
+greedy finders (max_mono_exact, greedy_rectangle) or mono_via_dual, named
+by strategy in finder_for.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .matrix import (
     dedup,
     factorize_f2,
     find_biased_submatrix,
+    greedy_rectangle,
     max_mono_exact,
     rank_f2,
     rank_real,
@@ -162,44 +164,6 @@ class CostReport:
     cc_upper_reference: int  # rank itself, the classical upper bound
     leaf_target_reference: Optional[float]  # rank / log2(rank), None if rank < 2
     binomial_leaf_reference: int  # C(ceil(log2 m) + ceil(log2 r), ceil(log2 r))
-
-
-def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
-    """Greedy row-growing rectangle: seed with the best single row per color,
-    add rows while the forced-column area does not shrink."""
-    full = (1 << m.n_cols) - 1
-    best = None
-    for color in (0, 1):
-        masks = [r if color else full ^ r for r in m.rows]
-        seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
-        forced = masks[seed]
-        if not forced:
-            continue
-        rows = [seed]
-        taken = {seed}
-        while True:
-            area = len(rows) * forced.bit_count()
-            pick = None
-            pick_area = -1
-            pick_mask = 0
-            for i in range(m.n_rows):
-                if i in taken:
-                    continue
-                nm = forced & masks[i]
-                new_area = (len(rows) + 1) * nm.bit_count()
-                if nm and new_area > pick_area:
-                    pick, pick_area, pick_mask = i, new_area, nm
-            if pick is None or pick_area < area:
-                break
-            rows.append(pick)
-            taken.add(pick)
-            forced = pick_mask
-        cols = tuple(j for j in range(m.n_cols) if (forced >> j) & 1)
-        cand = (-len(rows) * len(cols), tuple(sorted(rows)), cols, color)
-        if best is None or cand < best:
-            best = cand
-    _, rows, cols, _color = best
-    return SubmatrixView(m, rows, cols)
 
 
 def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> SubmatrixView:

@@ -5,11 +5,16 @@ The oracles are the searches the library used before both moved onto the
 Close-by-One engine (`dualbench.matrix.max_closed_rectangle`): a
 branch-and-bound over subsets of one side for maximum-area dual pairs, and a
 subset DP over all 2^k row subsets for maximum monochromatic rectangles.
+The library's dual-pair searches are now its rectangle finders on the
+inner-product matrix of A x B; `ip_matrix` builds that matrix pair by pair
+with `parity_dot`, and `pair_of_view` reads a rectangle of it back as a
+dual pair, so the tests can hold `exact_dual_oracle` to `max_mono_exact`
+here (tie-breaks included) and to the old branch-and-bound (area).
 `_rref_f2` is the eliminator `dualbench.matrix` kept before
 `dualbench.f2.echelon_basis` became the one reduced echelon kernel.
-`greedy_dual_pair` is `dualbench.approxdual.greedy_dual_pair` as it was
-before it read its parities as rows of `dualbench.f2.ip_rows`: it computes
-each inner product pair by pair on member lists.
+`greedy_dual_pair` is the one-pass greedy the library used before its
+greedy pair became `greedy_rectangle` on the inner-product matrix; it
+computes each inner product pair by pair and seeds the old oracle.
 `bsg_extract_s_side` is `dualbench.adcomb.bsg_extract` as it was before its
 neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
 and counts pair sums directly instead of by transform.  `rank_fraction` is
@@ -145,6 +150,23 @@ def greedy_dual_pair(a: F2Set, b: F2Set) -> DualPair:
             chosen.append(x)
             b_side = narrowed
     return DualPair(F2Set(a.n, chosen), F2Set(b.n, b_side), bit)
+
+
+def ip_matrix(a: F2Set, b: F2Set) -> BoolMatrix:
+    """Entry (i, j) is <a.members[i], b.members[j]>, one pair at a time."""
+    rows = [
+        sum(parity_dot(x, y) << j for j, y in enumerate(b.members)) for x in a.members
+    ]
+    return BoolMatrix(len(a), len(b), rows)
+
+
+def pair_of_view(a: F2Set, b: F2Set, view: SubmatrixView) -> DualPair:
+    """The dual pair a rectangle of ip_matrix(a, b) stands for."""
+    return DualPair(
+        F2Set(a.n, [a.members[i] for i in view.rows]),
+        F2Set(b.n, [b.members[j] for j in view.cols]),
+        view.value(),
+    )
 
 
 def _mono_candidates_by_rows(m: BoolMatrix):

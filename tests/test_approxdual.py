@@ -102,6 +102,20 @@ def test_next_set_bucket_example():
     assert nxt == a_prev  # sums {00, 01}, both with rep 2
 
 
+def test_next_set_tie_goes_to_the_smaller_bucket():
+    # B = {0} puts every sum in the spectrum; the sums of A fill buckets 1
+    # and 2 with 18 ordered pairs each, and the documented tie-break picks 1
+    a_prev = F2Set(4, [0, 1, 2, 3, 4, 8])
+    reps = Counter(u ^ v for u in a_prev.members for v in a_prev.members)
+    mass = Counter()
+    for count in reps.values():
+        mass[count.bit_length() - 1] += count
+    assert mass == {1: 18, 2: 18}
+    nxt, j = next_set(a_prev, F2Set(4, [0]), Fraction(1, 2))
+    assert j == 1
+    assert nxt == F2Set(4, [x for x, count in reps.items() if count.bit_length() == 2])
+
+
 def test_next_set_empty_when_threshold_impossible():
     from dualbench.errors import EmptyNext
 
@@ -484,14 +498,17 @@ def test_oracle_sides_agree():
         n = rng.randint(2, 5)
         a = random_set(rng, n, 7)
         b = random_set(rng, n, 7)
-        via_a = exact_dual_oracle(a, b, enumerate_side="a")
-        via_b = exact_dual_oracle(a, b, enumerate_side="b")
-        assert via_a.area() == via_b.area()
+        # the oracle enumerates its first set unless the second is smaller:
+        # equal sizes enumerate A one way and B the other, unequal sizes
+        # enumerate the smaller set on a transposed matrix
+        assert exact_dual_oracle(a, b).area() == exact_dual_oracle(b, a).area()
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
     big = F2Set(6, range(40))
-    with pytest.raises(CapExceeded):
+    # the cap is checked before the |A| x |B| inner-product matrix is built
+    monkeypatch.setattr(approxdual, "ip_rows", None)
+    with pytest.raises(CapExceeded, match="^enumerated dimension 40 exceeds exact cap 20$"):
         exact_dual_oracle(big, big, exact_cap=20)
 
 

@@ -497,6 +497,18 @@ def test_experiment_dimension_and_oracle_cap_name_their_flag(capsys):
          "--oracle-cap must be at least 0, got -1"),
         (("counterexample", "--ns", "6", "--oracle-cap", "-1"),
          "--oracle-cap must be at least 0, got -1"),
+        (("counterexample", "--ns", "0"), "--ns entries must be at least 2, got 0"),
+        (("counterexample", "--ns", "6,1"), "--ns entries must be at least 2, got 1"),
+        (("counterexample", "--ns", "6,3", "--w", "4"),
+         "--ns entries must be at least 4, got 3"),
+        (("counterexample", "--ns", "0", "--w", "0"),
+         "--ns entries must be at least 1, got 0"),
+        (("log-rank-sweep", "--ranks", "2", "--k", "0", "--l", "4"),
+         "--k must be at least 1, got 0"),
+        (("log-rank-sweep", "--ranks", "2", "--k", "4", "--l", "0"),
+         "--l must be at least 1, got 0"),
+        (("nw-bias", "--k", "0"), "--k must be at least 1, got 0"),
+        (("nw-bias", "--l", "-1"), "--l must be at least 1, got -1"),
     ):
         assert run("experiment", "--name", *argv) == 1, argv
         captured = capsys.readouterr()

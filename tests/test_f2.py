@@ -36,6 +36,7 @@ from dualbench.f2 import (
     transpose,
     wht,
 )
+from dualbench.matrix import greedy_rectangle
 
 
 def words(s, *strs):
@@ -110,8 +111,9 @@ def test_combine_is_the_xor_of_the_selected_rows():
 
 
 def test_greedy_dual_pair_matches_pairwise_reference():
-    # small dimensions and sets holding 0 give many tied seeds and tied
-    # narrowings, which both versions must break the same way
+    # greedy_dual_pair is greedy_rectangle on the inner-product matrix; small
+    # dimensions and sets holding 0 give many tied seeds and tied narrowings,
+    # which must break the same way on a matrix built pair by pair
     rng = random.Random("greedy-ties")
     tied = 0
     for _ in range(300):
@@ -123,7 +125,8 @@ def test_greedy_dual_pair_matches_pairwise_reference():
         ones = [sum(f2.parity_dot(x, y) for y in b.members) for x in a.members]
         seeds = sorted(v for k in ones for v in (len(b) - k, k) if v)
         tied += seeds.count(seeds[-1]) > 1
-        assert greedy_dual_pair(a, b) == ref.greedy_dual_pair(a, b)
+        want = ref.pair_of_view(a, b, greedy_rectangle(ref.ip_matrix(a, b)))
+        assert greedy_dual_pair(a, b) == want
     assert tied >= 50
 
 

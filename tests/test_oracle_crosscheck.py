@@ -1,9 +1,10 @@
 """Seeded cross-checks of the exact oracles against the reference searches.
 
-`exact_dual_oracle` and `max_mono_exact` run on the one Close-by-One engine,
-so they no longer check each other.  These tests hold them to the old
-branch-and-bound and 2^k subset DP in `_reference_oracles`, tie-breaks
-included.
+`exact_dual_oracle` is `max_mono_exact` on the inner-product matrix of
+A x B, so they no longer check each other.  These tests hold
+`max_mono_exact` to the 2^k subset DP in `_reference_oracles`, tie-breaks
+included, and `exact_dual_oracle` to that DP on a matrix built pair by pair
+(tie-breaks included) and to the old branch-and-bound (area).
 """
 
 import random
@@ -20,14 +21,14 @@ def test_exact_dual_oracle_matches_reference():
         n = rng.randint(1, 7)
         a = F2Set(n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 18))])
         b = F2Set(n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 18))])
-        for side in ("auto", "a", "b"):
-            got = exact_dual_oracle(a, b, enumerate_side=side)
-            want = ref.exact_dual_oracle(a, b, enumerate_side=side)
-            assert (got.a_side, got.b_side, got.constant_bit) == (
-                want.a_side,
-                want.b_side,
-                want.constant_bit,
-            ), (n, a.members, b.members, side)
+        got = exact_dual_oracle(a, b)
+        want = ref.pair_of_view(a, b, ref.max_mono_exact(ref.ip_matrix(a, b)))
+        assert (got.a_side, got.b_side, got.constant_bit) == (
+            want.a_side,
+            want.b_side,
+            want.constant_bit,
+        ), (n, a.members, b.members)
+        assert got.area() == ref.exact_dual_oracle(a, b).area()
 
 
 def test_max_mono_exact_matches_reference():

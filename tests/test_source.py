@@ -82,6 +82,24 @@ def test_only_f2_computes_parities():
     assert found == []
 
 
+def test_only_matrix_finds_rectangles():
+    # one exact and one greedy rectangle finder, for matrices and for set
+    # pairs alike: only matrix names the closure engine max_closed_rectangle
+    # or defines greedy_rectangle; a dual-pair search runs them on the
+    # inner-product matrix
+    found = []
+    for path in SOURCES:
+        if path.name == "matrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if "max_closed_rectangle" in names:
+                found.append(f"{path.name}:{node.lineno}: max_closed_rectangle")
+            if isinstance(node, ast.FunctionDef) and node.name == "greedy_rectangle":
+                found.append(f"{path.name}:{node.lineno}: def greedy_rectangle")
+    assert found == []
+
+
 def test_no_function_level_imports():
     # every import sits at the head of its module, so the module graph is
     # read there and no call pays for an import; approxdual never imports
