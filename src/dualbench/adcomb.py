@@ -12,8 +12,8 @@ Two extractors and one diagnostic:
   over F2^n is a theorem (Gowers-Green-Manners-Tao, arXiv:2311.05762: a set
   with |A + A| <= K|A| is covered by 2K^12 cosets of a subspace of size at
   most |A|), but its bound is not assumed here: outputs carry a verifiable
-  certificate (the span size), and the exact strategy is a branch-and-bound
-  ground truth.
+  certificate (the span size), and the exact strategy, a scan over the
+  closed sets A & span(X), is the ground truth.
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 
@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from .errors import (
     DensityTooLow,
@@ -181,14 +182,14 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
 def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     """Largest-possible subset of ``a`` whose span size stays within |a|.
 
-    exact: branch-and-bound over subsets in canonical order, pruning on both
-    remaining-size and span growth; returns a true maximum with the
-    lexicographically smallest witness.  greedy: while the doubled span
-    stays within |a|, add the element outside the span whose coset x + span
-    covers the most of ``a`` (smallest word on ties), then absorb every
-    member the span now holds; each round reduces every member to its coset
-    rep modulo the span's reduced echelon basis, and a coset's cover is the
-    number of members sharing its rep.
+    exact: a maximum is closed, A & span(X) for some X of at most
+    floor(log2 |A|) members, so one scan over those X returns a true
+    maximum with the lexicographically smallest witness.  greedy: while the
+    doubled span stays within |a|, add the element outside the span whose
+    coset x + span covers the most of ``a`` (smallest word on ties), then
+    absorb every member the span now holds; each round reduces every member
+    to its coset rep modulo the span's reduced echelon basis, and a coset's
+    cover is the number of members sharing its rep.
     """
     if len(a) == 0:
         raise EmptySetError("pfr_extract needs a nonempty set")
@@ -212,27 +213,20 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     members = a.members
 
     if strategy == "exact":
-        best: list[int] = []
-
-        def explore(idx: int, chosen: list[int], basis: list[int], size: int):
-            nonlocal best
-            if len(chosen) + (len(members) - idx) <= len(best):
-                return
-            if idx == len(members):
-                return
-            word = members[idx]
-            new_basis = echelon_basis(basis + [word])
-            grown = size << (len(new_basis) - len(basis))
-            if grown <= budget:
-                chosen.append(word)
-                if len(chosen) > len(best):
-                    best = list(chosen)
-                explore(idx + 1, chosen, new_basis, grown)
-                chosen.pop()
-            explore(idx + 1, chosen, basis, size)
-
-        explore(0, [], [], 1)
-        subset = F2Set(a.n, best)
+        # A maximum subset S is closed: A & span(S) has S's span and holds S.
+        # span(S) is spanned by at most floor(log2 |A|) members of S, so the
+        # sets A & span(X) over those small X of members meet every maximum,
+        # and each one is feasible.  The least (-size, members) among them is
+        # the lexicographically smallest maximum.
+        best = (0, ())
+        for k in range(1, budget.bit_length()):
+            for xs in combinations(members, k):
+                words = [0]
+                for x in xs:
+                    words += [w ^ x for w in words]
+                closed = tuple(sorted(a._lookup.intersection(words)))
+                best = min(best, (-len(closed), closed))
+        subset = F2Set(a.n, best[1])
     else:
         # adding an in-span element never changes the span or any candidate's
         # cover, so absorbing all of them between span-growing picks yields

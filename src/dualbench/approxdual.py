@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from .adcomb import BsgResult, PfrResult, bsg_extract, pfr_extract
 from .errors import (
-    DimensionMismatch,
     EmptyNext,
     EmptySetError,
     GraphEmpty,
@@ -39,6 +38,7 @@ from .f2 import (
     ip_rows,
     is_dual_pair,
     rep_counts,
+    same_dim,
 )
 from .matrix import EXACT_CAP, BoolMatrix, check_exact_cap, greedy_rectangle, max_mono_exact
 
@@ -52,8 +52,7 @@ class DualPair:
     constant_bit: int
 
     def __post_init__(self):
-        if self.a_side.n != self.b_side.n:
-            raise DimensionMismatch(f"{self.a_side.n} != {self.b_side.n}")
+        same_dim(self.a_side, self.b_side)
         if len(self.a_side) == 0 or len(self.b_side) == 0:
             raise InvariantViolation("dual pair sides must be nonempty")
         if is_dual_pair(self.a_side, self.b_side) != self.constant_bit:
@@ -189,8 +188,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     with |A_(t+1)| <= K |A_t|; the pigeonhole bound K^(t-1) < 2^n is
     asserted exactly.
     """
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+    same_dim(a, b)
     growth_bound = Fraction(growth_bound)
     if growth_bound <= 1:
         raise PreconditionViolation("growth bound K must exceed 1")
@@ -269,8 +267,7 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
     |B'| >= |B| / (2 |span A|) >= (eps/2) |B| / |span A|.
     """
     b = b_chars.b
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+    same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("small_span_dual needs nonempty sets")
     eps = Fraction(eps)
@@ -363,8 +360,7 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
     """
     if not pair_i.a_side.issubset(a_i):
         raise PreconditionViolation("pair's A side must sit inside the level set")
-    if a_prev.n != a_i.n:
-        raise DimensionMismatch(f"{a_prev.n} != {a_i.n}")
+    same_dim(a_prev, a_i)
     targets = pair_i.a_side._lookup
     prev_lookup = a_prev._lookup
     neighbors = {
@@ -456,8 +452,7 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
     the per-level reference expressions they can be compared against (with
     the classical statements' unspecified polynomial factor set to one).
     """
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+    same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("find_dual_pair needs nonempty sets")
     growth = (
@@ -515,8 +510,7 @@ def _claim_references(state: SequenceState) -> dict:
 
 
 def _check_sets(a: F2Set, b: F2Set, caller: str) -> None:
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+    same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError(f"{caller} needs nonempty sets")
 

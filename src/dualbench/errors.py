@@ -75,18 +75,6 @@ class InvariantViolation(DualbenchError):
     """A guarantee the code must uphold failed; always a bug trap."""
 
 
-class MonochromaticityViolation(InvariantViolation):
-    pass
-
-
-class DegenerateSplit(InvariantViolation):
-    pass
-
-
-class DepthCapExceeded(InvariantViolation):
-    pass
-
-
 class MismatchError(InvariantViolation):
     """Protocol simulation disagrees with the source matrix."""
 

@@ -394,7 +394,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
     k = _int_at_least(config, "k", 12, 1)
     l = _int_at_least(config, "l", 12, 1)
     per_rank = _int_at_least(config, "instances", 5, 1)
-    finder = finder_for(config.get("strategy", "exact"))
+    finder = finder_for(config.get("strategy", "exact"), seed=seed)
     report = report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
     aggregate_rows = []

@@ -105,7 +105,8 @@ class F2Set:
         return self.n == other.n and self._lookup <= other._lookup
 
 
-def _same_dim(a: F2Set, b: F2Set) -> int:
+def same_dim(a: F2Set, b: F2Set) -> int:
+    """The common n of a and b; DimensionMismatch when they differ."""
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     return a.n
@@ -113,7 +114,7 @@ def _same_dim(a: F2Set, b: F2Set) -> int:
 
 def sumset(a: F2Set, b: F2Set) -> F2Set:
     """{x + y : x in a, y in b} over F2."""
-    n = _same_dim(a, b)
+    n = same_dim(a, b)
     return F2Set(n, (x ^ y for x in a.members for y in b.members))
 
 
@@ -366,7 +367,7 @@ def in_spectrum(char_value: int, set_size: int, alpha: Fraction) -> bool:
 
 def duality_measure(a: F2Set, b: F2Set) -> Fraction:
     """Absolute mean of (-1)^<x,y> over a x b; 1 iff the pair is fully dual."""
-    _same_dim(a, b)
+    same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("duality measure needs two nonempty sets")
     return CharSums(b).duality(a.members)
@@ -404,7 +405,7 @@ def ip_rows(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
 
 def is_dual_pair(a: F2Set, b: F2Set) -> int | None:
     """The common inner-product bit if <x,y> is constant on a x b, else None."""
-    _same_dim(a, b)
+    same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
         return None
     rows = set(ip_rows(a.members, b.members))  # one row each all 0 or all 1

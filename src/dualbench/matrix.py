@@ -374,57 +374,6 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def max_closed_rectangle(masks, n_y: int, key):
-    """Maximum-area rectangle of a two-colour relation, by Close-by-One.
-
-    masks[x] = (ymask of the y related to x under bit 0, ymask under bit 1).
-    A maximum-area rectangle (xmask, ymask, bit) is closed: each side is all
-    that the other side allows.  Per bit, this visits each closed pair once
-    (Kuznetsov's Close-by-One), cutting a branch only when its best possible
-    area is strictly below the incumbent.  Returns the maximum rectangle
-    with the smallest key(xmask, ymask, bit).
-    """
-    n_x = len(masks)
-    best_area = 0
-    best = None  # (key, xmask, ymask, bit)
-    for bit in (0, 1):
-        rows = [m[bit] for m in masks]
-        cols = transpose(rows, n_y)
-
-        def closure(ymask: int) -> int:
-            xmask = (1 << n_x) - 1
-            while ymask:
-                low = ymask & -ymask
-                xmask &= cols[low.bit_length() - 1]
-                ymask ^= low
-            return xmask
-
-        def visit(xmask: int, ymask: int, start: int) -> None:
-            nonlocal best_area, best
-            size = xmask.bit_count()
-            ycount = ymask.bit_count()
-            if size and size * ycount >= best_area:
-                cand = key(xmask, ymask, bit)
-                if best is None or size * ycount > best_area or cand < best[0]:
-                    best_area = size * ycount
-                    best = (cand, xmask, ymask, bit)
-            for j in range(start, n_x):
-                if (size + n_x - j) * ycount < best_area:
-                    break
-                if (xmask >> j) & 1:
-                    continue
-                child_y = ymask & rows[j]
-                if not child_y or (size + n_x - j) * child_y.bit_count() < best_area:
-                    continue
-                child_x = closure(child_y)
-                if not (child_x ^ xmask) & ((1 << j) - 1):  # else not canonical
-                    visit(child_x, child_y, j + 1)
-
-        full_y = (1 << n_y) - 1
-        visit(closure(full_y), full_y, 0)
-    return best[1:]
-
-
 def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
     """CapExceeded when a k x l exact search would enumerate more than
     exact_cap rows or columns; it enumerates the smaller dimension."""
@@ -433,28 +382,61 @@ def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
 
 
 def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
-    """Largest monochromatic rectangle, enumerating the closed sets of the
-    smaller dimension.
+    """Largest monochromatic rectangle, by Close-by-One over the closed sets
+    of the smaller dimension.
 
-    Best candidate under (larger area, then lexicographically smallest row
-    set, then column set, then color 0 before 1), stated on m.  The search
-    visits every maximum-area rectangle whichever dimension it enumerates,
-    so the winner does not depend on it.
+    A maximum-area rectangle (xmask, ymask, color) is closed: each side is
+    all that the other side allows.  Per color, this visits each closed
+    pair once (Kuznetsov's Close-by-One), cutting a branch only when its
+    best possible area is strictly below the incumbent, so it sees every
+    maximum-area rectangle whichever dimension it enumerates.  The winner
+    is the best candidate under (larger area, then lexicographically
+    smallest row set, then column set, then color 0 before 1), stated on m.
     """
     check_exact_cap(m.n_rows, m.n_cols, exact_cap)
     transposed = m.n_cols < m.n_rows
     work = m.transpose() if transposed else m
-    full_cols = (1 << work.n_cols) - 1
-    masks = [(full_cols ^ r, r) for r in work.rows]
+    n_x, n_y = work.n_rows, work.n_cols
+    full_y = (1 << n_y) - 1
+    best_area = 0
+    best = None  # (rows, cols, color) on m
+    for color in (0, 1):
+        row_words = [r if color else full_y ^ r for r in work.rows]
+        col_words = transpose(row_words, n_y)
 
-    def key(xmask: int, ymask: int, color: int):
-        enum_side = _bits_to_tuple(xmask)
-        other_side = _bits_to_tuple(ymask)
-        if transposed:
-            return other_side, enum_side, color
-        return enum_side, other_side, color
+        def closure(ymask: int) -> int:
+            xmask = (1 << n_x) - 1
+            while ymask:
+                low = ymask & -ymask
+                xmask &= col_words[low.bit_length() - 1]
+                ymask ^= low
+            return xmask
 
-    rows, cols, _color = key(*max_closed_rectangle(masks, work.n_cols, key))
+        def visit(xmask: int, ymask: int, start: int) -> None:
+            nonlocal best_area, best
+            size = xmask.bit_count()
+            ycount = ymask.bit_count()
+            area = size * ycount
+            if size and area >= best_area:
+                x_side, y_side = _bits_to_tuple(xmask), _bits_to_tuple(ymask)
+                cand = (y_side, x_side, color) if transposed else (x_side, y_side, color)
+                if best is None or area > best_area or cand < best:
+                    best_area = area
+                    best = cand
+            for j in range(start, n_x):
+                if (size + n_x - j) * ycount < best_area:
+                    break
+                if (xmask >> j) & 1:
+                    continue
+                child_y = ymask & row_words[j]
+                if not child_y or (size + n_x - j) * child_y.bit_count() < best_area:
+                    continue
+                child_x = closure(child_y)
+                if not (child_x ^ xmask) & ((1 << j) - 1):  # else not canonical
+                    visit(child_x, child_y, j + 1)
+
+        visit(closure(full_y), full_y, 0)
+    rows, cols, _color = best
     return SubmatrixView(m, rows, cols)
 
 

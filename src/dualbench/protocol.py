@@ -26,12 +26,9 @@ from typing import Callable, Optional, Union
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import (
     AuditViolation,
-    DegenerateSplit,
-    DepthCapExceeded,
     FormatError,
     InvariantViolation,
     MismatchError,
-    MonochromaticityViolation,
     NotFound,
     read_text,
 )
@@ -206,7 +203,7 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
         tuple(j for j in range(m.n_cols) if col_map[j] in kept_cols),
     )
     if not view.is_monochromatic():
-        raise MonochromaticityViolation("dual-pair rectangle is not monochromatic")
+        raise InvariantViolation("dual-pair rectangle is not monochromatic")
     return view
 
 
@@ -238,7 +235,7 @@ def build_protocol(
     (or all columns) forces the other player to speak so the split stays
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
-    trap (DepthCapExceeded).  Blocks are ranked through the tree's memo.
+    trap (InvariantViolation).  Blocks are ranked through the tree's memo.
     """
     if mono_finder is None:
         mono_finder = max_mono_exact
@@ -248,7 +245,7 @@ def build_protocol(
 
     def build(rows: tuple[int, ...], cols: tuple[int, ...], depth: int) -> ProtocolNode:
         if depth > depth_cap:
-            raise DepthCapExceeded(f"protocol recursion passed {depth_cap} bits")
+            raise InvariantViolation(f"protocol recursion passed {depth_cap} bits")
         mask = _mask(cols)
         ones = sum((core.rows[i] & mask).bit_count() for i in rows)
         if ones == 0 or ones == len(rows) * len(cols):
@@ -260,7 +257,7 @@ def build_protocol(
         rows_all = len(q_rows) == len(rows)
         cols_all = len(q_cols) == len(cols)
         if rows_all and cols_all:
-            raise DegenerateSplit("rectangle covers a non-monochromatic matrix")
+            raise InvariantViolation("rectangle covers a non-monochromatic matrix")
         rest_rows = tuple(i for i in rows if i not in set(q_rows))
         rest_cols = tuple(j for j in cols if j not in set(q_cols))
         rank_r = rank(q_rows, rest_cols) if rest_cols else 0

@@ -2,9 +2,9 @@
 reduced row echelon form over F2.
 
 The oracles are the searches the library used before both moved onto the
-Close-by-One engine (`dualbench.matrix.max_closed_rectangle`): a
-branch-and-bound over subsets of one side for maximum-area dual pairs, and a
-subset DP over all 2^k row subsets for maximum monochromatic rectangles.
+Close-by-One loop of `dualbench.matrix.max_mono_exact`: a branch-and-bound
+over subsets of one side for maximum-area dual pairs, and a subset DP over
+all 2^k row subsets for maximum monochromatic rectangles.
 The library's dual-pair searches are now its rectangle finders on the
 inner-product matrix of A x B; `ip_matrix` builds that matrix pair by pair
 with `parity_dot`, and `pair_of_view` reads a rectangle of it back as a
@@ -15,6 +15,9 @@ here (tie-breaks included) and to the old branch-and-bound (area).
 `greedy_dual_pair` is the one-pass greedy the library used before its
 greedy pair became `greedy_rectangle` on the inner-product matrix; it
 computes each inner product pair by pair and seeds the old oracle.
+`pfr_exact_subset` is the include-first branch-and-bound that
+`dualbench.adcomb.pfr_extract` ran as its exact strategy before it became a
+scan over the closed sets A & span(X); it ranks spans with `_rref_f2`.
 `bsg_extract_s_side` is `dualbench.adcomb.bsg_extract` as it was before its
 neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
 and counts pair sums directly instead of by transform.  `rank_fraction` is
@@ -270,6 +273,39 @@ def _rref_f2(words: Sequence[int]) -> tuple[list[int], list[int]]:
         pivots.append(p)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def pfr_exact_subset(a: F2Set) -> F2Set:
+    """Largest subset of ``a`` (|a| >= 2) whose span has at most |a| words.
+
+    `dualbench.adcomb.pfr_extract`'s exact strategy before it scanned the
+    closed sets A & span(X): an include-first branch-and-bound over the
+    members in canonical order, pruning on remaining size and span growth.
+    It keeps the first maximum it meets, the lexicographically smallest.
+    """
+    members = a.members
+    budget = len(members)
+    best: list[int] = []
+
+    def explore(idx: int, chosen: list[int], basis: list[int], size: int):
+        nonlocal best
+        if len(chosen) + (len(members) - idx) <= len(best):
+            return
+        if idx == len(members):
+            return
+        word = members[idx]
+        new_basis = _rref_f2(basis + [word])[0]
+        grown = size << (len(new_basis) - len(basis))
+        if grown <= budget:
+            chosen.append(word)
+            if len(chosen) > len(best):
+                best = list(chosen)
+            explore(idx + 1, chosen, new_basis, grown)
+            chosen.pop()
+        explore(idx + 1, chosen, basis, size)
+
+    explore(0, [], [], 1)
+    return F2Set(a.n, best)
 
 
 def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:

@@ -5,10 +5,10 @@ import pytest
 
 from dualbench.cli import main
 from dualbench.errors import FormatError
-from dualbench.experiments import make_ip_matrix
+from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import parse_set_text
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
-from dualbench.protocol import read_tree_file
+from dualbench.protocol import build_protocol, finder_for, read_tree_file, verify
 
 
 def run(*argv) -> int:
@@ -585,6 +585,21 @@ def test_experiment_log_rank_sweep_small(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("rank,instances,mean_leaves")
     assert len(lines) == 3
+
+
+def test_via_dual_log_rank_sweep_reads_the_seed(tmp_path):
+    # the via-dual bridge's BSG step draws from --seed: at seed 3 the fifth
+    # 20x20 F2-rank-6 instance gets a shallower tree than at seed 0
+    out = tmp_path / "sweep.json"
+    assert run("experiment", "--name", "log-rank-sweep", "--strategy", "via-dual",
+               "--ranks", "6", "--k", "20", "--l", "20", "--instances", "6",
+               "--seed", "3", "--out", str(out)) == 0
+    detail = json.loads(out.read_text())["results"]["detail"]
+    for row in detail:
+        m = make_random_f2_rank(20, 20, 6, instance_rng(3, row["instance"]))
+        cost = verify(build_protocol(m, mono_finder=finder_for("via-dual", seed=3)), m)
+        assert (row["leaves"], row["depth"]) == (cost.leaves, cost.depth), row
+    assert detail[4]["depth"] == 15
 
 
 def test_matrix_set_formats_round_trip_through_cli(tmp_path):

@@ -84,19 +84,18 @@ def test_only_f2_computes_parities():
 
 def test_only_matrix_finds_rectangles():
     # one exact and one greedy rectangle finder, for matrices and for set
-    # pairs alike: only matrix names the closure engine max_closed_rectangle
-    # or defines greedy_rectangle; a dual-pair search runs them on the
-    # inner-product matrix
+    # pairs alike: only matrix defines max_mono_exact or greedy_rectangle; a
+    # dual-pair search runs them on the inner-product matrix
     found = []
     for path in SOURCES:
         if path.name == "matrix.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
-            if "max_closed_rectangle" in names:
-                found.append(f"{path.name}:{node.lineno}: max_closed_rectangle")
-            if isinstance(node, ast.FunctionDef) and node.name == "greedy_rectangle":
-                found.append(f"{path.name}:{node.lineno}: def greedy_rectangle")
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "max_mono_exact",
+                "greedy_rectangle",
+            ):
+                found.append(f"{path.name}:{node.lineno}: def {node.name}")
     assert found == []
 
 
