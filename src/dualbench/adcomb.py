@@ -23,10 +23,11 @@ is in S, built on first use by walking the smaller of A and S, so
 codegrees are popcounts of mask intersections.
 
 Every pair-sum count here comes from ``f2.rep_counts``, and every sumset
-size from ``f2.sumset_size``; f2 alone decides between a dense 2^n
-transform table and direct sums.  ``pfr_extract``'s
-greedy covers are coset sizes, not pair sums: it keeps the span as its
-reduced echelon basis and counts the members' ``f2.coset_rep``.
+size from ``f2.sumset_size``, which ORs 2^n-bit translates of the set and
+needs no transform; f2 alone decides between dense 2^n tables and direct
+sums.  ``pfr_extract``'s greedy covers are coset sizes, not pair sums: it
+keeps the span as its reduced echelon basis and counts the members'
+``f2.coset_rep``.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ Vectors are bit words: coordinate ``i`` of a vector is bit ``i`` of the word.
 Sets keep their members as deduplicated, ascending word tuples so every
 operation has one canonical, reproducible output.  All bias and duality
 values are exact rationals (integer character sums over integer set sizes);
-nothing in this module touches floating point.
+nothing in this module touches floating point.  Dense 2^n tables (the
+transforms, and the 2^n-bit translate words behind ``sumset_size``) are
+built only where ``dense_pays``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,8 +165,9 @@ def rep_count(s: F2Set, word: int) -> int:
 
 
 def dense_pays(n: int, direct_work: int) -> bool:
-    """The one rule for a dense 2^n transform table: it must fit
-    (n <= DENSE_CAP) and cost no more than the direct sums it replaces."""
+    """The one rule for a dense 2^n table, a transform or sumset_size's
+    translate words: it must fit (n <= DENSE_CAP) and cost no more than the
+    direct sums it replaces."""
     return n <= DENSE_CAP and (1 << n) <= direct_work
 
 
@@ -191,11 +194,71 @@ def rep_counts(s: F2Set) -> dict[int, int]:
 
 
 def sumset_size(s: F2Set) -> int:
-    """|s + s|: the words with a nonzero rep_table entry when the dense
-    table pays against the |s|^2 pair sums, else the distinct pair sums."""
+    """|s + s|: the popcount of the union of s's translates (_sumset_bits)
+    when a dense table pays against the |s|^2 pair sums, else the distinct
+    sums of the unordered pairs."""
     if dense_pays(s.n, len(s) * len(s)):
-        return (1 << s.n) - rep_table(s).count(0)
-    return len({u ^ v for u in s.members for v in s.members})
+        return _sumset_bits(s).bit_count()
+    c = s.members
+    out: set[int] = set()
+    for i, u in enumerate(c):
+        out.update(map(u.__xor__, c[i:]))
+    return len(out)
+
+
+def _sumset_bits(s: F2Set) -> int:
+    """The indicator of s + s as a 2^n-bit word (bit x set iff x is in
+    s + s), the union of the translates s + u over u in s.
+
+    Translating the indicator word w by 2^b swaps the halves of every
+    2^(b+1)-bit block (``_xor_swap``).  The translates by the 2^k low parts,
+    k = min(6, n), are tabulated in Gray-code order, one swap each; the
+    members' high bits are then merged down their binary trie
+    (``_union_of_translates``), one swap per branch.  The table holds
+    2^(n+k) bits, 8 MB at n = 20, and dies on return.
+    """
+    n, members = s.n, s.members
+    # masks[b]: the positions with bit b clear; from the low half (b = n - 1)
+    # down, those with bits b and b - 1 clear, and the same shifted up by 2^b
+    masks = [(1 << (1 << (n - 1))) - 1]
+    for b in range(n - 1, 0, -1):
+        both = masks[-1] & masks[-1] >> (1 << (b - 1))
+        masks.append(both | both << (1 << b))
+    masks.reverse()
+    indicator = bytearray((1 << n) + 7 >> 3)
+    for u in members:
+        indicator[u >> 3] |= 1 << (u & 7)
+    table = [int.from_bytes(indicator, "little")] * (1 << min(6, n))
+    for i in range(1, len(table)):
+        h = i & -i  # the Gray codes of i - 1 and i differ in bit h
+        table[i ^ i >> 1] = _xor_swap(table[(i - 1) ^ (i - 1) >> 1], masks[h.bit_length() - 1], h)
+    return _union_of_translates(members, 0, len(members), n - 1, table, masks)
+
+
+def _xor_swap(w: int, mask: int, h: int) -> int:
+    """w with every bit moved from position x to x ^ h, h a power of two:
+    the halves of every 2h-bit block swapped; mask marks the positions x
+    with x & h == 0."""
+    return (w & mask) << h | (w >> h) & mask
+
+
+def _union_of_translates(
+    members: Sequence[int], lo: int, hi: int, b: int, table: list[int], masks: list[int]
+) -> int:
+    """The union of table[0]'s translates by members[lo:hi], ascending words
+    that agree above bit b; table[l] is table[0]'s translate by l < len(table)."""
+    if 1 << b < len(table):  # bits 0..b are tabulated
+        low = len(table) - 1
+        acc = 0
+        for u in members[lo:hi]:
+            acc |= table[u & low]
+        return acc
+    split = bisect_left(members, (members[lo] >> b | 1) << b, lo, hi)  # first with bit b set
+    acc = _union_of_translates(members, lo, split, b - 1, table, masks) if split > lo else 0
+    if split < hi:
+        high = _union_of_translates(members, split, hi, b - 1, table, masks)
+        acc |= _xor_swap(high, masks[b], 1 << b)
+    return acc
 
 
 def wht(values: Sequence) -> list:

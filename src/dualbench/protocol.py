@@ -258,8 +258,9 @@ def build_protocol(
         cols_all = len(q_cols) == len(cols)
         if rows_all and cols_all:
             raise InvariantViolation("rectangle covers a non-monochromatic matrix")
-        rest_rows = tuple(i for i in rows if i not in set(q_rows))
-        rest_cols = tuple(j for j in cols if j not in set(q_cols))
+        q_row_set, q_col_set = set(q_rows), set(q_cols)
+        rest_rows = tuple(i for i in rows if i not in q_row_set)
+        rest_cols = tuple(j for j in cols if j not in q_col_set)
         rank_r = rank(q_rows, rest_cols) if rest_cols else 0
         rank_s = rank(rest_rows, q_cols) if rest_rows else 0
         if rows_all:

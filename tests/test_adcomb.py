@@ -132,6 +132,16 @@ def test_bsg_matches_s_side_reference():
     assert sides == {True, False}
 
 
+def test_bsg_pivot_count_is_pinned():
+    # BSG_PIVOTS = 12 neighbourhoods sampled at seed 4 keep {12, 14}; 11 or
+    # 13 pivots sample other neighbourhoods and keep another subset
+    a = F2Set(6, [3, 10, 12, 14, 15, 20, 30, 35, 37, 38, 40, 46, 52, 53, 54, 55, 58, 62, 63])
+    s = F2Set(6, [1, 3, 4, 6, 8, 13, 21, 24, 25, 28, 29, 35, 36, 40, 45, 50, 55, 61])
+    res = bsg_extract(a, s, Fraction(96, 361), seed=4)
+    assert res.subset == F2Set(6, [12, 14])
+    assert res.doubling_out == Fraction(2, 19)
+
+
 # -- pfr_extract --------------------------------------------------------------
 
 

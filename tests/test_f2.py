@@ -295,10 +295,11 @@ def test_rep_counts_matches_pair_enumeration(monkeypatch):
 
 
 def test_sumset_size_matches_pair_enumeration(monkeypatch):
-    # the same dense rule as rep_counts: 2^n - (zeros of the table) when it
-    # pays, the set of pair sums otherwise
+    # the same dense rule as rep_counts: the popcount of the translates'
+    # union (_sumset_bits) when it pays, the set of pair sums otherwise
     dense_calls = []
-    monkeypatch.setattr(f2, "rep_table", lambda s: dense_calls.append(s) or rep_table(s))
+    bits_of = f2._sumset_bits
+    monkeypatch.setattr(f2, "_sumset_bits", lambda s: dense_calls.append(s) or bits_of(s))
     rng = random.Random("sumset-size")
     cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
     cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
@@ -307,6 +308,39 @@ def test_sumset_size_matches_pair_enumeration(monkeypatch):
         dense_calls.clear()
         assert sumset_size(s) == len(brute_counts(s)) == len(sumset(s, s))
         assert dense_calls == ([s] if f2.dense_pays(s.n, len(s) ** 2) else []), s
+
+
+def test_sumset_bits_is_the_sumset_indicator():
+    # the translate kernel on both sides of its 6 tabulated low bits:
+    # n <= 6 is all table, n > 6 also merges high bits down the trie
+    rng = random.Random("sumset-bits")
+    for n in range(1, 13):
+        full = 1 << n
+        cube = span(F2Set(n, rng.sample(range(full), min(n, 3))))
+        assert f2._sumset_bits(F2Set(n, range(full))) == (1 << full) - 1  # all of F2^n
+        cases = [
+            F2Set(n, [0]),
+            F2Set(n, [rng.randrange(full)]),
+            cube,
+            F2Set(n, cube.members + tuple(rng.sample(range(full), min(full, 5)))),
+        ]
+        cases += [random_set(rng, n, min(full, 40)) for _ in range(10)]
+        for s in cases:
+            assert f2._sumset_bits(s) == sum(1 << x for x in sumset(s, s).members), s
+
+
+def test_dense_sumset_size_builds_no_transform(monkeypatch):
+    # at n = DENSE_CAP with 2^n <= |s|^2 the dense rule holds, and the
+    # translate kernel answers without rep_table or wht
+    calls = []
+    monkeypatch.setattr(f2, "rep_table", lambda s: calls.append("rep_table"))
+    monkeypatch.setattr(f2, "wht", lambda values: calls.append("wht"))
+    rng = random.Random("sumset-dense")
+    n = f2.DENSE_CAP
+    s = F2Set(n, rng.sample(range(1 << n), 1030))
+    assert dense_pays(n, len(s) ** 2)
+    assert sumset_size(s) == len({u ^ v for u in s.members for v in s.members})
+    assert calls == []
 
 
 # -- wht ---------------------------------------------------------------------
