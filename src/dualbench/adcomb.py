@@ -40,13 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .errors import (
-    DensityTooLow,
-    EmptyResult,
-    EmptySetError,
-    InvariantViolation,
-    PreconditionViolation,
-)
+from .errors import FormatError, InvariantViolation, SearchFailure
 # wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
 from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, sumset_size, wht
 
@@ -103,9 +97,9 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     """
     rho = Fraction(rho)
     if len(a) == 0 or len(s) == 0:
-        raise EmptySetError("bsg_extract needs nonempty sets")
+        raise FormatError("bsg_extract needs nonempty sets")
     if rho <= 0:
-        raise DensityTooLow("required density must be positive")
+        raise SearchFailure("bsg", "required density must be positive")
     counts = rep_counts(a)
     density = Fraction(sum(counts.get(w, 0) for w in s.members), len(a) * len(a))
     # |c + c| per candidate c, each counted once; keep only the size of a's
@@ -113,7 +107,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     sumset_sizes = {a.members: len(counts)}
     del counts
     if density < rho:
-        raise DensityTooLow(f"pair density {density} < required {rho}")
+        raise SearchFailure("bsg", f"pair density {density} < required {rho}")
 
     members = a.members
     size = len(members)
@@ -161,7 +155,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     floor = Fraction(len(a)) * rho * rho / 8
     sized = [c for c in candidates if Fraction(len(c)) >= floor]
     if not sized:
-        raise EmptyResult("no candidate met the size floor")
+        raise SearchFailure("bsg", "no candidate met the size floor")
 
     for c in sized:
         if c not in sumset_sizes:
@@ -193,11 +187,11 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     cover is the number of members sharing its rep.
     """
     if len(a) == 0:
-        raise EmptySetError("pfr_extract needs a nonempty set")
+        raise FormatError("pfr_extract needs a nonempty set")
     if strategy == "auto":
         strategy = "exact" if len(a) <= PFR_EXACT_CAP else "greedy"
     if strategy not in ("exact", "greedy"):
-        raise PreconditionViolation(f"unknown strategy {strategy!r}")
+        raise FormatError(f"unknown strategy {strategy!r}")
 
     if len(a) == 1:
         word = a.members[0]
@@ -266,7 +260,7 @@ def doubling_report(a: F2Set) -> DoublingReport:
     legitimately be False; it is reported for orientation only.
     """
     if len(a) == 0:
-        raise EmptySetError("doubling_report needs a nonempty set")
+        raise FormatError("doubling_report needs a nonempty set")
     k = Fraction(sumset_size(a), len(a))
     span_ratio = Fraction(len(span(a)), len(a))
     kf = float(k)  # K >= 1 always: a -> a + a0 injects A into A + A

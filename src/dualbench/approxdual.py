@@ -21,15 +21,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .adcomb import BsgResult, PfrResult, bsg_extract, pfr_extract
-from .errors import (
-    EmptyNext,
-    EmptySetError,
-    GraphEmpty,
-    InvariantViolation,
-    PreconditionViolation,
-    SearchFailure,
-    ZeroDuality,
-)
+from .errors import FormatError, InvariantViolation, SearchFailure
 from .f2 import (
     CharSums,
     F2Set,
@@ -110,10 +102,10 @@ def markov_restrict(a: F2Set, b: F2Set):
 def _markov_restrict(a: F2Set, chars: CharSums):
     size = len(chars.b)
     if len(a) == 0 or size == 0:
-        raise EmptySetError("markov_restrict needs nonempty sets")
+        raise FormatError("markov_restrict needs nonempty sets")
     d = chars.duality(a.members)
     if d == 0:
-        raise ZeroDuality("duality measure is zero; nothing to restrict")
+        raise SearchFailure("markov_restrict", "duality measure is zero; nothing to restrict")
     eps1 = d / 2
     kept = [w for w in a.members if in_spectrum(chars(w), size, eps1)]
     a1 = F2Set(a.n, kept)
@@ -139,7 +131,7 @@ def _next_level(
     recorded either way.
     """
     if len(a_prev) == 0:
-        raise EmptySetError("next_set needs a nonempty previous level")
+        raise FormatError("next_set needs a nonempty previous level")
     n = a_prev.n
     size = len(chars.b)
     mass = [0] * n
@@ -152,7 +144,7 @@ def _next_level(
         buckets[j].append(x)
     best_j = max(range(n), key=lambda j: (mass[j], -j))
     if mass[best_j] == 0:
-        raise EmptyNext(f"no pair lands in the {eps_next} spectrum")
+        raise SearchFailure("next_set", f"no pair lands in the {eps_next} spectrum")
     members = F2Set(n, buckets[best_j])
     d_prev = chars.duality(a_prev.members)
     held = d_prev * d_prev >= 2 * eps_next
@@ -191,7 +183,7 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     same_dim(a, b)
     growth_bound = Fraction(growth_bound)
     if growth_bound <= 1:
-        raise PreconditionViolation("growth bound K must exceed 1")
+        raise FormatError("growth bound K must exceed 1")
     n = a.n
     chars = CharSums(b)
     a1, eps1 = _markov_restrict(a, chars)
@@ -269,13 +261,13 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
     b = b_chars.b
     same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("small_span_dual needs nonempty sets")
+        raise FormatError("small_span_dual needs nonempty sets")
     eps = Fraction(eps)
     if eps <= 0:
-        raise PreconditionViolation("eps must be positive")
+        raise FormatError("eps must be positive")
     for w in a.members:
         if not in_spectrum(b_chars(w), len(b), eps):
-            raise PreconditionViolation(
+            raise FormatError(
                 f"element {w:#x} has bias below {eps}; A not in the spectrum"
             )
     basis = echelon_basis(a.members)
@@ -332,8 +324,8 @@ def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
 
     Chain: dense-subgraph extraction from A_t against A_(t+1) at density
     eps_(t+1)/n, span-shrinking extraction on the result, then the
-    small-span construction against B at threshold eps_t.  Stage failures
-    raise SearchFailure subclasses tagged with the stage name.
+    small-span construction against B at threshold eps_t.  A stage that
+    comes up empty raises SearchFailure with stage "bsg".
     """
     t = state.t
     a_t = state.level(t).members
@@ -359,7 +351,7 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
     component (constant bit 0) or its larger parity class (constant bit 1).
     """
     if not pair_i.a_side.issubset(a_i):
-        raise PreconditionViolation("pair's A side must sit inside the level set")
+        raise FormatError("pair's A side must sit inside the level set")
     same_dim(a_prev, a_i)
     targets = pair_i.a_side._lookup
     prev_lookup = a_prev._lookup
@@ -370,7 +362,7 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
     # 0 in targets is always usable: x + x = 0 for any x in the level below
     usable = any(neighbors.values()) or (0 in targets and a_prev.members)
     if not usable:
-        raise GraphEmpty("pair's A side is disjoint from the previous sumset")
+        raise SearchFailure("pull_back", "pair's A side is disjoint from the previous sumset")
     seen = set()
     components = []
     for start in a_prev.members:
@@ -454,7 +446,7 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
     """
     same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("find_dual_pair needs nonempty sets")
+        raise FormatError("find_dual_pair needs nonempty sets")
     growth = (
         default_growth_bound(a.n) if growth_bound is None else Fraction(growth_bound)
     )
@@ -512,7 +504,7 @@ def _claim_references(state: SequenceState) -> dict:
 def _check_sets(a: F2Set, b: F2Set, caller: str) -> None:
     same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError(f"{caller} needs nonempty sets")
+        raise FormatError(f"{caller} needs nonempty sets")
 
 
 def _dual_pair(finder, a: F2Set, b: F2Set) -> DualPair:

@@ -17,14 +17,7 @@ from fractions import Fraction
 
 from . import experiments as xp
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
-from .errors import (
-    AuditViolation,
-    DualbenchError,
-    FormatError,
-    InvariantViolation,
-    MismatchError,
-    SearchFailure,
-)
+from .errors import DualbenchError, FormatError, InvariantViolation, SearchFailure, TreeMismatch
 from .f2 import duality_measure, format_set, read_set_file, write_set_file
 from .matrix import (
     EXACT_CAP,
@@ -247,7 +240,7 @@ def cmd_verify(args) -> int:
     try:
         cost = verify(tree, m)
         audit = leaf_recurrence_audit(tree)
-    except (MismatchError, AuditViolation) as exc:  # a tree no build could have made
+    except TreeMismatch as exc:  # a tree no build could have made
         raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
         "verified_entries": m.n_rows * m.n_cols,

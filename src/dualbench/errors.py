@@ -1,12 +1,15 @@
-"""Exception taxonomy.
+"""Exception taxonomy: one class per CLI exit code.
 
-Three families matter to callers:
-
-* plain misuse (bad dimensions, bad formats) -> ``DualbenchError`` subclasses,
-* legitimate search failures (a stage came up empty) -> ``SearchFailure``,
-* broken internal guarantees (bug traps) -> ``InvariantViolation``.
-
-The CLI maps these to exit codes 1, 2 and 3 respectively.
+* ``FormatError`` (exit 1): bad input -- a file that does not parse,
+  operands in different F2^n spaces, an empty set where a nonempty one is
+  needed, an exact search beyond its cap, or another documented
+  precondition that does not hold.
+* ``SearchFailure`` (exit 2): a search stage legitimately found nothing;
+  not a bug.  ``stage`` names the stage.
+* ``InvariantViolation`` (exit 3): a guarantee the code must uphold
+  failed; always a bug trap.  Its one subclass, ``TreeMismatch``, is a
+  protocol tree that disagrees with its matrix: a bug in a tree just
+  built, bad input in a tree read from a file.
 """
 
 
@@ -14,82 +17,29 @@ class DualbenchError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(DualbenchError):
-    """Operands live in different F2^n spaces."""
-
-
-class EmptySetError(DualbenchError):
-    """An operation that needs a nonempty set received an empty one."""
-
-
 class FormatError(DualbenchError):
-    """A matrix/set/tree file does not parse."""
-
-
-class CapExceeded(DualbenchError):
-    """An exact enumeration was requested beyond its configured cap."""
-
-
-class PreconditionViolation(DualbenchError):
-    """A documented operation precondition does not hold for the inputs."""
+    """Bad input: a file that does not parse or an operation's precondition
+    that the inputs do not meet."""
 
 
 class SearchFailure(DualbenchError):
-    """A search stage legitimately found nothing; not a bug."""
-
-    stage = "search"
-
-
-class NotFound(SearchFailure):
-    """No qualifying object exists (or none was found below exact scale).
+    """Search stage ``stage`` legitimately found nothing; not a bug.
 
     ``exhaustive`` is True when a complete enumeration proved nonexistence.
     """
 
-    def __init__(self, message, exhaustive=False):
+    def __init__(self, stage, message, exhaustive=False):
         super().__init__(message)
+        self.stage = stage
         self.exhaustive = exhaustive
-
-
-class ZeroDuality(SearchFailure):
-    stage = "markov_restrict"
-
-
-class EmptyNext(SearchFailure):
-    stage = "next_set"
-
-
-class DensityTooLow(SearchFailure):
-    stage = "bsg"
-
-
-class EmptyResult(SearchFailure):
-    stage = "bsg"
-
-
-class GraphEmpty(SearchFailure):
-    stage = "pull_back"
 
 
 class InvariantViolation(DualbenchError):
     """A guarantee the code must uphold failed; always a bug trap."""
 
 
-class MismatchError(InvariantViolation):
-    """Protocol simulation disagrees with the source matrix."""
-
-    def __init__(self, row, col, got, expected):
-        super().__init__(
-            f"protocol mismatch at ({row},{col}): got {got}, expected {expected}"
-        )
-        self.row = row
-        self.col = col
-
-
-class AuditViolation(InvariantViolation):
-    def __init__(self, path, message):
-        super().__init__(f"audit violation at node {path or 'root'}: {message}")
-        self.path = path
+class TreeMismatch(InvariantViolation):
+    """A protocol tree's answers or stored ranks disagree with its matrix."""
 
 
 def read_text(path) -> str:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
-from .errors import FormatError, NotFound
+from .errors import FormatError, SearchFailure
 from .f2 import F2Set, combine, duality_measure, ip_rows, span
 from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
 from .protocol import build_protocol, finder_for, verify
@@ -534,7 +534,7 @@ def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[dict]]:
         rank = rank_real(m)
         try:
             view = find_biased_submatrix(m)
-        except NotFound as exc:
+        except SearchFailure as exc:
             not_found += 1
             report["search_failures"].append(f"instance {idx}: {exc}")
             rows.append(

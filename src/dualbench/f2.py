@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptySetError, FormatError, read_text
+from .errors import FormatError, read_text
 
 MAX_DIMENSION = 24
 DENSE_CAP = 20  # build 2^n tables only up to this dimension
@@ -59,16 +59,16 @@ class F2Set:
         first: one str.translate check and one int() per string."""
         lines = list(lines)
         if not lines:
-            raise EmptySetError("cannot infer dimension from zero vectors")
+            raise FormatError("cannot infer dimension from zero vectors")
         n = len(lines[0])  # the first string fixes n
+        for line in lines:
+            if len(line) != n:
+                raise FormatError(f"inconsistent element width: {len(line)} != {n}")
         for i, line in enumerate(lines):
             if not line or line.translate(NOT_BITS):
                 raise FormatError(f"not a {{0,1}} string: {line!r}")
             if i == 0:  # a bad first string is named before a bad n
                 _check_dim(n)
-        for line in lines:
-            if len(line) != n:
-                raise DimensionMismatch(f"{len(line)} != {n}")
         return cls(n, [int(line, 2) for line in lines])
 
     def to_lines(self) -> list[str]:
@@ -108,9 +108,9 @@ class F2Set:
 
 
 def same_dim(a: F2Set, b: F2Set) -> int:
-    """The common n of a and b; DimensionMismatch when they differ."""
+    """The common n of a and b; FormatError when they differ."""
     if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+        raise FormatError(f"{a.n} != {b.n}")
     return a.n
 
 
@@ -159,7 +159,7 @@ def span(a: F2Set) -> F2Set:
 def rep_count(s: F2Set, word: int) -> int:
     """Number of ordered pairs (u, v) in s x s with u + v = word."""
     if not 0 <= word < (1 << s.n):
-        raise DimensionMismatch(f"word {word:#x} not in F2^{s.n}")
+        raise FormatError(f"word {word:#x} not in F2^{s.n}")
     lookup = s._lookup
     return sum(1 for u in s.members if u ^ word in lookup)
 
@@ -395,7 +395,7 @@ class CharSums:
 def bias(b: F2Set, word: int) -> Fraction:
     """Signed mean of (-1)^<word,y> over y in b, as an exact rational."""
     if len(b) == 0:
-        raise EmptySetError("bias over an empty set")
+        raise FormatError("bias over an empty set")
     return Fraction(char_sum(b, word), len(b))
 
 
@@ -411,7 +411,7 @@ class SpectrumResult:
 def spectrum(b: F2Set, alpha) -> SpectrumResult:
     """Vectors whose character bias against b has magnitude at least alpha."""
     if len(b) == 0:
-        raise EmptySetError("spectrum of an empty set")
+        raise FormatError("spectrum of an empty set")
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise FormatError(f"alpha must be in [0,1], got {alpha}")
@@ -432,7 +432,7 @@ def duality_measure(a: F2Set, b: F2Set) -> Fraction:
     """Absolute mean of (-1)^<x,y> over a x b; 1 iff the pair is fully dual."""
     same_dim(a, b)
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("duality measure needs two nonempty sets")
+        raise FormatError("duality measure needs two nonempty sets")
     return CharSums(b).duality(a.members)
 
 
@@ -489,12 +489,6 @@ def parse_set_text(text: str) -> F2Set:
         lines.append(line)
     if not lines:
         raise FormatError("set file has no elements")
-    width = len(lines[0])
-    for line in lines:
-        if len(line) != width:
-            raise FormatError(
-                f"inconsistent element width: {len(line)} != {width}"
-            )
     return F2Set.from_strings(lines)
 
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    CapExceeded,
-    FormatError,
-    InvariantViolation,
-    NotFound,
-    PreconditionViolation,
-    read_text,
-)
+from .errors import FormatError, InvariantViolation, SearchFailure, read_text
 from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, transpose
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
@@ -321,7 +314,7 @@ def factorize_f2(m: BoolMatrix) -> Factorization:
     restricted to column j.
     """
     if has_duplicates(m):
-        raise PreconditionViolation("factorize_f2 needs a deduplicated matrix")
+        raise FormatError("factorize_f2 needs a deduplicated matrix")
     basis = echelon_basis(m.rows)
     r = len(basis)
     dim = max(r, 1)  # all-zero matrix factors through F2^1 with zero vectors
@@ -375,10 +368,10 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
 
 
 def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
-    """CapExceeded when a k x l exact search would enumerate more than
+    """FormatError when a k x l exact search would enumerate more than
     exact_cap rows or columns; it enumerates the smaller dimension."""
     if min(k, l) > exact_cap:
-        raise CapExceeded(f"enumerated dimension {min(k, l)} exceeds exact cap {exact_cap}")
+        raise FormatError(f"enumerated dimension {min(k, l)} exceeds exact cap {exact_cap}")
 
 
 def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
@@ -599,12 +592,13 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
                 if transposed:
                     return verified(cols, row_set)
                 return verified(row_set, cols)
-        raise NotFound(
+        raise SearchFailure(
+            "search",
             "exhaustive search: no submatrix meets the literal rank^(-3/2) "
             "bounds on this matrix",
             exhaustive=True,
         )
-    raise NotFound("heuristics exhausted below exact scale", exhaustive=False)
+    raise SearchFailure("search", "heuristics exhausted below exact scale")
 
 
 # -- matrix file format -----------------------------------------------------------

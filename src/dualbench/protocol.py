@@ -24,14 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
-from .errors import (
-    AuditViolation,
-    FormatError,
-    InvariantViolation,
-    MismatchError,
-    NotFound,
-    read_text,
-)
+from .errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch, read_text
 from .f2 import NOT_BITS
 from .matrix import (
     EXACT_CAP,
@@ -179,7 +172,7 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
     core, row_map, col_map = dedup(m)
     try:
         biased = find_biased_submatrix(core, exact_cap)
-    except NotFound:
+    except SearchFailure:
         return greedy_rectangle(m)
     sub, sub_rows, sub_cols = dedup(biased.materialize())
     fact = factorize_f2(sub)
@@ -331,6 +324,10 @@ def simulate(tree: ProtocolTree, x: int, y: int) -> tuple[int, int]:
     return node.output, bits
 
 
+def _audit_violation(path: str, message: str) -> TreeMismatch:
+    return TreeMismatch(f"audit violation at node {path or 'root'}: {message}")
+
+
 def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     """Check the tree's stored matrix, its answers and its node ranks, then
     the tree's whole-matrix numbers.
@@ -340,8 +337,8 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     the stored matrix must be constant and equal to its output.  As every
     split is a subset of its node's block, that is the same as simulating
     every entry; on a failure the entries are simulated, so the first wrong
-    entry raises MismatchError.  Each internal node's stored rank must be
-    its block's rank (AuditViolation).  Asserted on the deduplicated matrix:
+    entry raises TreeMismatch.  Each internal node's stored rank must be
+    its block's rank (TreeMismatch).  Asserted on the deduplicated matrix:
     rank <= size <= 2^(2 rank) and the leaf-count bounds
     rank - 1 <= L <= 2 * size.  The per-node stat invariants are checked
     when each NodeStats is made, so a tree holds no node that breaks them.
@@ -366,12 +363,14 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
                 got, _bits = simulate(tree, x, y)
                 expected = m.entry(x, y)
                 if got != expected:
-                    raise MismatchError(x, y, got, expected)
+                    raise TreeMismatch(
+                        f"protocol mismatch at ({x},{y}): got {got}, expected {expected}"
+                    )
         raise InvariantViolation("a leaf block disagrees but every entry simulates")
     for stored, rows, cols, path in internal:
         actual = tree.ranks(rows, cols)
         if stored != actual:
-            raise AuditViolation(path, f"stored rank {stored} != block rank {actual}")
+            raise _audit_violation(path, f"stored rank {stored} != block rank {actual}")
 
     r = tree.ranks(tuple(range(core.n_rows)), tuple(range(core.n_cols)))
     size = tree.matrix.size()
@@ -447,20 +446,20 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
         s = node.stats
         area = len(rows) * len(cols)
         if area != s.area:
-            raise AuditViolation(path, f"recorded area {s.area} != actual {area}")
+            raise _audit_violation(path, f"recorded area {s.area} != actual {area}")
         out_sets, in_sets = blocks
         in_area = len(in_sets[0]) * len(in_sets[1])
         out_area = len(out_sets[0]) * len(out_sets[1])
         if not (in_area < area and out_area < area):
-            raise AuditViolation(path, "child area failed to decrease strictly")
+            raise _audit_violation(path, "child area failed to decrease strictly")
         if out_area > area - s.mono_area:
-            raise AuditViolation(
+            raise _audit_violation(
                 path, f"out-child area {out_area} exceeds {area} - |Q|={s.mono_area}"
             )
         in_rank = tree.ranks(*in_sets)
         adjacent = s.rank_r if node.speaker == "row" else s.rank_s
         if in_rank > adjacent + 1:
-            raise AuditViolation(
+            raise _audit_violation(
                 path, f"in-child rank {in_rank} exceeds block rank {adjacent}+1"
             )
         nodes.append(
@@ -688,11 +687,15 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 
 
 def parse_tree_text(text: str) -> ProtocolTree:
+    """Load a tree from its JSON text.  The decoder and the loader recurse
+    once per nesting level, so a document nested past the recursion limit
+    is a FormatError too."""
     try:
-        data = json.loads(text)
+        return tree_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad tree JSON: {exc}") from exc
-    return tree_from_dict(data)
+    except RecursionError:
+        raise FormatError("tree JSON is nested too deeply to load") from None
 
 
 def read_tree_file(path) -> ProtocolTree:

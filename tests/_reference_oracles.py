@@ -35,13 +35,7 @@ from typing import Sequence
 
 from dualbench.adcomb import BSG_PIVOTS, BsgResult
 from dualbench.approxdual import DualPair
-from dualbench.errors import (
-    CapExceeded,
-    DensityTooLow,
-    DimensionMismatch,
-    EmptyResult,
-    EmptySetError,
-)
+from dualbench.errors import FormatError, SearchFailure
 from dualbench.f2 import F2Set, parity_dot
 from dualbench.matrix import BoolMatrix, SubmatrixView
 
@@ -61,9 +55,9 @@ def exact_dual_oracle(
     the enumerated side's canonical member order, then constant bit 0.
     """
     if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} != {b.n}")
+        raise FormatError(f"{a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("exact_dual_oracle needs nonempty sets")
+        raise FormatError("exact_dual_oracle needs nonempty sets")
     if enumerate_side == "auto":
         swap = len(b) < len(a)
     elif enumerate_side in ("a", "b"):
@@ -72,7 +66,7 @@ def exact_dual_oracle(
         raise ValueError(f"bad enumerate_side {enumerate_side!r}")
     xs_set, ys_set = (b, a) if swap else (a, b)
     if len(xs_set) > exact_cap:
-        raise CapExceeded(
+        raise FormatError(
             f"enumerated side has {len(xs_set)} elements; cap is {exact_cap}"
         )
     xs = xs_set.members
@@ -213,7 +207,7 @@ def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView
     """
     work = m.transpose() if transposed else m
     if work.n_rows > exact_cap:
-        raise CapExceeded(
+        raise FormatError(
             f"enumerated dimension {work.n_rows} exceeds exact cap {exact_cap}"
         )
     forced0, forced1 = _mono_candidates_by_rows(work)
@@ -314,15 +308,15 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     least |c + c| / |c| wins (ties: larger, then canonical order)."""
     rho = Fraction(rho)
     if len(a) == 0 or len(s) == 0:
-        raise EmptySetError("bsg_extract needs nonempty sets")
+        raise FormatError("bsg_extract needs nonempty sets")
     if rho <= 0:
-        raise DensityTooLow("required density must be positive")
+        raise SearchFailure("bsg", "required density must be positive")
     members = a.members
     member_set = set(members)
     hits = sum(1 for x in members for y in members if x ^ y in s)
     density = Fraction(hits, len(a) * len(a))
     if density < rho:
-        raise DensityTooLow(f"pair density {density} < required {rho}")
+        raise SearchFailure("bsg", f"pair density {density} < required {rho}")
 
     memo: dict[int, frozenset] = {}
 
@@ -366,7 +360,7 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     floor = Fraction(len(a)) * rho * rho / 8
     sized = [c for c in candidates if len(c) >= floor]
     if not sized:
-        raise EmptyResult("no candidate met the size floor")
+        raise SearchFailure("bsg", "no candidate met the size floor")
     sizes = {c: len({x ^ y for x in c for y in c}) for c in sized}
     best = min(sized, key=lambda c: (Fraction(sizes[c], len(c)), -len(c), c))
     return BsgResult(

@@ -14,7 +14,7 @@ from functools import partial
 
 from dualbench.approxdual import exact_dual_oracle, find_dual_pair
 from dualbench.cli import main as cli_main
-from dualbench.errors import NotFound
+from dualbench.errors import SearchFailure
 from dualbench.experiments import (
     make_block_low_rank,
     make_ip_matrix,
@@ -294,9 +294,9 @@ def test_criterion_7_biased_submatrix_contract():
             assert 2 <= rank <= 5
             try:
                 view = find_biased_submatrix(m)  # exact fallback within cap
-            except NotFound as exc:
+            except SearchFailure as exc:
                 raise AssertionError(
-                    f"NotFound at exact scale on a {m.n_rows}x{m.n_cols} "
+                    f"SearchFailure at exact scale on a {m.n_rows}x{m.n_cols} "
                     f"rank-{rank} instance (exhaustive={exc.exhaustive})"
                 ) from exc
             zeros, ones = view.counts()

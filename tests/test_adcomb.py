@@ -6,7 +6,7 @@ import pytest
 
 import _reference_oracles as ref
 from dualbench.adcomb import BSG_PIVOTS, bsg_extract, doubling_report, pfr_extract
-from dualbench.errors import DensityTooLow, EmptyResult, EmptySetError
+from dualbench.errors import FormatError, SearchFailure
 from dualbench.f2 import F2Set, span, sumset
 
 
@@ -51,8 +51,9 @@ def test_bsg_prunes_outliers():
 def test_bsg_density_precondition():
     a = F2Set(3, [1, 2, 4])
     s = F2Set(3, [7])  # unreachable sums
-    with pytest.raises(DensityTooLow):
+    with pytest.raises(SearchFailure, match="^pair density 0 < required 1/2$") as info:
         bsg_extract(a, s, Fraction(1, 2))
+    assert (info.value.stage, info.value.exhaustive) == ("bsg", False)
 
 
 def test_bsg_doubling_matches_recomputation():
@@ -124,9 +125,11 @@ def test_bsg_matches_s_side_reference():
         seed = rng.randrange(100)
         try:
             expected = ref.bsg_extract_s_side(a, s, rho, seed=seed)
-        except EmptyResult:
-            with pytest.raises(EmptyResult):
+        except SearchFailure as exc:
+            assert (exc.stage, str(exc)) == ("bsg", "no candidate met the size floor")
+            with pytest.raises(SearchFailure, match="^no candidate met the size floor$") as info:
                 bsg_extract(a, s, rho, seed=seed)
+            assert info.value.stage == "bsg"
             continue
         assert bsg_extract(a, s, rho, seed=seed) == expected
     assert sides == {True, False}
@@ -247,7 +250,7 @@ def test_pfr_singleton_waiver():
 
 
 def test_pfr_empty():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(FormatError, match="^pfr_extract needs a nonempty set$"):
         pfr_extract(F2Set(3, []))
 
 

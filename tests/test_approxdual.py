@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -20,14 +21,7 @@ from dualbench.approxdual import (
     small_span_dual,
 )
 from dualbench import approxdual
-from dualbench.errors import (
-    CapExceeded,
-    DensityTooLow,
-    GraphEmpty,
-    InvariantViolation,
-    PreconditionViolation,
-    ZeroDuality,
-)
+from dualbench.errors import FormatError, InvariantViolation, SearchFailure
 from dualbench.f2 import F2Set, char_sum, duality_measure, is_dual_pair, parity_dot, span
 
 
@@ -65,8 +59,11 @@ def test_markov_keeps_everything_at_duality_one():
 
 
 def test_markov_zero_duality():
-    with pytest.raises(ZeroDuality):
+    with pytest.raises(
+        SearchFailure, match="^duality measure is zero; nothing to restrict$"
+    ) as info:
         markov_restrict(F2Set(2, range(4)), F2Set(2, [1]))
+    assert (info.value.stage, info.value.exhaustive) == ("markov_restrict", False)
 
 
 def test_markov_bound_random():
@@ -117,10 +114,9 @@ def test_next_set_tie_goes_to_the_smaller_bucket():
 
 
 def test_next_set_empty_when_threshold_impossible():
-    from dualbench.errors import EmptyNext
-
-    with pytest.raises(EmptyNext):
+    with pytest.raises(SearchFailure, match="^no pair lands in the 2 spectrum$") as info:
         next_set(F2Set(3, [1, 2]), F2Set(3, [1, 2, 4]), Fraction(2))
+    assert (info.value.stage, info.value.exhaustive) == ("next_set", False)
 
 
 # -- run_sequence --------------------------------------------------------------------
@@ -158,7 +154,7 @@ def test_run_sequence_lemma_instantiation_n16():
 
 
 def test_run_sequence_rejects_bad_growth_bound():
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(FormatError, match="^growth bound K must exceed 1$"):
         run_sequence(SELF_ORTH, SELF_ORTH, 1)
 
 
@@ -235,7 +231,9 @@ def test_small_span_guarantees_random():
 
 def test_small_span_precondition_enforced():
     b = F2Set(2, range(4))  # every nonzero vector has bias 0
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(
+        FormatError, match="^element 0x1 has bias below 1/2; A not in the spectrum$"
+    ):
         small_span_dual(F2Set(2, [1]), b, Fraction(1, 2))
 
 
@@ -294,7 +292,8 @@ def test_pull_back_halving_and_validity_random():
         b_pool = random_set(rng, n, 10)
         try:
             upper = exact_dual_oracle(a_i, b_pool)
-        except CapExceeded:
+        except FormatError as exc:
+            assert re.fullmatch(r"enumerated dimension \d+ exceeds exact cap 20", str(exc))
             continue
         pair = pull_back(a_prev, upper, a_i)
         built += 1
@@ -306,8 +305,11 @@ def test_pull_back_halving_and_validity_random():
 def test_pull_back_graph_empty():
     a_prev = F2Set(3, [0b001])
     pair_up = DualPair(F2Set(3, [0b111]), F2Set(3, [0b000]), 0)
-    with pytest.raises(GraphEmpty):
+    with pytest.raises(
+        SearchFailure, match="^pair's A side is disjoint from the previous sumset$"
+    ) as info:
         pull_back(a_prev, pair_up, F2Set(3, [0b111]))
+    assert (info.value.stage, info.value.exhaustive) == ("pull_back", False)
 
 
 def test_pull_back_zero_a_side_keeps_one_element():
@@ -420,7 +422,7 @@ def test_pipeline_pull_back_failure_is_labelled(monkeypatch):
 
         def failing(a_prev, pair_i, a_i, level_i=level_i):
             if a_i == level_i:
-                raise GraphEmpty("patched")
+                raise SearchFailure("pull_back", "patched")
             return real(a_prev, pair_i, a_i)
 
         monkeypatch.setattr(approxdual, "pull_back", failing)
@@ -434,7 +436,7 @@ def test_pipeline_pull_back_failure_is_labelled(monkeypatch):
 
 def test_pipeline_bsg_failure_is_labelled(monkeypatch):
     def failing(*args, **kwargs):
-        raise DensityTooLow("patched")
+        raise SearchFailure("bsg", "patched")
 
     monkeypatch.setattr(approxdual, "bsg_extract", failing)
     trace = find_dual_pair(SELF_ORTH, SELF_ORTH)
@@ -508,7 +510,7 @@ def test_oracle_cap(monkeypatch):
     big = F2Set(6, range(40))
     # the cap is checked before the |A| x |B| inner-product matrix is built
     monkeypatch.setattr(approxdual, "ip_rows", None)
-    with pytest.raises(CapExceeded, match="^enumerated dimension 40 exceeds exact cap 20$"):
+    with pytest.raises(FormatError, match="^enumerated dimension 40 exceeds exact cap 20$"):
         exact_dual_oracle(big, big, exact_cap=20)
 
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from dualbench import cli
 from dualbench.cli import main
-from dualbench.errors import FormatError
+from dualbench.errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch
 from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import parse_set_text
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
@@ -365,6 +366,12 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     assert "node root: row speaks although rank_r 2 > rank_s 0" in check(doc, "root rank_s 2 -> 0")
     text = tree_file.read_bytes()
     check(text[:40] + b"\xe9" + text[40:], "non-ASCII byte")
+    # nesting past the recursion limit; the text is built flat, so making
+    # it does not recurse
+    for depth in (700, 1200):
+        deep = b'{"type": "internal", "children": [' * depth + b"0" + b"]}" * depth
+        err = check(b'{"format": "protocol-tree", "root": ' + deep + b"}", f"{depth} deep")
+        assert err == "error: tree JSON is nested too deeply to load\n"
 
     rng = random.Random("tree-mutations")
     for i in range(300):
@@ -409,6 +416,28 @@ def test_malformed_set_and_matrix_bytes_are_format_errors(tmp_path, capsys):
             assert run(*argv) == 1, (source.name, i, bad.read_bytes())
             err = capsys.readouterr().err
             assert err.startswith("error: ") and len(err.splitlines()) == 1, (source.name, i, err)
+
+
+def test_exit_codes_map_each_error_class(monkeypatch, capsys):
+    # exit 1 for bad input, 2 when a search finds nothing, 3 for a bug; each
+    # prints one line to stderr
+    for exc, code, err in (
+        (FormatError("bad input"), 1, "error: bad input\n"),
+        (SearchFailure("bsg", "no candidate met the size floor"), 2,
+         "not found (bsg): no candidate met the size floor\n"),
+        (InvariantViolation("broken"), 3, "invariant violation: broken\n"),
+        (TreeMismatch("protocol mismatch at (0,1): got 1, expected 0"), 3,
+         "invariant violation: protocol mismatch at (0,1): got 1, expected 0\n"),
+        (OSError(2, "No such file or directory", "m.txt"), 1,
+         "error: [Errno 2] No such file or directory: 'm.txt'\n"),
+    ):
+        def failing(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        assert run("analyze", "--matrix", "m.txt") == code, exc
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
 
 
 def test_usage_errors(tmp_path):

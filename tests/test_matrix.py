@@ -7,7 +7,7 @@ import pytest
 
 import _reference_oracles as ref
 from dualbench import matrix
-from dualbench.errors import CapExceeded, NotFound, PreconditionViolation
+from dualbench.errors import FormatError, SearchFailure
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import F2Set, duality_measure, parity_dot
 from dualbench.matrix import (
@@ -201,7 +201,7 @@ def test_factorize_roundtrip_fuzz():
 
 
 def test_factorize_rejects_duplicates():
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(FormatError, match="^factorize_f2 needs a deduplicated matrix$"):
         factorize_f2(BoolMatrix.from_lists([[0, 1], [0, 1]]))
 
 
@@ -300,7 +300,7 @@ def test_max_mono_exact_beyond_subset_table():
 
 
 def test_max_mono_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(FormatError, match="^enumerated dimension 8 exceeds exact cap 4$"):
         max_mono_exact(all_ones(8, 8), exact_cap=4)
 
 
@@ -356,9 +356,9 @@ def test_biased_identity2_has_no_witness():
     # rectangle of I2 with area >= 2 is perfectly balanced.
     m = identity(2)
     assert not exhaustive_biased_exists(m)
-    with pytest.raises(NotFound) as info:
+    with pytest.raises(SearchFailure, match="^exhaustive search: no submatrix meets") as info:
         find_biased_submatrix(m)
-    assert info.value.exhaustive
+    assert (info.value.stage, info.value.exhaustive) == ("search", True)
 
 
 def test_biased_rank_one_unbalanced_has_no_witness():
@@ -367,9 +367,9 @@ def test_biased_rank_one_unbalanced_has_no_witness():
     m = BoolMatrix.from_strings(["10110"] * 3)
     assert rank_real(m) == 1
     assert not exhaustive_biased_exists(m)
-    with pytest.raises(NotFound) as info:
+    with pytest.raises(SearchFailure, match="^exhaustive search: no submatrix meets") as info:
         find_biased_submatrix(m)
-    assert info.value.exhaustive
+    assert (info.value.stage, info.value.exhaustive) == ("search", True)
 
 
 def test_biased_tall_matrices():
@@ -382,8 +382,9 @@ def test_biased_tall_matrices():
         m = random_matrix(rng, k, rng.randint(2, k - 1))
         try:
             view = find_biased_submatrix(m)
-        except NotFound as info:
-            assert info.exhaustive
+        except SearchFailure as info:
+            assert (info.stage, info.exhaustive) == ("search", True)
+            assert str(info).startswith("exhaustive search: no submatrix meets")
             assert not exhaustive_biased_exists(m)
             continue
         assert contract_holds(m, view)
@@ -407,8 +408,9 @@ def test_biased_random_low_rank():
             continue
         try:
             view = find_biased_submatrix(m)
-        except NotFound as info:
-            assert info.exhaustive
+        except SearchFailure as info:
+            assert (info.stage, info.exhaustive) == ("search", True)
+            assert str(info).startswith("exhaustive search: no submatrix meets")
             assert not exhaustive_biased_exists(m)
             continue
         assert contract_holds(m, view)
@@ -470,16 +472,12 @@ def test_matrix_text_codec_entry_by_entry():
 
 
 def test_matrix_from_strings_errors():
-    from dualbench.errors import FormatError
-
     for bad in ([], [""], ["01", "0"], ["0a1"], ["021"], ["0_1"], ["+1"], ["0 1"], ["01\n"]):
         with pytest.raises(FormatError):
             BoolMatrix.from_strings(bad)
 
 
 def test_matrix_file_names_the_bad_row():
-    from dualbench.errors import FormatError
-
     for row in ("0a1", "021", "0_1", "+11", "01"):
         with pytest.raises(FormatError, match=f"bad matrix row '{re.escape(row)}'"):
             parse_matrix_text(f"2 3\n010\n{row}\n")
@@ -491,8 +489,6 @@ def test_matrix_file_comments():
 
 
 def test_matrix_file_errors():
-    from dualbench.errors import FormatError
-
     for bad in ("", "2 2\n01\n", "1 2\n012\n", "x y\n0\n", "1 3\n0_1\n", "1 2\n-1\n"):
         with pytest.raises(FormatError):
             parse_matrix_text(bad)

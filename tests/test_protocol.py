@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import random
 from fractions import Fraction
 from functools import partial
@@ -9,7 +10,7 @@ import pytest
 from dualbench import protocol
 from dualbench.approxdual import PipelineTrace
 from dualbench.cli import main
-from dualbench.errors import FormatError, InvariantViolation, MismatchError
+from dualbench.errors import FormatError, InvariantViolation, TreeMismatch
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
 from dualbench.matrix import BoolMatrix, dedup, max_mono_exact, rank_real
 from dualbench.protocol import (
@@ -370,16 +371,20 @@ def test_flipped_leaf_raises_the_first_wrong_entry():
             continue
         target = rng.randrange(tree.leaves)
         bad = dataclasses.replace(tree, root=_flip_leaf(tree.root, target, []))
-        with pytest.raises(MismatchError) as caught:
+        x, y = _first_wrong_entry(bad, m)
+        got, expected = simulate(bad, x, y)[0], m.entry(x, y)
+        message = f"protocol mismatch at ({x},{y}): got {got}, expected {expected}"
+        with pytest.raises(TreeMismatch, match=f"^{re.escape(message)}$"):
             verify(bad, m)
-        assert (caught.value.row, caught.value.col) == _first_wrong_entry(bad, m)
 
 
 def test_verify_detects_mismatch():
     m = identity(2)
     tree = build_protocol(m)
     flipped = BoolMatrix.from_lists([[1, 0], [0, 0]])
-    with pytest.raises((MismatchError, FormatError)):
+    with pytest.raises(
+        FormatError, match="^the tree's stored matrix and index maps are not dedup of the matrix$"
+    ):
         verify(tree, flipped)
 
 

@@ -1,11 +1,13 @@
 """Source-level checks on the package."""
 
 import ast
+import builtins
 import importlib
 import sys
 from pathlib import Path
 
 import dualbench
+from dualbench import errors
 
 SOURCES = sorted(Path(dualbench.__file__).parent.glob("*.py"))
 
@@ -128,3 +130,62 @@ def test_benchmark_tracer_targets_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def _base_class(module, expr):
+    """The object a class statement's base expression names in module."""
+    if isinstance(expr, ast.Name):
+        return getattr(module, expr.id, getattr(builtins, expr.id, None))
+    if isinstance(expr, ast.Attribute):
+        return getattr(_base_class(module, expr.value), expr.attr, None)
+    return None
+
+
+def test_only_errors_defines_exceptions():
+    # the CLI maps errors to exit codes by class, so every class lives in
+    # errors.py, where that map can be read whole
+    found = []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        classes = [
+            node
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ClassDef)
+        ]
+        if not classes:  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"dualbench.{path.stem}")
+        for node in classes:
+            for base in node.bases:
+                owner = _base_class(module, base)
+                if isinstance(owner, type) and issubclass(owner, BaseException):
+                    found.append(f"{path.name}:{node.lineno}: class {node.name}")
+    assert found == []
+
+
+def test_one_error_class_per_exit_code():
+    # exit 1 bad input, 2 a search found nothing, 3 a bug: one class each
+    # under DualbenchError, plus TreeMismatch, the one bug trap that cli
+    # verify reads as bad input in a loaded tree; each is raised or caught
+    # somewhere in the package
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == errors.__name__
+    }
+    assert defined == {
+        "DualbenchError", "FormatError", "SearchFailure", "InvariantViolation", "TreeMismatch"
+    }
+    used = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                used.update(getattr(t, "id", None) for t in types)
+    assert sorted(defined - used) == []
