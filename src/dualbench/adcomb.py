@@ -17,17 +17,17 @@ Two extractors and one diagnostic:
 * ``doubling_report`` -- measured doubling constant against the classical
   reference bounds (Freiman-Ruzsa, Green-Tao, Sanders), diagnostics only.
 
-``bsg_extract`` keeps its graph as member-index masks: member i's
-neighbourhood A & (x_i + S) is an |A|-bit int with bit j set iff x_i + x_j
-is in S, built on first use by walking the smaller of A and S, so
-codegrees are popcounts of mask intersections.
+``bsg_extract`` keeps its graph as member-index masks from
+``f2.neighbourhoods``: member i's neighbourhood A & (x_i + S) is an |A|-bit
+int with bit j set iff x_i + x_j is in S, so codegrees are popcounts of
+mask intersections, and the pair density is the masks' popcounts over
+|A|^2; no pair sum is counted.
 
-Every pair-sum count here comes from ``f2.rep_counts``, and every sumset
-size from ``f2.sumset_size``, which ORs 2^n-bit translates of the set and
-needs no transform; f2 alone decides between dense 2^n tables and direct
-sums.  ``pfr_extract``'s greedy covers are coset sizes, not pair sums: it
-keeps the span as its reduced echelon basis and counts the members'
-``f2.coset_rep``.
+Every sumset size here comes from ``f2.sumset_size``, which ORs 2^n-bit
+translates of the set where that pays and needs no transform; f2 alone
+decides between dense 2^n words or tables and direct sums.
+``pfr_extract``'s greedy covers are coset sizes, not pair sums: it keeps the
+span as its reduced echelon basis and counts the members' ``f2.coset_rep``.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .errors import FormatError, InvariantViolation, SearchFailure
 # wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
-from .f2 import F2Set, coset_rep, echelon_basis, rep_counts, span, sumset_size, wht
+from .f2 import F2Set, coset_rep, echelon_basis, neighbourhoods, span, sumset_size, wht
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools -> binary digits
 
 
 @dataclass(frozen=True)
@@ -99,43 +97,27 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     if len(a) == 0 or len(s) == 0:
         raise FormatError("bsg_extract needs nonempty sets")
     if rho <= 0:
-        raise SearchFailure("bsg", "required density must be positive")
-    counts = rep_counts(a)
-    density = Fraction(sum(counts.get(w, 0) for w in s.members), len(a) * len(a))
-    # |c + c| per candidate c, each counted once; keep only the size of a's
-    # table, which holds up to 2^n counts through the whole search
-    sumset_sizes = {a.members: len(counts)}
-    del counts
+        raise FormatError("required density must be positive")
+    rows = neighbourhoods(a, s)
+    # bit j of rows[i] is set iff x_i + x_j is in S, so the popcounts add
+    # up to the ordered pairs of A that sum into S
+    density = Fraction(sum(map(int.bit_count, rows)), len(a) * len(a))
     if density < rho:
         raise SearchFailure("bsg", f"pair density {density} < required {rho}")
 
     members = a.members
     size = len(members)
-    index = {x: i for i, x in enumerate(members)}
-    in_s = s._lookup.__contains__
-
-    @cache
-    def row(i: int) -> int:
-        # A & (members[i] + S) as a mask over member index: bit j is set iff
-        # members[i] + members[j] is in S, so the graph is symmetric.  One
-        # C-level pass over A, read as a binary numeral whose last digit is
-        # member 0, or a walk over S when S is the smaller set.
-        x = members[i]
-        if len(s) < size:
-            return sum(1 << index[y] for y in map(x.__xor__, s.members) if y in index)
-        return int(bytes(map(in_s, map(x.__xor__, reversed(members)))).translate(_DIGITS), 2)
-
     rng = random.Random(seed)
     picked = range(size) if size <= BSG_PIVOTS else sorted(rng.sample(range(size), BSG_PIVOTS))
 
     candidates = {members}
     seen_bases = set()
     for pivot in picked:
-        base = row(pivot)
+        base = rows[pivot]
         if not base or base in seen_bases:
             continue
         seen_bases.add(base)
-        start = [(i, row(i)) for i in range(size) if base >> i & 1]
+        start = [(i, rows[i]) for i in range(size) if base >> i & 1]
         candidates.add(tuple(members[i] for i, _ in start))
         for threshold in (Fraction(1, 4), Fraction(1, 2)):
             # drop every member whose codegree in the current set is below
@@ -157,9 +139,7 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     if not sized:
         raise SearchFailure("bsg", "no candidate met the size floor")
 
-    for c in sized:
-        if c not in sumset_sizes:
-            sumset_sizes[c] = sumset_size(F2Set(a.n, c))
+    sumset_sizes = {c: sumset_size(F2Set(a.n, c)) for c in sized}
 
     # score by doubling relative to the candidate itself, preferring larger
     # candidates on ties; scoring against |a| instead collapses to singletons

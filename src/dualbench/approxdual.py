@@ -107,7 +107,9 @@ def _markov_restrict(a: F2Set, chars: CharSums):
     if d == 0:
         raise SearchFailure("markov_restrict", "duality measure is zero; nothing to restrict")
     eps1 = d / 2
-    kept = [w for w in a.members if in_spectrum(chars(w), size, eps1)]
+    kept = [
+        w for w, v in zip(a.members, chars.values(a.members)) if in_spectrum(v, size, eps1)
+    ]
     a1 = F2Set(a.n, kept)
     if Fraction(len(a1)) < eps1 * len(a):
         raise InvariantViolation("Markov restriction bound failed")
@@ -136,8 +138,11 @@ def _next_level(
     size = len(chars.b)
     mass = [0] * n
     buckets: list[list[int]] = [[] for _ in range(n)]
-    for x, c in rep_counts(a_prev).items():
-        if not in_spectrum(chars(x), size, eps_next):
+    counts = rep_counts(a_prev)
+    # in_spectrum(v, size, eps_next) with its constant factors hoisted
+    den, bar = eps_next.denominator, eps_next.numerator * size
+    for (x, c), v in zip(counts.items(), chars.values(list(counts))):
+        if abs(v) * den < bar:
             continue
         j = min(c.bit_length() - 1, n - 1)
         mass[j] += c
@@ -265,8 +270,8 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
     eps = Fraction(eps)
     if eps <= 0:
         raise FormatError("eps must be positive")
-    for w in a.members:
-        if not in_spectrum(b_chars(w), len(b), eps):
+    for w, v in zip(a.members, b_chars.values(a.members)):
+        if not in_spectrum(v, len(b), eps):
             raise FormatError(
                 f"element {w:#x} has bias below {eps}; A not in the spectrum"
             )
@@ -276,14 +281,14 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
         classes.setdefault(key, []).append(y)
 
     span_size = 1 << len(basis)
-    a_chars = CharSums(a)
+    # every class acts on A as its first member does
+    charsums = CharSums(a).values([ys[0] for ys in classes.values()])
 
     def score(item):
-        _key, ys = item
-        charsum = a_chars(ys[0])
+        ys, charsum = item
         return (-(len(ys) * (len(a) + abs(charsum))), -len(ys), ys[0])
 
-    _, chosen = min(classes.items(), key=score)
+    chosen, _ = min(zip(classes.values(), charsums), key=score)
     side0, side1 = _split(a.members, ip_rows([chosen[0]], a.members)[0])
     kept, bit = (side0, 0) if len(side0) >= len(side1) else (side1, 1)
     pair = DualPair(F2Set(a.n, kept), F2Set(b.n, chosen), bit)

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import experiments as xp
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
@@ -331,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-a", dest="set_a", default=None)
     p.add_argument("--set-b", dest="set_b", default=None)
     common(p)
-    p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("gen-sets", help="write a set file")
     p.add_argument("--family", required=True, choices=list(xp.SET_FAMILIES))
@@ -341,19 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outliers", type=int, default=None)
     p.add_argument("--size", type=int, default=None, help="size for the random family")
     common(p)
-    p.set_defaults(func=cmd_gen_sets)
 
     p = sub.add_parser("analyze", help="ranks, counts and discrepancy of a matrix")
     p.add_argument("--matrix", required=True)
     common(p, fmt=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factor", help="inner-product factorization of a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out-a", dest="out_a", default=None, help="write the row set file")
     p.add_argument("--out-b", dest="out_b", default=None, help="write the column set file")
     common(p)
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("dual", help="find a dual pair for two set files")
     p.add_argument("--set-a", dest="set_a", required=True)
@@ -363,13 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None,
                    help="growth bound for the pipeline (rational, e.g. 16 or 3/2)")
     common(p, exact_cap=True)
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("mono", help="find a monochromatic rectangle")
     p.add_argument("--matrix", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="exact")
     common(p, exact_cap=True)
-    p.set_defaults(func=cmd_mono)
 
     p = sub.add_parser("protocol", help="compile a matrix into a protocol tree")
     p.add_argument("--matrix", required=True)
@@ -377,13 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-out", dest="tree_out", default=None,
                    help="write the tree JSON here")
     common(p, fmt=True, exact_cap=True)
-    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("verify", help="re-verify a stored tree against a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--tree", required=True)
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("--name", required=True, choices=sorted(xp.EXPERIMENTS))
@@ -406,19 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-determinism)")
     common(p, fmt=True)
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
+_parser = cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the verb's cmd_ function is looked up per call, not stored in the parser
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,8 +5,8 @@ Sets keep their members as deduplicated, ascending word tuples so every
 operation has one canonical, reproducible output.  All bias and duality
 values are exact rationals (integer character sums over integer set sizes);
 nothing in this module touches floating point.  Dense 2^n tables (the
-transforms, and the 2^n-bit translate words behind ``sumset_size``) are
-built only where ``dense_pays``.
+transforms, and the 2^n-bit translate words behind ``sumset_size`` and
+``neighbourhoods``) are built only where ``dense_pays``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 from array import array
 from bisect import bisect_left, insort
 from collections import Counter
+from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +25,10 @@ from .errors import FormatError, read_text
 MAX_DIMENSION = 24
 DENSE_CAP = 20  # build 2^n tables only up to this dimension
 NOT_BITS = str.maketrans("", "", "01")  # str.translate table: what is left is not a bit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools -> binary digits
+# neighbourhoods: one translated 2^n-bit word costs about as much as a direct
+# pass over 2^n / NEIGHBOURHOOD_COST members (measured crossover 28-67)
+NEIGHBOURHOOD_COST = 48
 
 
 def _check_dim(n: int) -> None:
@@ -165,9 +170,9 @@ def rep_count(s: F2Set, word: int) -> int:
 
 
 def dense_pays(n: int, direct_work: int) -> bool:
-    """The one rule for a dense 2^n table, a transform or sumset_size's
-    translate words: it must fit (n <= DENSE_CAP) and cost no more than the
-    direct sums it replaces."""
+    """The one rule for a dense 2^n table, a transform or the translated
+    2^n-bit words of sumset_size and neighbourhoods: it must fit
+    (n <= DENSE_CAP) and cost no more than the direct sums it replaces."""
     return n <= DENSE_CAP and (1 << n) <= direct_work
 
 
@@ -195,15 +200,58 @@ def rep_counts(s: F2Set) -> dict[int, int]:
 
 def sumset_size(s: F2Set) -> int:
     """|s + s|: the popcount of the union of s's translates (_sumset_bits)
-    when a dense table pays against the |s|^2 pair sums, else the distinct
-    sums of the unordered pairs."""
-    if dense_pays(s.n, len(s) * len(s)):
+    when a dense table pays against the |s|(|s| + 1)/2 unordered pair sums,
+    else the distinct sums of those pairs.  (Measured crossover: |s| about
+    21 at n = 8, 100 at n = 14, 1,400 at n = 20.)"""
+    if dense_pays(s.n, len(s) * (len(s) + 1) // 2):
         return _sumset_bits(s).bit_count()
     c = s.members
     out: set[int] = set()
     for i, u in enumerate(c):
         out.update(map(u.__xor__, c[i:]))
     return len(out)
+
+
+def neighbourhoods(a: F2Set, s: F2Set) -> list[int]:
+    """For each member u of a, in order, the member-index mask of
+    a & (u + s): bit j is set iff u + a.members[j] is in s.
+
+    Each mask is one pass over a, or over s when s is the smaller set,
+    unless a dense word pays against that pass (2^n against
+    NEIGHBOURHOOD_COST times the smaller size): then the members are walked
+    in ascending order with s's 2^n-bit indicator word translated to the
+    current one, one ``_xor_swap`` per bit in which it differs from the
+    previous one, and a mask is that word's digits at the members'
+    positions.
+    """
+    n = same_dim(a, s)
+    members = a.members
+    if dense_pays(n, NEIGHBOURHOOD_COST * min(len(members), len(s))):
+        masks = _swap_masks(n)
+        digits = f"0{1 << n}b"  # bit x is digit 2^n - 1 - x; member 0 comes last
+        pick = itemgetter(*[(1 << n) - 1 - x for x in reversed(members)])
+        word, at, rows = _indicator_word(s), 0, []
+        for u in members:
+            moved = u ^ at
+            while moved:
+                h = moved & -moved
+                word = _xor_swap(word, masks[h.bit_length() - 1], h)
+                moved ^= h
+            at = u
+            rows.append(int("".join(pick(format(word, digits))), 2))
+        return rows
+    if len(s) < len(members):
+        index = {x: i for i, x in enumerate(members)}
+        return [
+            sum(1 << index[y] for y in map(u.__xor__, s.members) if y in index)
+            for u in members
+        ]
+    in_s = s._lookup.__contains__
+    backwards = members[::-1]
+    return [
+        int(bytes(map(in_s, map(u.__xor__, backwards))).translate(_DIGITS), 2)
+        for u in members
+    ]
 
 
 def _sumset_bits(s: F2Set) -> int:
@@ -218,21 +266,33 @@ def _sumset_bits(s: F2Set) -> int:
     2^(n+k) bits, 8 MB at n = 20, and dies on return.
     """
     n, members = s.n, s.members
-    # masks[b]: the positions with bit b clear; from the low half (b = n - 1)
-    # down, those with bits b and b - 1 clear, and the same shifted up by 2^b
+    masks = _swap_masks(n)
+    table = [_indicator_word(s)] * (1 << min(6, n))
+    for i in range(1, len(table)):
+        h = i & -i  # the Gray codes of i - 1 and i differ in bit h
+        table[i ^ i >> 1] = _xor_swap(table[(i - 1) ^ (i - 1) >> 1], masks[h.bit_length() - 1], h)
+    return _union_of_translates(members, 0, len(members), n - 1, table, masks)
+
+
+def _swap_masks(n: int) -> list[int]:
+    """masks[b]: the 2^n-bit word of the positions with bit b clear, for
+    _xor_swap by 2^b."""
+    # from the low half (b = n - 1) down: the positions with bits b and
+    # b - 1 clear, and the same shifted up by 2^b
     masks = [(1 << (1 << (n - 1))) - 1]
     for b in range(n - 1, 0, -1):
         both = masks[-1] & masks[-1] >> (1 << (b - 1))
         masks.append(both | both << (1 << b))
     masks.reverse()
-    indicator = bytearray((1 << n) + 7 >> 3)
-    for u in members:
+    return masks
+
+
+def _indicator_word(s: F2Set) -> int:
+    """s's indicator as a 2^n-bit word: bit x set iff x is in s."""
+    indicator = bytearray((1 << s.n) + 7 >> 3)
+    for u in s.members:
         indicator[u >> 3] |= 1 << (u & 7)
-    table = [int.from_bytes(indicator, "little")] * (1 << min(6, n))
-    for i in range(1, len(table)):
-        h = i & -i  # the Gray codes of i - 1 and i differ in bit h
-        table[i ^ i >> 1] = _xor_swap(table[(i - 1) ^ (i - 1) >> 1], masks[h.bit_length() - 1], h)
-    return _union_of_translates(members, 0, len(members), n - 1, table, masks)
+    return int.from_bytes(indicator, "little")
 
 
 def _xor_swap(w: int, mask: int, h: int) -> int:
@@ -358,10 +418,10 @@ def char_table(b: F2Set) -> list[int]:
 
 
 class CharSums:
-    """The character sums of a fixed set b, word by word: the one
-    character-sum kernel.  ``CharSums(b)(x)`` is char_sum(b, x), memoised per
-    word until the distinct words asked times |b| pay for a dense table
-    (dense_pays); from then on it reads char_table(b).  A direct sum is
+    """The character sums of a fixed set b: the one character-sum kernel.
+    ``CharSums(b).values(words)`` is [char_sum(b, x) for x in words], read
+    from char_table(b) once the distinct words asked so far times |b| pay
+    for it (dense_pays), else direct sums memoised per word; a direct sum is
     |b| - 2 popcount(combine(x, transpose(b))), b transposed on the first."""
 
     __slots__ = ("b", "_memo", "_table", "_columns")
@@ -372,24 +432,23 @@ class CharSums:
         self._table: list[int] | None = None
         self._columns: list[int] | None = None
 
-    def __call__(self, word: int) -> int:
-        if self._table is not None:
-            return self._table[word]
-        got = self._memo.get(word)
-        if got is None:
-            if dense_pays(self.b.n, (len(self._memo) + 1) * len(self.b)):
-                self._table = char_table(self.b)
-                return self._table[word]
-            if self._columns is None:
-                self._columns = transpose(self.b.members, self.b.n)
-            odd = combine(word, self._columns).bit_count()
-            got = self._memo[word] = len(self.b) - 2 * odd
-        return got
+    def values(self, words: Sequence[int]) -> list[int]:
+        """[char_sum(b, x) for x in words], one dense-or-direct choice per batch."""
+        if self._table is None:
+            memo, size = self._memo, len(self.b)
+            new = {w for w in words if w not in memo}
+            if not dense_pays(self.b.n, (len(memo) + len(new)) * size):
+                if new and self._columns is None:
+                    self._columns = transpose(self.b.members, self.b.n)
+                for w in new:
+                    memo[w] = size - 2 * combine(w, self._columns).bit_count()
+                return list(map(memo.__getitem__, words))
+            self._table = char_table(self.b)
+        return list(map(self._table.__getitem__, words))
 
     def duality(self, words: Sequence[int]) -> Fraction:
         """D(words, b): the absolute mean of (-1)^<x,y> over words x b."""
-        total = sum(map(self, words))
-        return Fraction(abs(total), len(words) * len(self.b))
+        return Fraction(abs(sum(self.values(words))), len(words) * len(self.b))
 
 
 def bias(b: F2Set, word: int) -> Fraction:

@@ -310,7 +310,7 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     if len(a) == 0 or len(s) == 0:
         raise FormatError("bsg_extract needs nonempty sets")
     if rho <= 0:
-        raise SearchFailure("bsg", "required density must be positive")
+        raise FormatError("required density must be positive")
     members = a.members
     member_set = set(members)
     hits = sum(1 for x in members for y in members if x ^ y in s)

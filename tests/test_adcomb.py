@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import _reference_oracles as ref
+from dualbench import adcomb, f2
 from dualbench.adcomb import BSG_PIVOTS, bsg_extract, doubling_report, pfr_extract
 from dualbench.errors import FormatError, SearchFailure
 from dualbench.f2 import F2Set, span, sumset
@@ -54,6 +55,40 @@ def test_bsg_density_precondition():
     with pytest.raises(SearchFailure, match="^pair density 0 < required 1/2$") as info:
         bsg_extract(a, s, Fraction(1, 2))
     assert (info.value.stage, info.value.exhaustive) == ("bsg", False)
+
+
+def test_bsg_rejects_a_non_positive_density():
+    # a bad argument (exit 1), not a search that found nothing (exit 2)
+    for extract in (bsg_extract, ref.bsg_extract_s_side):
+        for rho in (0, Fraction(-1, 2)):
+            with pytest.raises(FormatError, match="^required density must be positive$"):
+                extract(F2Set(3, [1, 2]), F2Set(3, [3]), rho)
+
+
+def test_bsg_reads_its_density_off_the_graph(monkeypatch):
+    # the pair density is the neighbourhood masks' popcounts over |A|^2,
+    # exactly sum_{w in S} rep_A(w): no pair-sum count is made, on either
+    # side of neighbourhoods' dense rule
+    def refuse(*args):
+        raise AssertionError("bsg_extract counted pair sums")
+
+    for module in (f2, adcomb):
+        monkeypatch.setattr(module, "rep_counts", refuse, raising=False)
+        monkeypatch.setattr(module, "rep_table", refuse, raising=False)
+    rng = random.Random("bsg-density")
+    paths = set()
+    for n, size in ((6, 30), (12, 40), (14, 400)):
+        a = F2Set(n, rng.sample(range(1 << n), size))
+        sums = sumset(a, a).members
+        s = F2Set(n, rng.sample(sums, len(sums) // 3))
+        paths.add(f2.dense_pays(n, f2.NEIGHBOURHOOD_COST * min(len(a), len(s))))
+        hits = sum(1 for x in a for y in a if x ^ y in s)
+        density = Fraction(hits, size * size)
+        assert bsg_extract(a, s, density).subset.issubset(a)
+        above = density + Fraction(1, size * size)
+        with pytest.raises(SearchFailure, match=f"^pair density {density} < required {above}$"):
+            bsg_extract(a, s, above)
+    assert paths == {True, False}
 
 
 def test_bsg_doubling_matches_recomputation():
@@ -117,9 +152,15 @@ def test_bsg_matches_s_side_reference():
     for _ in range(3):
         a = F2Set(6, rng.sample(range(1, 64), 20))
         cases.append((a, F2Set(6, [a.members[0] ^ a.members[1]])))
-    sides = set()
+    # 2^n > NEIGHBOURHOOD_COST * min(|A|, |S|): the masks come from the direct
+    # pass over A, or the walk over S
+    for size_s in (30, 150):
+        a = F2Set(12, rng.sample(range(1 << 12), 60))
+        cases.append((a, F2Set(12, rng.sample(sumset(a, a).members, size_s))))
+    sides, paths = set(), set()
     for a, s in cases:
         sides.add(len(a) < len(s))
+        paths.add(f2.dense_pays(a.n, f2.NEIGHBOURHOOD_COST * min(len(a), len(s))))
         hits = sum(1 for x in a for y in a if x ^ y in s)
         rho = Fraction(hits, len(a) ** 2)
         seed = rng.randrange(100)
@@ -132,7 +173,7 @@ def test_bsg_matches_s_side_reference():
             assert info.value.stage == "bsg"
             continue
         assert bsg_extract(a, s, rho, seed=seed) == expected
-    assert sides == {True, False}
+    assert sides == paths == {True, False}
 
 
 def test_bsg_pivot_count_is_pinned():

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cache
 
 import pytest
 
@@ -438,6 +439,19 @@ def test_exit_codes_map_each_error_class(monkeypatch, capsys):
         assert run("analyze", "--matrix", "m.txt") == code, exc
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    # main parses with one cached parser and looks each verb's cmd_ function
+    # up per call, so a replaced cmd_ function is still the one that runs
+    builds = []
+    monkeypatch.setattr(cli, "_parser", cache(lambda: builds.append(1) or cli.build_parser()))
+    missing = str(tmp_path / "missing.txt")
+    assert [run("analyze", "--matrix", missing) for _ in range(3)] == [1, 1, 1]
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: 0)
+    assert run("analyze", "--matrix", missing) == 0
+    assert run("analyze") == 1
+    assert builds == [1]
 
 
 def test_usage_errors(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -295,19 +296,61 @@ def test_rep_counts_matches_pair_enumeration(monkeypatch):
 
 
 def test_sumset_size_matches_pair_enumeration(monkeypatch):
-    # the same dense rule as rep_counts: the popcount of the translates'
-    # union (_sumset_bits) when it pays, the set of pair sums otherwise
+    # the popcount of the translates' union (_sumset_bits) when 2^n is at
+    # most the |s|(|s| + 1)/2 unordered pair sums, the set of those sums
+    # otherwise; n = 8 with 20 members and n = 10 with 40 sit between that
+    # rule and rep_counts' 2^n <= |s|^2, so they take the pair loop
     dense_calls = []
     bits_of = f2._sumset_bits
     monkeypatch.setattr(f2, "_sumset_bits", lambda s: dense_calls.append(s) or bits_of(s))
     rng = random.Random("sumset-size")
     cases = [F2Set(n, rng.sample(range(1 << n), 12)) for n in (4, 5, 6) for _ in range(5)]
     cases += [F2Set(8, rng.sample(range(1 << 8), 10)) for _ in range(5)]
+    cases += [F2Set(8, rng.sample(range(1 << 8), k)) for k in (20, 22)]
+    cases += [F2Set(10, rng.sample(range(1 << 10), k)) for k in (40, 45)]
     cases += [F2Set(3, [5]), F2Set(4, range(16)), F2Set(21, rng.sample(range(1 << 21), 10))]
     for s in cases:
         dense_calls.clear()
         assert sumset_size(s) == len(brute_counts(s)) == len(sumset(s, s))
-        assert dense_calls == ([s] if f2.dense_pays(s.n, len(s) ** 2) else []), s
+        dense = f2.dense_pays(s.n, len(s) * (len(s) + 1) // 2)
+        assert dense_calls == ([s] if dense else []), s
+        if s.n in (8, 10) and len(s) in (20, 40):
+            assert f2.dense_pays(s.n, len(s) ** 2) and not dense
+
+
+def brute_neighbourhoods(a, s):
+    return [sum(1 << j for j, v in enumerate(a.members) if u ^ v in s) for u in a.members]
+
+
+def test_neighbourhoods_match_pair_enumeration(monkeypatch):
+    # bit j of mask i is set iff a_i + a_j is in s, on every path: the
+    # translated indicator word when 2^n <= NEIGHBOURHOOD_COST * min(|a|, |s|),
+    # else a pass over a, or a walk over s when s is the smaller set
+    words_made = []
+    word_of = f2._indicator_word
+    monkeypatch.setattr(f2, "_indicator_word", lambda s: words_made.append(s) or word_of(s))
+    rng = random.Random("neighbourhoods")
+    edge = ((1 << 14) - 1) // f2.NEIGHBOURHOOD_COST  # the largest direct size at n = 14
+    cases = [
+        (F2Set(4, [5]), F2Set(4, [0, 3, 9])),  # |a| = 1, 0 in s
+        (F2Set(12, [7]), F2Set(12, rng.sample(range(1 << 12), 50))),  # |a| = 1, direct
+        (F2Set(12, [0, 7]), F2Set(12, [7])),  # the word 0 in a
+    ]
+    for n, size_a, size_s in ((6, 20, 30), (6, 30, 5), (12, 30, 60), (12, 60, 20),
+                              (14, edge, 500), (14, edge + 1, 500), (21, 40, 30)):
+        a = F2Set(n, [0] + rng.sample(range(1, 1 << n), size_a - 1))
+        s = F2Set(n, rng.sample(range(1 << n), size_s - 1) + [0])
+        cases += [(a, s), (a, F2Set(n, s.members[1:]))]
+    paths = set()
+    for a, s in cases:
+        words_made.clear()
+        word = dense_pays(a.n, f2.NEIGHBOURHOOD_COST * min(len(a), len(s)))
+        paths.add("word" if word else "s" if len(s) < len(a) else "a")
+        assert f2.neighbourhoods(a, s) == brute_neighbourhoods(a, s), (a, s)
+        assert words_made == ([s] if word else [])
+    assert paths == {"word", "a", "s"}
+    with pytest.raises(FormatError, match="^4 != 5$"):
+        f2.neighbourhoods(F2Set(4, [1]), F2Set(5, [1]))
 
 
 def test_sumset_bits_is_the_sumset_indicator():
@@ -330,17 +373,22 @@ def test_sumset_bits_is_the_sumset_indicator():
 
 
 def test_dense_sumset_size_builds_no_transform(monkeypatch):
-    # at n = DENSE_CAP with 2^n <= |s|^2 the dense rule holds, and the
-    # translate kernel answers without rep_table or wht
+    # at n = DENSE_CAP with 2^n <= |s|(|s| + 1)/2 the dense rule holds, and
+    # the translate kernel answers without rep_table or wht; at 1,024
+    # members the pair loop answers (measured: 112 ms against 282 ms for the
+    # translates)
     calls = []
+    bits_of = f2._sumset_bits
     monkeypatch.setattr(f2, "rep_table", lambda s: calls.append("rep_table"))
     monkeypatch.setattr(f2, "wht", lambda values: calls.append("wht"))
+    monkeypatch.setattr(f2, "_sumset_bits", lambda s: calls.append(len(s)) or bits_of(s))
     rng = random.Random("sumset-dense")
     n = f2.DENSE_CAP
-    s = F2Set(n, rng.sample(range(1 << n), 1030))
-    assert dense_pays(n, len(s) ** 2)
+    s = F2Set(n, rng.sample(range(1 << n), 1450))
+    assert dense_pays(n, len(s) * (len(s) + 1) // 2)
     assert sumset_size(s) == len({u ^ v for u in s.members for v in s.members})
-    assert calls == []
+    assert calls == [1450]
+    assert not dense_pays(n, 1024 * 1025 // 2)
 
 
 # -- wht ---------------------------------------------------------------------
@@ -475,6 +523,31 @@ def test_pipeline_transforms_take_the_lane_path(monkeypatch):
     assert widths == {"indicator": {16}, "squared": {32}}
 
 
+def test_pipeline_counts_each_set_once(monkeypatch):
+    # the pipeline-dense benchmark's command counts the pair sums of no set
+    # twice: bsg_extract reads its pair density off its graph, so the input
+    # A of the BSG step is counted only by the next_set level that built the
+    # one above it; and every sumset size it asks takes the translate kernel
+    counted, sized, translated = [], [], []
+    rep_counts_of, sumset_size_of, bits_of = f2.rep_counts, f2.sumset_size, f2._sumset_bits
+    for name, log, original in (("rep_counts", counted, rep_counts_of),
+                                ("sumset_size", sized, sumset_size_of)):
+        def spy(s, log=log, original=original):
+            log.append(s)
+            return original(s)
+
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("dualbench") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(f2, "_sumset_bits", lambda s: translated.append(s) or bits_of(s))
+    config = {"family": "random", "n": 14, "size": 600}
+    report, _ = run_experiment("dual-pipeline", config, seed=0)
+    assert report["ok"]
+    assert counted and len(set(counted)) == len(counted)
+    assert sized and translated == sized
+
+
 # -- spectrum ----------------------------------------------------------------
 
 
@@ -536,11 +609,36 @@ def test_char_sums_build_their_table_once_it_pays():
         chars = CharSums(b)
         words = rng.sample(range(1 << n), 40)
         for k, word in enumerate(words + words):
-            assert chars(word) == char_sum(b, word)
+            assert chars.values([word]) == [char_sum(b, word)]
             asked = min(k + 1, len(words))
             assert (chars._table is not None) == (built is not None and asked >= built)
         if built is None:
             assert set(chars._memo) == set(words)
+
+
+def test_char_sums_values_decide_per_batch(monkeypatch):
+    # values(words) gives char_sum for each word in order, repeats included;
+    # the table is built when the distinct words asked so far, this batch's
+    # included, times |b| pay for it, and is then read for every later batch
+    tables = []
+    char_table_of = f2.char_table
+    monkeypatch.setattr(f2, "char_table", lambda b: tables.append(b) or char_table_of(b))
+    rng = random.Random("char-sums-values")
+    b = F2Set(8, rng.sample(range(1 << 8), 8))  # a table pays from 32 distinct words
+    chars = CharSums(b)
+    first = rng.sample(range(1 << 8), 20)
+    assert chars.values(first + first[:5]) == [char_sum(b, x) for x in first + first[:5]]
+    assert tables == [] and set(chars._memo) == set(first)
+    assert chars.values(first) == [char_sum(b, x) for x in first]  # all memoised
+    assert tables == []
+    rest = [x for x in range(1 << 8) if x not in first][:12]
+    assert chars.values(rest) == [char_sum(b, x) for x in rest]
+    assert tables == [b]
+    assert chars.values([]) == [] and chars.values(first) == [char_sum(b, x) for x in first]
+    assert tables == [b]
+    big = CharSums(F2Set(21, rng.sample(range(1 << 21), 50)))
+    assert big.values(list(range(300))) == [char_sum(big.b, x) for x in range(300)]
+    assert big._table is None
 
 
 def test_char_sums_direct_sums_above_dense_cap():
@@ -552,7 +650,7 @@ def test_char_sums_direct_sums_above_dense_cap():
     b = F2Set(n, rng.sample(range(1 << n), 300))
     chars = CharSums(b)
     for word in [0, (1 << n) - 1, *b.members[:20], *rng.sample(range(1 << n), 200)]:
-        assert chars(word) == char_sum(b, word)
+        assert chars.values([word]) == [char_sum(b, word)]
     assert chars._table is None
 
 
