@@ -52,6 +52,7 @@ class BsgResult:
     subset: F2Set
     ratio_in: Fraction  # |A'| / |A|
     doubling_out: Fraction  # |A' + A'| / |A|
+    sumset_size: int  # |A' + A'|
     density_bound: Fraction  # the rho the caller required
     size_bound: Fraction  # |S| / |A|, the C of the invocation
 
@@ -149,12 +150,13 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         subset=subset,
         ratio_in=Fraction(len(subset), len(a)),
         doubling_out=Fraction(sumset_sizes[best], len(a)),
+        sumset_size=sumset_sizes[best],
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )
 
 
-def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
+def pfr_extract(a: F2Set, strategy: str = "auto", sumset: int | None = None) -> PfrResult:
     """Largest-possible subset of ``a`` whose span size stays within |a|.
 
     exact: a maximum is closed, A & span(X) for some X of at most
@@ -164,7 +166,9 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
     coset x + span covers the most of ``a`` (smallest word on ties), then
     absorb every member the span now holds; each round reduces every member
     to its coset rep modulo the span's reduced echelon basis, and a coset's
-    cover is the number of members sharing its rep.
+    cover is the number of members sharing its rep.  sumset is |a + a| when
+    the caller has measured it (bsg_extract has, for its subset); else
+    input_doubling measures it here.
     """
     if len(a) == 0:
         raise FormatError("pfr_extract needs a nonempty set")
@@ -227,7 +231,7 @@ def pfr_extract(a: F2Set, strategy: str = "auto") -> PfrResult:
         ratio=Fraction(len(subset), len(a)),
         strategy=strategy,
         size_check_waived=False,
-        input_doubling=Fraction(sumset_size(a), len(a)),
+        input_doubling=Fraction(sumset_size(a) if sumset is None else sumset, len(a)),
     )
 
 

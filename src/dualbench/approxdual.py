@@ -339,7 +339,7 @@ def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
     eps_t = state.level(t).epsilon
     rho = eps_next / state.n
     bsg = bsg_extract(a_t, a_next, rho, seed=seed)
-    pfr = pfr_extract(bsg.subset)
+    pfr = pfr_extract(bsg.subset, sumset=bsg.sumset_size)
     pair, record = _small_span(pfr.subset, state.chars, eps_t)
     return BaseCaseResult(pair=pair, bsg=bsg, pfr=pfr, small_span=record)
 

@@ -30,6 +30,7 @@ from .matrix import (
     stats,
 )
 from .protocol import (
+    EXACT_STRATEGIES,
     STRATEGIES,
     build_protocol,
     finder_for,
@@ -146,11 +147,15 @@ def cmd_factor(args) -> int:
 
 
 def _exact_cap(args, read: bool) -> int:
-    """--exact-cap, or its default; a usage error where the strategy ignores it."""
+    """--exact-cap, or its default; a usage error where the strategy ignores
+    it, and outside 0..EXACT_CAP: the default is the largest, since
+    find_biased_submatrix's exhaustive pass loops over 2^cap subsets."""
     if args.exact_cap is None:
         return EXACT_CAP
     if not read:
         raise FormatError(f"--strategy {args.strategy} does not read --exact-cap")
+    if not 0 <= args.exact_cap <= EXACT_CAP:
+        raise FormatError(f"--exact-cap must be within 0..{EXACT_CAP}, got {args.exact_cap}")
     return args.exact_cap
 
 
@@ -209,7 +214,7 @@ def cmd_mono(args) -> int:
 def cmd_protocol(args) -> int:
     finder = finder_for(args.strategy, _exact_cap(args, args.strategy != "greedy"), args.seed)
     m = read_matrix_file(args.matrix)
-    tree = build_protocol(m, mono_finder=finder)
+    tree = build_protocol(m, finder, reuse_rectangle=args.strategy in EXACT_STRATEGIES)
     cost = verify(tree, m)
     audit = leaf_recurrence_audit(tree)
     if args.tree_out:

@@ -20,7 +20,7 @@ from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, SearchFailure
 from .f2 import F2Set, combine, duality_measure, ip_rows, span
 from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
-from .protocol import build_protocol, finder_for, verify
+from .protocol import EXACT_STRATEGIES, build_protocol, finder_for, verify
 
 SCHEMA_VERSION = 1
 WEIGHT_SLICE_CAP = 1 << 20
@@ -394,7 +394,8 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
     k = _int_at_least(config, "k", 12, 1)
     l = _int_at_least(config, "l", 12, 1)
     per_rank = _int_at_least(config, "instances", 5, 1)
-    finder = finder_for(config.get("strategy", "exact"), seed=seed)
+    strategy = config.get("strategy", "exact")
+    finder = finder_for(strategy, seed=seed)
     report = report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
     aggregate_rows = []
@@ -406,7 +407,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
             rng = instance_rng(seed, index)
             index += 1
             m = make_random_f2_rank(k, l, r, rng)
-            tree = build_protocol(m, mono_finder=finder)
+            tree = build_protocol(m, finder, reuse_rectangle=strategy in EXACT_STRATEGIES)
             cost = verify(tree, m)
             leaves_sum += cost.leaves
             depth_sum += cost.depth

@@ -5,12 +5,13 @@ rectangle Q, let the player whose block beside Q has the smaller rank
 announce membership of their input in Q's side, and recurse on the two
 halves.  Each sent bit is one internal node; leaves output the entry value.
 Simulation, full verification against the source matrix, and a recurrence
-audit of the per-node rank/area bookkeeping are provided.  Each tree holds
-one rank memo over blocks of its stored matrix, shared by the build, verify
-and the audit, so no block is ranked twice.  A rectangle finder is a plain
-function from a matrix to a monochromatic view of it: matrix's exact and
-greedy finders (max_mono_exact, greedy_rectangle) or mono_via_dual, named
-by strategy in finder_for.
+audit of the per-node rank/area bookkeeping are provided.  A block of the
+stored matrix is a pair of bit masks (rows, cols), and a split is a mask.
+Each tree holds one rank memo over blocks (BlockRanks), shared by the
+build, verify and the audit.  A rectangle finder is a plain function from
+a matrix to a monochromatic view of it: matrix's exact and greedy finders
+(max_mono_exact, greedy_rectangle) or mono_via_dual, named by strategy in
+finder_for.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
@@ -82,7 +84,7 @@ class Leaf:
 @dataclass(frozen=True)
 class Internal:
     speaker: str  # "row" | "col"
-    split: tuple[int, ...]  # deduped-matrix indices; sent bit = membership
+    split: int  # bit mask of deduped-matrix indices; sent bit = membership
     child0: "ProtocolNode"  # input outside the split
     child1: "ProtocolNode"  # input inside the split
     stats: NodeStats
@@ -101,30 +103,52 @@ ProtocolNode = Union[Leaf, Internal]
 
 
 class BlockRanks:
-    """rank_real of the blocks rows x cols of one matrix, each block ranked
+    """rank_real of the mask blocks rows x cols of one matrix, each ranked
     at most once.  A tree holds one for its stored matrix; it lives as long
-    as the tree, never longer."""
+    as the tree, never longer.  A block whose rank is its count of distinct
+    nonzero rows has rows independent over Q, and so has a block with the
+    same columns and a subset of its rows: that rank is a count."""
 
-    __slots__ = ("matrix", "_ranks")
+    __slots__ = ("matrix", "_ranks", "_independent")
 
     def __init__(self, matrix: BoolMatrix):
         self.matrix = matrix
-        self._ranks: dict[tuple, int] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
+        self._independent: dict[int, list[int]] = {}  # cols -> row masks of such blocks
 
-    def __call__(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        """The rank of the block, ranked as its row words masked to cols."""
+    def __call__(self, rows: int, cols: int) -> int:
+        """The rank of the block's distinct nonzero row words masked to cols."""
         got = self._ranks.get((rows, cols))
         if got is None:
-            mask = _mask(cols)
-            words = [self.matrix.rows[i] & mask for i in rows]
-            block = BoolMatrix(len(rows), self.matrix.n_cols, words)
-            got = self._ranks[rows, cols] = rank_real(block)
+            words = dict.fromkeys(map(cols.__and__, compress(self.matrix.rows, _picks(rows))))
+            words.pop(0, None)
+            got = len(words)
+            independent = self._independent.setdefault(cols, [])
+            if words and not any(rows | wider == wider for wider in independent):
+                got = rank_real(BoolMatrix(len(words), self.matrix.n_cols, words))
+                if got == len(words):
+                    independent.append(rows)
+            self._ranks[rows, cols] = got
         return got
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _picks(mask: int) -> bytes:
+    """itertools.compress selectors for the indices in mask: one byte per
+    bit, lowest first, 1 where the bit is set."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _members(mask: int) -> list[int]:
+    """The indices in mask, ascending."""
+    return list(compress(range(mask.bit_length()), _picks(mask)))
 
 
 def _mask(indices) -> int:
     """The word with the bits at indices set."""
-    return sum(1 << j for j in indices)
+    return sum(map((1).__lshift__, indices))
 
 
 @dataclass(frozen=True)
@@ -201,6 +225,9 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
 
 
 STRATEGIES = ("exact", "greedy", "via-dual")
+# Exact finders return the least maximum rectangle under an order that
+# re-indexing keeps, so a sub-block holding it gets it back: reuse_rectangle.
+EXACT_STRATEGIES = frozenset({"exact"})
 
 
 def finder_for(
@@ -219,6 +246,7 @@ def finder_for(
 def build_protocol(
     m: BoolMatrix,
     mono_finder: Optional[Callable[[BoolMatrix], SubmatrixView]] = None,
+    reuse_rectangle: bool = False,
 ) -> ProtocolTree:
     """Compile a matrix into a protocol tree.
 
@@ -229,61 +257,57 @@ def build_protocol(
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
     trap (InvariantViolation).  Blocks are ranked through the tree's memo.
+    With reuse_rectangle (an exact finder, EXACT_STRATEGIES, as the default
+    max_mono_exact is) Q is handed to the in-child, which holds it.
     """
     if mono_finder is None:
-        mono_finder = max_mono_exact
+        mono_finder, reuse_rectangle = max_mono_exact, True
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
     rank = BlockRanks(core)
 
-    def build(rows: tuple[int, ...], cols: tuple[int, ...], depth: int) -> ProtocolNode:
+    def build(rows: int, cols: int, depth: int, q=None) -> ProtocolNode:
+        """The node of block rows x cols; q is its rectangle (row mask,
+        column mask, value) when already known."""
         if depth > depth_cap:
             raise InvariantViolation(f"protocol recursion passed {depth_cap} bits")
-        mask = _mask(cols)
-        ones = sum((core.rows[i] & mask).bit_count() for i in rows)
-        if ones == 0 or ones == len(rows) * len(cols):
+        area = rows.bit_count() * cols.bit_count()
+        ones = sum(map(int.bit_count, map(cols.__and__, compress(core.rows, _picks(rows)))))
+        if ones == 0 or ones == area:
             return Leaf(output=0 if ones == 0 else 1)
-        sub = core.take(rows, cols)
-        q = mono_finder(sub)
-        q_rows = tuple(rows[i] for i in q.rows)
-        q_cols = tuple(cols[j] for j in q.cols)
-        rows_all = len(q_rows) == len(rows)
-        cols_all = len(q_cols) == len(cols)
-        if rows_all and cols_all:
+        if q is None:
+            row_idx, col_idx = _members(rows), _members(cols)
+            view = mono_finder(core.take(row_idx, col_idx))
+            q = (
+                _mask(map(row_idx.__getitem__, view.rows)),
+                _mask(map(col_idx.__getitem__, view.cols)),
+                view.value(),
+            )
+        q_rows, q_cols, value = q
+        if q_rows == rows and q_cols == cols:
             raise InvariantViolation("rectangle covers a non-monochromatic matrix")
-        q_row_set, q_col_set = set(q_rows), set(q_cols)
-        rest_rows = tuple(i for i in rows if i not in q_row_set)
-        rest_cols = tuple(j for j in cols if j not in q_col_set)
+        rest_rows, rest_cols = rows ^ q_rows, cols ^ q_cols
         rank_r = rank(q_rows, rest_cols) if rest_cols else 0
         rank_s = rank(rest_rows, q_cols) if rest_rows else 0
-        if rows_all:
-            speaker = "col"
-        elif cols_all:
-            speaker = "row"
-        else:
-            speaker = "row" if rank_r <= rank_s else "col"
+        # a rectangle covering all rows (columns) makes the other player speak
+        speaker = "col" if not rest_rows or (rest_cols and rank_s < rank_r) else "row"
+        mono_area = q_rows.bit_count() * q_cols.bit_count()
         stats = NodeStats(
-            area=len(rows) * len(cols),
+            area=area,
             rank=rank(rows, cols),
             rank_r=rank_r,
             rank_s=rank_s,
-            mono_area=q.area(),
-            mono_fraction=Fraction(q.area(), len(rows) * len(cols)),
-            mono_value=q.value(),
+            mono_area=mono_area,
+            mono_fraction=Fraction(mono_area, area),
+            mono_value=value,
         )
-        if speaker == "row":
-            child1 = build(q_rows, cols, depth + 1)
-            child0 = build(rest_rows, cols, depth + 1)
-            split = q_rows
-        else:
-            child1 = build(rows, q_cols, depth + 1)
-            child0 = build(rows, rest_cols, depth + 1)
-            split = q_cols
-        return Internal(
-            speaker=speaker, split=split, child0=child0, child1=child1, stats=stats
-        )
+        split = q_rows if speaker == "row" else q_cols
+        out_block, in_block = _child_blocks(speaker, split, rows, cols)
+        child1 = build(*in_block, depth + 1, q if reuse_rectangle else None)
+        child0 = build(*out_block, depth + 1)
+        return Internal(speaker, split, child0, child1, stats)
 
-    root = build(tuple(range(core.n_rows)), tuple(range(core.n_cols)), 0)
+    root = build((1 << core.n_rows) - 1, (1 << core.n_cols) - 1, 0)
     leaves, depth, internal = _tree_shape(root)
     return ProtocolTree(
         root=root,
@@ -317,10 +341,8 @@ def simulate(tree: ProtocolTree, x: int, y: int) -> tuple[int, int]:
     bits = 0
     while isinstance(node, Internal):
         bits += 1
-        if node.speaker == "row":
-            node = node.child1 if row in node.split else node.child0
-        else:
-            node = node.child1 if col in node.split else node.child0
+        bit = row if node.speaker == "row" else col
+        node = node.child1 if node.split >> bit & 1 else node.child0
     return node.output, bits
 
 
@@ -352,9 +374,9 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     internal = []
     for node, rows, cols, path, _blocks in _walk(tree):
         if isinstance(node, Leaf):
-            mask = _mask(cols)
-            want = mask if node.output else 0
-            answers_agree = answers_agree and all((core.rows[i] & mask) == want for i in rows)
+            want = cols if node.output else 0
+            words = map(cols.__and__, compress(core.rows, _picks(rows)))
+            answers_agree = answers_agree and all(map(want.__eq__, words))
         else:
             internal.append((node.stats.rank, rows, cols, path))
     if not answers_agree:
@@ -372,7 +394,7 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
         if stored != actual:
             raise _audit_violation(path, f"stored rank {stored} != block rank {actual}")
 
-    r = tree.ranks(tuple(range(core.n_rows)), tuple(range(core.n_cols)))
+    r = tree.ranks((1 << core.n_rows) - 1, (1 << core.n_cols) - 1)
     size = tree.matrix.size()
     if r > size:
         raise InvariantViolation(f"rank {r} exceeds size {size}")
@@ -401,11 +423,11 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
 
 def _walk(tree: ProtocolTree):
     """Yield (node, rows, cols, path, child blocks) for every node, depth
-    first with child0 before child1; rows x cols is the node's block of the
-    stored matrix and the child blocks are _child_blocks's pair, or None at
-    a leaf."""
+    first with child0 before child1; the masks rows x cols are the node's
+    block of the stored matrix and the child blocks are _child_blocks's
+    pair, or None at a leaf."""
     core = tree.matrix
-    stack = [(tree.root, tuple(range(core.n_rows)), tuple(range(core.n_cols)), "")]
+    stack = [(tree.root, (1 << core.n_rows) - 1, (1 << core.n_cols) - 1, "")]
     while stack:
         node, rows, cols, path = stack.pop()
         if isinstance(node, Leaf):
@@ -417,13 +439,12 @@ def _walk(tree: ProtocolTree):
         stack.append((node.child0, *out_block, path + "0"))
 
 
-def _child_blocks(speaker: str, split, rows: tuple[int, ...], cols: tuple[int, ...]):
-    """The (rows, cols) blocks of child0 (input outside the split) and child1
-    (inside) of a node whose block is rows x cols."""
-    chosen = set(split)
+def _child_blocks(speaker: str, split: int, rows: int, cols: int):
+    """The (rows, cols) mask blocks of child0 (input outside the split) and
+    child1 (inside) of a node whose block is rows x cols."""
     side = rows if speaker == "row" else cols
-    outside = tuple(i for i in side if i not in chosen)
-    inside = tuple(i for i in side if i in chosen)
+    inside = side & split
+    outside = side ^ inside
     if speaker == "row":
         return (outside, cols), (inside, cols)
     return (rows, outside), (rows, inside)
@@ -444,12 +465,12 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
         if blocks is None:
             continue
         s = node.stats
-        area = len(rows) * len(cols)
+        area = rows.bit_count() * cols.bit_count()
         if area != s.area:
             raise _audit_violation(path, f"recorded area {s.area} != actual {area}")
         out_sets, in_sets = blocks
-        in_area = len(in_sets[0]) * len(in_sets[1])
-        out_area = len(out_sets[0]) * len(out_sets[1])
+        in_area = in_sets[0].bit_count() * in_sets[1].bit_count()
+        out_area = out_sets[0].bit_count() * out_sets[1].bit_count()
         if not (in_area < area and out_area < area):
             raise _audit_violation(path, "child area failed to decrease strictly")
         if out_area > area - s.mono_area:
@@ -491,7 +512,7 @@ def _node_to_dict(node: ProtocolNode) -> dict:
     return {
         "type": "internal",
         "speaker": node.speaker,
-        "split": sorted(node.split),
+        "split": _members(node.split),
         "stats": {
             "area": s.area,
             "rank": s.rank,
@@ -524,8 +545,9 @@ def _indices(data, key: str, bound: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: str) -> ProtocolNode:
-    """Load the node at path, whose block is rows x cols of the stored matrix.
+def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
+    """Load the node at path, whose block is the masks rows x cols of the
+    stored matrix.
 
     The split must be a proper nonempty subset of the speaker's side of the
     block, the stored stats must pass NodeStats's own checks and fit the
@@ -563,24 +585,27 @@ def _node_from_dict(data, rows: tuple[int, ...], cols: tuple[int, ...], path: st
     split = _get(data, "split", list)
     if not all(type(v) is int for v in split):
         raise bad("split entries must be integers")
-    chosen = set(split)
-    if not split or len(chosen) != len(split) or not chosen < set(side):
+    # only indices on the side become bits; one outside it, or a duplicate,
+    # leaves fewer bits than entries
+    chosen = _mask(v for v in split if v >= 0 and side >> v & 1)
+    if not split or chosen.bit_count() != len(split) or chosen == side:
         raise bad(f"split is not a proper nonempty subset of the block's {speaker}s")
-    if counts["area"] != len(rows) * len(cols):
-        raise bad(f"area {counts['area']} != {len(rows)} x {len(cols)}")
+    n_rows, n_cols = rows.bit_count(), cols.bit_count()
+    if counts["area"] != n_rows * n_cols:
+        raise bad(f"area {counts['area']} != {n_rows} x {n_cols}")
     try:
         stats = NodeStats(mono_fraction=mono_fraction, **counts)
     except InvariantViolation as exc:
         raise bad(str(exc)) from None
-    if stats.rank > min(len(rows), len(cols)):
+    if stats.rank > min(n_rows, n_cols):
         raise bad(f"rank {stats.rank} exceeds min(rows, cols)")
     if stats.mono_area % len(split):
         raise bad(f"mono_area {stats.mono_area} is not a multiple of the split size {len(split)}")
-    blocks = _child_blocks(speaker, split, rows, cols)
+    blocks = _child_blocks(speaker, chosen, rows, cols)
     child0 = _node_from_dict(children[0], *blocks[0], path + "0")
     child1 = _node_from_dict(children[1], *blocks[1], path + "1")
     try:
-        return Internal(speaker, tuple(split), child0, child1, stats)
+        return Internal(speaker, chosen, child0, child1, stats)
     except InvariantViolation as exc:
         raise bad(str(exc)) from None
 
@@ -628,9 +653,7 @@ def tree_from_dict(data: dict) -> ProtocolTree:
     source_cols = _get(data, "source_cols", int)
     if (len(row_map), len(col_map)) != (source_rows, source_cols):
         raise FormatError("index maps disagree with the source shape")
-    root = _node_from_dict(
-        data.get("root"), tuple(range(matrix.n_rows)), tuple(range(matrix.n_cols)), ""
-    )
+    root = _node_from_dict(data.get("root"), (1 << matrix.n_rows) - 1, (1 << matrix.n_cols) - 1, "")
     leaves, depth, internal = _tree_shape(root)
     stored = _get(data, "stats", dict)
     counts = [_get(stored, key, int) for key in ("leaves", "depth", "internal_nodes")]

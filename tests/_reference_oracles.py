@@ -367,6 +367,7 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         subset=F2Set(a.n, best),
         ratio_in=Fraction(len(best), len(a)),
         doubling_out=Fraction(sizes[best], len(a)),
+        sumset_size=sizes[best],
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )

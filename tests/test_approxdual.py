@@ -567,3 +567,31 @@ def test_bridge_oracle_equals_max_mono():
         mono = max_mono_exact(m)
         pair = exact_dual_oracle(fact.a_set, fact.b_set)
         assert pair.area() == mono.area()
+
+
+def test_base_case_measures_each_sumset_once(monkeypatch):
+    # pfr_extract takes |A + A| of BSG's subset from bsg_extract, which has
+    # just measured it, and its input_doubling is that size over |A|
+    from dualbench import adcomb
+    from dualbench.f2 import sumset_size
+
+    measured = []
+
+    def spy(s):
+        measured.append(s.members)
+        return sumset_size(s)
+
+    monkeypatch.setattr(adcomb, "sumset_size", spy)
+    rng = random.Random(83)
+    runs = 0
+    for _ in range(6):
+        a = F2Set(10, rng.sample(range(1 << 10), 200))
+        measured.clear()
+        trace = find_dual_pair(a, a, seed=rng.randrange(100))
+        if trace.pfr is None:
+            continue
+        runs += 1
+        assert len(measured) == len(set(measured))
+        subset = trace.bsg.subset
+        assert trace.pfr.input_doubling == Fraction(sumset_size(subset), len(subset))
+    assert runs

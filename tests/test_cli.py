@@ -382,6 +382,78 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     assert json.loads(tree_file.read_text()) == valid
 
 
+def test_tree_split_entries_outside_the_block_are_format_errors(tmp_path, capsys):
+    # the loader turns each split into a bit mask of the speaker's side
+    mfile = tmp_path / "m.txt"
+    tree_file = tmp_path / "tree.json"
+    run("gen-matrix", "--family", "random-f2-rank", "--k", "8", "--l", "8",
+        "--rank", "3", "--seed", "5", "--out", str(mfile))
+    assert run("protocol", "--matrix", str(mfile), "--strategy", "greedy",
+               "--tree-out", str(tree_file), "--out", str(tmp_path / "p.json")) == 0
+    valid = json.loads(tree_file.read_text())
+    # a node below the root whose side is a proper subset of the matrix's
+    n = {"row": valid["rows"], "col": valid["cols"]}
+    stack = [(valid["root"], set(range(n["row"])), set(range(n["col"])), "")]
+    while stack:
+        node, rows, cols, path = stack.pop()
+        if node["type"] != "internal":
+            continue
+        side = rows if node["speaker"] == "row" else cols
+        if len(side) < n[node["speaker"]]:
+            break
+        split = set(node["split"])
+        out0, in1 = side - split, side & split
+        child0, child1 = node["children"]
+        if node["speaker"] == "row":
+            stack += [(child0, out0, cols, path + "0"), (child1, in1, cols, path + "1")]
+        else:
+            stack += [(child0, rows, out0, path + "0"), (child1, rows, in1, path + "1")]
+    assert path and len(side) < n[node["speaker"]]
+    outside = min(set(range(n[node["speaker"]])) - side)
+    bad_file = tmp_path / "bad.json"
+    for label, split in (
+        ("negative", [-1]),
+        ("huge", [2**70]),
+        ("duplicate", [min(side)] * 2),
+        ("outside the side", [outside]),
+        ("whole side", sorted(side)),
+    ):
+        doc = json.loads(tree_file.read_text())
+        target = doc["root"]
+        for step in path:
+            target = target["children"][int(step)]
+        target["split"] = split
+        bad_file.write_text(json.dumps(doc))
+        assert run("verify", "--matrix", str(mfile), "--tree", str(bad_file)) == 1, label
+        err = capsys.readouterr().err
+        assert err == (f"error: node {path}: split is not a proper nonempty subset "
+                       f"of the block's {node['speaker']}s\n"), (label, err)
+
+
+def test_exact_cap_is_bounded(tmp_path, capsys):
+    # the exact searches enumerate up to 2^cap subsets, so the cap is at
+    # most its default; only small matrices are searched here
+    v = tmp_path / "v.txt"
+    v.write_text("0000\n0011\n1100\n1111\n")
+    m = tmp_path / "m.txt"
+    m.write_text("3 3\n011\n101\n110\n")
+    verbs = (
+        ("dual", "--set-a", str(v), "--set-b", str(v), "--strategy", "exact"),
+        ("mono", "--matrix", str(m), "--strategy", "exact"),
+        ("mono", "--matrix", str(m), "--strategy", "via-dual"),
+        ("protocol", "--matrix", str(m), "--strategy", "exact"),
+        ("protocol", "--matrix", str(m), "--strategy", "via-dual"),
+    )
+    for verb in verbs:
+        for cap in (-1, cli.EXACT_CAP + 1, 2**70):
+            assert run(*verb, "--exact-cap", str(cap)) == 1, (verb, cap)
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --exact-cap must be within 0..20, got {cap}\n"
+            assert captured.out == ""
+        for cap in (4, cli.EXACT_CAP):
+            assert run(*verb, "--exact-cap", str(cap), "--out", str(tmp_path / "o.json")) == 0
+
+
 def _byte_mutation(data: bytes, rng) -> bytes:
     """Insert a non-ASCII byte, or delete or duplicate a byte, so that the
     file no longer parses: every line of a set file, and every row of a

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import json
 import re
 import random
+import textwrap
 from fractions import Fraction
 from functools import partial
 
@@ -424,3 +426,102 @@ def test_tree_serialization_stable():
     t1 = format_tree(build_protocol(m))
     t2 = format_tree(build_protocol(m))
     assert t1 == t2
+
+
+# -- the rank memo's independent-rows shortcut ---------------------------------------
+
+
+def _block_rank(m, rows, cols):
+    """rank_real of the materialised block rows x cols (bit masks)."""
+    row_idx = [i for i in range(m.n_rows) if rows >> i & 1]
+    col_idx = [j for j in range(m.n_cols) if cols >> j & 1]
+    return rank_real(m.take(row_idx, col_idx))
+
+
+def _first_wrong_rank(ranks_class, seed):
+    """The first (matrix, rows, cols) whose ranks_class rank is not the
+    materialised block's rank, over seeded random matrices (duplicate and
+    zero rows included) and random call orders; each block is followed,
+    later in the order, by row subsets of it on its own columns and on
+    other columns.  None when every rank agrees."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        k, l = rng.randint(2, 8), rng.randint(1, 8)
+        pool = [0] + [rng.randrange(1 << l) for _ in range(rng.randint(1, k))]
+        m = BoolMatrix(k, l, [rng.choice(pool) for _ in range(k)])
+        blocks = [(rng.randrange(1, 1 << k), rng.randrange(1, 1 << l)) for _ in range(8)]
+        planted = []
+        for rows, cols in blocks:
+            for other in (cols, cols, rng.randrange(1, 1 << l)):
+                planted.append((rows & rng.randrange(1 << k) or rows, other))
+        rng.shuffle(blocks)
+        rng.shuffle(planted)
+        ranks = ranks_class(m)
+        for rows, cols in blocks + planted:
+            if ranks(rows, cols) != _block_rank(m, rows, cols):
+                return m, rows, cols
+    return None
+
+
+def _mutant(old, new):
+    """BlockRanks with the one source line holding old changed to new."""
+    source = textwrap.dedent(inspect.getsource(BlockRanks))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(protocol))
+    exec(source.replace(old, new), namespace)
+    return namespace["BlockRanks"]
+
+
+def test_block_ranks_shortcut_matches_materialised_ranks():
+    for seed in range(3):
+        assert _first_wrong_rank(BlockRanks, seed) is None
+
+
+def test_block_ranks_property_kills_planted_mutants():
+    mutants = {
+        "inherits across column masks": ("setdefault(cols, [])", "setdefault(0, [])"),
+        "inherits when the rank falls short": ("if got == len(words):", "if True:"),
+        "inherits from overlapping, not wider, rows": ("rows | wider == wider", "rows & wider"),
+        "inherits from narrower rows": ("rows | wider == wider", "rows | wider == rows"),
+    }
+    for name, (old, new) in mutants.items():
+        assert _first_wrong_rank(_mutant(old, new), 0) is not None, name
+
+
+def test_block_ranks_shortcut_skips_elimination(monkeypatch):
+    # a full-row-rank block is eliminated once; its row subsets on the same
+    # columns are counted, and a subset on other columns is eliminated
+    eliminated = []
+    monkeypatch.setattr(protocol, "rank_real", lambda m: eliminated.append(m) or rank_real(m))
+    ranks = BlockRanks(identity(4))
+    assert ranks(0b1111, 0b1111) == 4 and len(eliminated) == 1
+    assert ranks(0b0101, 0b1111) == 2 and ranks(0b0011, 0b1111) == 2
+    assert len(eliminated) == 1
+    assert ranks(0b0011, 0b0111) == 2 and len(eliminated) == 2
+
+
+# -- exact trees hand Q to the in-child ---------------------------------------------
+
+
+def test_exact_trees_reuse_the_parents_rectangle():
+    # handing Q to the in-child changes no byte of the tree and saves searches
+    rng = random.Random(71)
+    totals = [0, 0]
+    for _ in range(15):
+        m = random_low_rank(rng, rng.randint(2, 9), rng.randint(2, 9), rng.randint(2, 4))
+        trees, calls = [], []
+        for reuse in (False, True):
+            searched = []
+
+            def finder(sub):
+                searched.append(sub)
+                return max_mono_exact(sub)
+
+            tree = build_protocol(m, finder, reuse_rectangle=reuse)
+            verify(tree, m)
+            trees.append(format_tree(tree))
+            calls.append(len(searched))
+        assert trees[0] == trees[1] == format_tree(build_protocol(m))
+        assert calls[1] <= calls[0]
+        totals = [t + c for t, c in zip(totals, calls)]
+    assert totals[1] < totals[0], totals
