@@ -702,6 +702,31 @@ def test_experiment_log_rank_sweep_small(tmp_path):
     assert len(lines) == 3
 
 
+def test_only_exact_strategies_reuse_the_rectangle(tmp_path, monkeypatch):
+    # the greedy and via-dual finders may answer differently in a child, so
+    # only the exact strategy hands Q down, in protocol and in the sweep
+    from dualbench import experiments, protocol
+
+    reused = []
+
+    def spy(m, finder, reuse_rectangle=False):
+        reused.append(reuse_rectangle)
+        return build_protocol(m, finder, reuse_rectangle)
+
+    monkeypatch.setattr(cli, "build_protocol", spy)
+    monkeypatch.setattr(experiments, "build_protocol", spy)
+    m = tmp_path / "m.txt"
+    m.write_text("3 3\n011\n101\n110\n")
+    for strategy in protocol.STRATEGIES:
+        reused.clear()
+        assert run("protocol", "--matrix", str(m), "--strategy", strategy,
+                   "--out", str(tmp_path / "p.json")) == 0
+        assert run("experiment", "--name", "log-rank-sweep", "--ranks", "2", "--k", "4",
+                   "--l", "4", "--instances", "1", "--strategy", strategy,
+                   "--out", str(tmp_path / "s.json")) == 0
+        assert reused == [strategy == "exact"] * 2, strategy
+
+
 def test_via_dual_log_rank_sweep_reads_the_seed(tmp_path):
     # the via-dual bridge's BSG step draws from --seed: at seed 3 the fifth
     # 20x20 F2-rank-6 instance gets a shallower tree than at seed 0
