@@ -20,7 +20,6 @@ from .f2 import (
     F2Set,
     SpectrumResult,
     duality_measure,
-    rep_count,
     span,
     spectrum,
     sumset,

@@ -30,7 +30,6 @@ from .matrix import (
     stats,
 )
 from .protocol import (
-    EXACT_STRATEGIES,
     STRATEGIES,
     build_protocol,
     finder_for,
@@ -212,9 +211,9 @@ def cmd_mono(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    finder = finder_for(args.strategy, _exact_cap(args, args.strategy != "greedy"), args.seed)
+    exact_cap = _exact_cap(args, args.strategy != "greedy")
     m = read_matrix_file(args.matrix)
-    tree = build_protocol(m, finder, reuse_rectangle=args.strategy in EXACT_STRATEGIES)
+    tree = build_protocol(m, args.strategy, exact_cap, args.seed)
     cost = verify(tree, m)
     audit = leaf_recurrence_audit(tree)
     if args.tree_out:

@@ -20,11 +20,14 @@ from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, SearchFailure
 from .f2 import F2Set, combine, duality_measure, ip_rows, span
 from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
-from .protocol import EXACT_STRATEGIES, build_protocol, finder_for, verify
+from .protocol import build_protocol, finder_for, verify
 
 SCHEMA_VERSION = 1
 WEIGHT_SLICE_CAP = 1 << 20
 IP_MAX_N = 12  # the ip family's 2^n x 2^n matrix stays within 2^24 entries
+# --oracle-cap's bound: the oracle runs on A against itself, so its
+# inner-product matrix stays within 128 x 128 bits (weight 2 up to n = 16)
+ORACLE_CAP_MAX = 128
 
 
 def rat(x) -> str:
@@ -319,19 +322,22 @@ def trace_payload(trace) -> dict:
 # -- named experiments -----------------------------------------------------------------
 
 
-def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
-    """config[key] as an int (default when absent); FormatError below low."""
+def _int_within(config: dict, key: str, default: int, low: int, high=None) -> int:
+    """config[key] as an int (default when absent); FormatError naming the
+    flag below low or above high."""
     value = int(config.get(key, default))
+    flag = key.replace("_", "-")
     if value < low:
-        flag = key.replace("_", "-")
         raise FormatError(f"--{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise FormatError(f"--{flag} must be at most {high}, got {value}")
     return value
 
 
 def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]:
     family = config.get("family", "subspace")
-    n = _int_at_least(config, "n", 6, 1)
-    oracle_cap = _int_at_least(config, "oracle_cap", EXACT_CAP, 0)
+    n = _int_within(config, "n", 6, 1)
+    oracle_cap = _int_within(config, "oracle_cap", EXACT_CAP, 0, ORACLE_CAP_MAX)
     params = {
         "n": n,
         "d": int(config.get("d", max(1, n // 2))),
@@ -391,11 +397,11 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
 
 def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]]:
     ranks = config.get("ranks", [2, 3, 4])
-    k = _int_at_least(config, "k", 12, 1)
-    l = _int_at_least(config, "l", 12, 1)
-    per_rank = _int_at_least(config, "instances", 5, 1)
+    k = _int_within(config, "k", 12, 1)
+    l = _int_within(config, "l", 12, 1)
+    per_rank = _int_within(config, "instances", 5, 1)
     strategy = config.get("strategy", "exact")
-    finder = finder_for(strategy, seed=seed)
+    finder_for(strategy)  # an unknown strategy fails before any instance is made
     report = report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
     aggregate_rows = []
@@ -407,7 +413,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
             rng = instance_rng(seed, index)
             index += 1
             m = make_random_f2_rank(k, l, r, rng)
-            tree = build_protocol(m, finder, reuse_rectangle=strategy in EXACT_STRATEGIES)
+            tree = build_protocol(m, strategy, seed=seed)
             cost = verify(tree, m)
             leaves_sum += cost.leaves
             depth_sum += cost.depth
@@ -448,7 +454,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
     """
     ns = config.get("ns", [6, 8, 10])
     w = int(config.get("w", 2))
-    oracle_cap = _int_at_least(config, "oracle_cap", 64, 0)
+    oracle_cap = _int_within(config, "oracle_cap", 64, 0, ORACLE_CAP_MAX)
     for n in ns:  # each slice needs n >= w, and a dimension is at least 1
         if n < max(1, w):
             raise FormatError(f"--ns entries must be at least {max(1, w)}, got {n}")
@@ -482,7 +488,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
 
 
 def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
-    n = _int_at_least(config, "n", 10, 2)  # the weight-2 slice needs n >= 2
+    n = _int_within(config, "n", 10, 2)  # the weight-2 slice needs n >= 2
     instances = [
         ("weight-slice", {"n": n, "w": 1}),
         ("weight-slice", {"n": n, "w": 2}),
@@ -521,9 +527,9 @@ def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
 
 
 def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[dict]]:
-    count = _int_at_least(config, "count", 20, 1)
-    k = _int_at_least(config, "k", 12, 1)
-    l = _int_at_least(config, "l", 12, 1)
+    count = _int_within(config, "count", 20, 1)
+    k = _int_within(config, "k", 12, 1)
+    l = _int_within(config, "l", 12, 1)
     r = int(config.get("rank", 4))
     report = report_envelope("nw-bias", seed, dict(config))
     rows = []

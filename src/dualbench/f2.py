@@ -36,11 +36,6 @@ def _check_dim(n: int) -> None:
         raise FormatError(f"dimension must be in 1..{MAX_DIMENSION}, got {n!r}")
 
 
-def parity_dot(x: int, y: int) -> int:
-    """Inner product of two bit words over F2."""
-    return (x & y).bit_count() & 1
-
-
 class F2Set:
     """An immutable subset of F2^n; members are ascending bit words."""
 
@@ -159,14 +154,6 @@ def span(a: F2Set) -> F2Set:
     for b in basis:
         words += [w ^ b for w in words]
     return F2Set(a.n, words)
-
-
-def rep_count(s: F2Set, word: int) -> int:
-    """Number of ordered pairs (u, v) in s x s with u + v = word."""
-    if not 0 <= word < (1 << s.n):
-        raise FormatError(f"word {word:#x} not in F2^{s.n}")
-    lookup = s._lookup
-    return sum(1 for u in s.members if u ^ word in lookup)
 
 
 def dense_pays(n: int, direct_work: int) -> bool:

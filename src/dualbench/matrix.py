@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, InvariantViolation, SearchFailure, read_text
 from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, transpose
@@ -193,12 +194,6 @@ def _first_occurrences(words: Sequence[int]) -> tuple[list[int], tuple[int, ...]
     return list(first.values()), tuple(position[word] for word in words)
 
 
-def has_duplicates(m: BoolMatrix) -> bool:
-    if len(set(m.rows)) != m.n_rows:
-        return True
-    return len(set(m.columns())) != m.n_cols
-
-
 # -- ranks ---------------------------------------------------------------------
 
 
@@ -295,8 +290,8 @@ def _rank_bareiss(words: Sequence[int], l: int) -> int:
 class Factorization:
     """Inner-product factorization M[i][j] = <row_words[i], col_words[j]>.
 
-    The words live in F2^r for r the F2-rank; a_set/b_set hold them as sets
-    (all distinct when the source matrix was deduplicated first).
+    The words live in F2^r for r the F2-rank; a_set/b_set hold them as sets,
+    so equal rows (columns) of the source, whose words are equal, appear once.
     """
 
     r: int
@@ -307,14 +302,13 @@ class Factorization:
 
 
 def factorize_f2(m: BoolMatrix) -> Factorization:
-    """Express a deduplicated matrix as inner products of F2^r vectors.
+    """Express a matrix as inner products of F2^r vectors.
 
     Row i's vector is the row expressed in coordinates of the reduced echelon
     basis of the row space (its pivot bits); column j's vector is that basis
-    restricted to column j.
+    restricted to column j.  Duplicate rows or columns are allowed: equal
+    ones get equal vectors, and the factor sets of m are those of dedup(m).
     """
-    if has_duplicates(m):
-        raise FormatError("factorize_f2 needs a deduplicated matrix")
     basis = echelon_basis(m.rows)
     r = len(basis)
     dim = max(r, 1)  # all-zero matrix factors through F2^1 with zero vectors
@@ -506,21 +500,14 @@ def _column_scan(col_words, n_cols: int, row_mask: int, n_rows: int, r: int, tot
     return None
 
 
-def _similarity_clusters(m: BoolMatrix) -> list[tuple[int, ...]]:
-    out = []
+def _similarity_clusters(m: BoolMatrix) -> Iterator[tuple[int, ...]]:
+    """For each pivot row, the rows within Hamming distance l/4 of it."""
     limit = m.n_cols / 4
-    for pivot in range(m.n_rows):
-        cluster = tuple(
-            i
-            for i in range(m.n_rows)
-            if (m.rows[i] ^ m.rows[pivot]).bit_count() <= limit
-        )
-        if cluster:
-            out.append(cluster)
-    return out
+    for pivot in m.rows:
+        yield tuple(i for i, row in enumerate(m.rows) if (row ^ pivot).bit_count() <= limit)
 
 
-def _eigen_sign_split(m: BoolMatrix) -> list[tuple[int, ...]]:
+def _eigen_sign_split(m: BoolMatrix) -> Iterator[tuple[int, ...]]:
     """Row split by the sign pattern of a dominant singular vector estimate.
 
     Power iteration on the +/-1 sign matrix; float precision is fine because
@@ -534,21 +521,23 @@ def _eigen_sign_split(m: BoolMatrix) -> list[tuple[int, ...]]:
         w = [sum(sign[i][j] * v[j] for j in range(l)) for i in range(k)]
         norm = max(abs(x) for x in w)
         if norm == 0:
-            return []
+            return
         u = [x / norm for x in w]
     plus = tuple(i for i in range(k) if u[i] >= 0)
     minus = tuple(i for i in range(k) if u[i] < 0)
-    return [s for s in (plus, minus) if s]
+    yield from (s for s in (plus, minus) if s)
 
 
 def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
     """Find a view with area >= r^(-3/2)|M| and discrepancy >= r^(-3/2).
 
     r is the rank of M over the rationals.  Strategy cascade: the whole
-    matrix, then heuristic row pools (single rows, similarity clusters,
-    eigenvector sign splits) with a sort-and-scan column choice, then exact
-    search over all subsets of the smaller dimension.  Both inequalities are
-    re-verified on the returned view with exact integer arithmetic.
+    matrix, then heuristic row pools with a sort-and-scan column choice,
+    then exact search over all subsets of the smaller dimension.  The pools
+    are tried lazily, in order: single rows, similarity clusters, then
+    eigenvector sign splits, and a pool is computed only when the ones
+    before it found nothing.  Both inequalities are re-verified on the
+    returned view with exact integer arithmetic.
     """
     r = max(rank_real(m), 1)
     total = m.size()
@@ -567,11 +556,9 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
         return verified(range(m.n_rows), range(m.n_cols))
 
     col_words = m.columns()
-    pool: list[tuple[int, ...]] = [(i,) for i in range(m.n_rows)]
-    pool += _similarity_clusters(m)
-    pool += _eigen_sign_split(m)
+    pools = (((i,) for i in range(m.n_rows)), _similarity_clusters(m), _eigen_sign_split(m))
     seen = set()
-    for row_set in pool:
+    for row_set in chain.from_iterable(pools):
         if row_set in seen:
             continue
         seen.add(row_set)

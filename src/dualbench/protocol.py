@@ -8,10 +8,10 @@ Simulation, full verification against the source matrix, and a recurrence
 audit of the per-node rank/area bookkeeping are provided.  A block of the
 stored matrix is a pair of bit masks (rows, cols), and a split is a mask.
 Each tree holds one rank memo over blocks (BlockRanks), shared by the
-build, verify and the audit.  A rectangle finder is a plain function from
-a matrix to a monochromatic view of it: matrix's exact and greedy finders
-(max_mono_exact, greedy_rectangle) or mono_via_dual, named by strategy in
-finder_for.
+build, verify and the audit.  A protocol is built by strategy name, and
+finder_for gives the strategy's rectangle finder, a plain function from a
+matrix to a monochromatic view of it: matrix's exact and greedy finders
+(max_mono_exact, greedy_rectangle) or mono_via_dual.
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
     """Monochromatic rectangle through the Nisan-Wigderson bridge.
 
     A biased submatrix of dedup(m) factors as inner products of F2 words
-    (factorize_f2), and a dual pair of its two factor sets is a
-    monochromatic rectangle.  The pair comes from the pipeline
+    (factorize_f2; its rows and columns may repeat, and equal ones get equal
+    words), and a dual pair of its two factor sets is a monochromatic
+    rectangle.  The pair comes from the pipeline
     (find_dual_pair); when a pipeline stage comes up empty, from the exact
     oracle if the smaller set has at most exact_cap elements, else from
     greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
@@ -198,8 +199,7 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
         biased = find_biased_submatrix(core, exact_cap)
     except SearchFailure:
         return greedy_rectangle(m)
-    sub, sub_rows, sub_cols = dedup(biased.materialize())
-    fact = factorize_f2(sub)
+    fact = factorize_f2(biased.materialize())
     a, b = fact.a_set, fact.b_set
     trace = find_dual_pair(a, b, seed=seed)
     if trace.ok:
@@ -208,12 +208,8 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
         pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
     else:
         pair = greedy_dual_pair(a, b)
-    kept_rows = {
-        biased.rows[p] for p, q in enumerate(sub_rows) if fact.row_words[q] in pair.a_side
-    }
-    kept_cols = {
-        biased.cols[p] for p, q in enumerate(sub_cols) if fact.col_words[q] in pair.b_side
-    }
+    kept_rows = {i for i, word in zip(biased.rows, fact.row_words) if word in pair.a_side}
+    kept_cols = {j for j, word in zip(biased.cols, fact.col_words) if word in pair.b_side}
     view = SubmatrixView(
         m,
         tuple(i for i in range(m.n_rows) if row_map[i] in kept_rows),
@@ -225,15 +221,19 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
 
 
 STRATEGIES = ("exact", "greedy", "via-dual")
-# Exact finders return the least maximum rectangle under an order that
-# re-indexing keeps, so a sub-block holding it gets it back: reuse_rectangle.
-EXACT_STRATEGIES = frozenset({"exact"})
 
 
 def finder_for(
     strategy: str, exact_cap: int = EXACT_CAP, seed: int = 0
 ) -> Callable[[BoolMatrix], SubmatrixView]:
-    """The rectangle finder a strategy names: exact, greedy or via-dual."""
+    """The rectangle finder a strategy names: exact, greedy or via-dual.
+
+    Only an exact tree hands Q to the in-child, which skips its search:
+    max_mono_exact returns the least maximum rectangle under an order that
+    core.take's in-order re-indexing keeps, and the in-child's block holds
+    Q inside its parent's, so it would return Q again.  A greedy or via-dual
+    answer in the child can differ.
+    """
     if strategy == "exact":
         return partial(max_mono_exact, exact_cap=exact_cap)
     if strategy == "greedy":
@@ -244,11 +244,10 @@ def finder_for(
 
 
 def build_protocol(
-    m: BoolMatrix,
-    mono_finder: Optional[Callable[[BoolMatrix], SubmatrixView]] = None,
-    reuse_rectangle: bool = False,
+    m: BoolMatrix, strategy: str = "exact", exact_cap: int = EXACT_CAP, seed: int = 0
 ) -> ProtocolTree:
-    """Compile a matrix into a protocol tree.
+    """Compile a matrix into a protocol tree, each rectangle from the finder
+    finder_for(strategy, exact_cap, seed) names.
 
     The input is deduplicated first; duplicate rows/columns answer through
     the index maps.  The speaker at each node is the player whose off-Q
@@ -257,11 +256,9 @@ def build_protocol(
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
     trap (InvariantViolation).  Blocks are ranked through the tree's memo.
-    With reuse_rectangle (an exact finder, EXACT_STRATEGIES, as the default
-    max_mono_exact is) Q is handed to the in-child, which holds it.
+    An exact tree hands Q to the in-child, which holds it (see finder_for).
     """
-    if mono_finder is None:
-        mono_finder, reuse_rectangle = max_mono_exact, True
+    finder = finder_for(strategy, exact_cap, seed)
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
     rank = BlockRanks(core)
@@ -277,7 +274,7 @@ def build_protocol(
             return Leaf(output=0 if ones == 0 else 1)
         if q is None:
             row_idx, col_idx = _members(rows), _members(cols)
-            view = mono_finder(core.take(row_idx, col_idx))
+            view = finder(core.take(row_idx, col_idx))
             q = (
                 _mask(map(row_idx.__getitem__, view.rows)),
                 _mask(map(col_idx.__getitem__, view.cols)),
@@ -303,7 +300,7 @@ def build_protocol(
         )
         split = q_rows if speaker == "row" else q_cols
         out_block, in_block = _child_blocks(speaker, split, rows, cols)
-        child1 = build(*in_block, depth + 1, q if reuse_rectangle else None)
+        child1 = build(*in_block, depth + 1, q if strategy == "exact" else None)
         child0 = build(*out_block, depth + 1)
         return Internal(speaker, split, child0, child1, stats)
 

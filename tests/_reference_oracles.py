@@ -7,7 +7,7 @@ over subsets of one side for maximum-area dual pairs, and a subset DP over
 all 2^k row subsets for maximum monochromatic rectangles.
 The library's dual-pair searches are now its rectangle finders on the
 inner-product matrix of A x B; `ip_matrix` builds that matrix pair by pair
-with `parity_dot`, and `pair_of_view` reads a rectangle of it back as a
+with `parity_dot`, the inner product of two words, and `pair_of_view` reads a rectangle of it back as a
 dual pair, so the tests can hold `exact_dual_oracle` to `max_mono_exact`
 here (tie-breaks included) and to the old branch-and-bound (area).
 `_rref_f2` is the eliminator `dualbench.matrix` kept before
@@ -22,7 +22,9 @@ scan over the closed sets A & span(X); it ranks spans with `_rref_f2`.
 neighbourhoods A & (x + S) walked the smaller of A and S: it always walks S,
 and counts pair sums directly instead of by transform.  `rank_fraction` is
 the rank over the rationals by Gauss-Jordan elimination on Fractions, for
-`dualbench.matrix.rank_real`.
+`dualbench.matrix.rank_real`.  `parity_dot` and `rep_count` (the ordered
+pairs of s x s summing to one word) are per-word references for the
+library's batch kernels, `dualbench.f2.ip_rows` and `rep_counts`.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
@@ -36,10 +38,22 @@ from typing import Sequence
 from dualbench.adcomb import BSG_PIVOTS, BsgResult
 from dualbench.approxdual import DualPair
 from dualbench.errors import FormatError, SearchFailure
-from dualbench.f2 import F2Set, parity_dot
+from dualbench.f2 import F2Set
 from dualbench.matrix import BoolMatrix, SubmatrixView
 
 EXACT_CAP = 20
+
+
+def parity_dot(x: int, y: int) -> int:
+    """Inner product of two bit words over F2."""
+    return (x & y).bit_count() & 1
+
+
+def rep_count(s: F2Set, word: int) -> int:
+    """Number of ordered pairs (u, v) in s x s with u + v = word."""
+    if not 0 <= word < (1 << s.n):
+        raise FormatError(f"word {word:#x} not in F2^{s.n}")
+    return sum(1 for u in s.members if u ^ word in s)
 
 
 def exact_dual_oracle(

@@ -10,7 +10,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import partial
 
 from dualbench.approxdual import exact_dual_oracle, find_dual_pair
 from dualbench.cli import main as cli_main
@@ -35,14 +34,7 @@ from dualbench.matrix import (
     rank_f2,
     rank_real,
 )
-from dualbench.protocol import (
-    build_protocol,
-    format_tree,
-    greedy_rectangle,
-    mono_via_dual,
-    parse_tree_text,
-    verify,
-)
+from dualbench.protocol import STRATEGIES, build_protocol, format_tree, parse_tree_text, verify
 
 
 class criterion:
@@ -199,11 +191,6 @@ def test_criterion_4_pipeline_soundness():
 def test_criterion_5_protocol_correctness():
     with criterion(5, 120.0, "protocol build/verify, 200 matrices x 3 strategies"):
         rng = random.Random("acceptance-5")
-        finders = {
-            "exact": max_mono_exact,
-            "greedy": greedy_rectangle,
-            "via-dual": partial(mono_via_dual, seed=5),
-        }
         for idx in range(200):
             kind = idx % 3
             if kind == 2:
@@ -218,8 +205,8 @@ def test_criterion_5_protocol_correctness():
                 generator = make_block_low_rank if kind else make_low_real_rank
                 m = generator(k, l, r, rng)
             assert rank_real(m) <= 6
-            for finder in finders.values():
-                tree = build_protocol(m, mono_finder=finder)
+            for strategy in STRATEGIES:
+                tree = build_protocol(m, strategy, seed=5)
                 cost = verify(tree, m)  # raises on any mismatch or rank violation
                 assert cost.leaves >= cost.rank_real - 1
 

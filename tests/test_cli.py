@@ -10,7 +10,7 @@ from dualbench.errors import FormatError, InvariantViolation, SearchFailure, Tre
 from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import parse_set_text
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
-from dualbench.protocol import build_protocol, finder_for, read_tree_file, verify
+from dualbench.protocol import build_protocol, read_tree_file, verify
 
 
 def run(*argv) -> int:
@@ -605,13 +605,22 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["K"] == "32/2"
 
 
-def test_experiment_dimension_and_oracle_cap_name_their_flag(capsys):
+def test_experiment_dimension_and_oracle_cap_name_their_flag(capsys, monkeypatch):
+    # each flag is checked before any set or matrix is made
+    for maker in ("generate_sets", "make_weight_slice", "make_random_f2_rank",
+                  "make_low_real_rank"):
+        monkeypatch.setattr(cli.xp, maker, None)
     for argv, message in (
         (("dual-pipeline", "--n", "0"), "--n must be at least 1, got 0"),
         (("dual-pipeline", "--n", "4", "--oracle-cap", "-1"),
          "--oracle-cap must be at least 0, got -1"),
         (("counterexample", "--ns", "6", "--oracle-cap", "-1"),
          "--oracle-cap must be at least 0, got -1"),
+        # the oracle's matrix is at most 128 x 128 bits; no set is generated
+        (("dual-pipeline", "--n", "4", "--oracle-cap", "129"),
+         "--oracle-cap must be at most 128, got 129"),
+        (("counterexample", "--ns", "4", "--w", "2", "--oracle-cap", "200000"),
+         "--oracle-cap must be at most 128, got 200000"),
         (("counterexample", "--ns", "0"), "--ns entries must be at least 2, got 0"),
         (("counterexample", "--ns", "6,1"), "--ns entries must be at least 2, got 1"),
         (("counterexample", "--ns", "6,3", "--w", "4"),
@@ -704,27 +713,37 @@ def test_experiment_log_rank_sweep_small(tmp_path):
 
 def test_only_exact_strategies_reuse_the_rectangle(tmp_path, monkeypatch):
     # the greedy and via-dual finders may answer differently in a child, so
-    # only the exact strategy hands Q down, in protocol and in the sweep
-    from dualbench import experiments, protocol
+    # only the exact strategy hands Q down, in protocol and in the sweep; a
+    # tree that never does searches once per internal node
+    from dualbench import protocol
 
-    reused = []
+    searched = []
+    finder_for = protocol.finder_for
 
-    def spy(m, finder, reuse_rectangle=False):
-        reused.append(reuse_rectangle)
-        return build_protocol(m, finder, reuse_rectangle)
+    def counting(*args):
+        finder = finder_for(*args)
+        return lambda sub: searched.append(sub) or finder(sub)
 
-    monkeypatch.setattr(cli, "build_protocol", spy)
-    monkeypatch.setattr(experiments, "build_protocol", spy)
+    monkeypatch.setattr(protocol, "finder_for", counting)
     m = tmp_path / "m.txt"
     m.write_text("3 3\n011\n101\n110\n")
+    out = tmp_path / "out.json"
     for strategy in protocol.STRATEGIES:
-        reused.clear()
+        searched.clear()
         assert run("protocol", "--matrix", str(m), "--strategy", strategy,
-                   "--out", str(tmp_path / "p.json")) == 0
+                   "--out", str(out)) == 0
+        internal = json.loads(out.read_text())["results"]["internal_nodes"]
+        skipped = [internal - len(searched)]
+        searched.clear()
         assert run("experiment", "--name", "log-rank-sweep", "--ranks", "2", "--k", "4",
                    "--l", "4", "--instances", "1", "--strategy", strategy,
-                   "--out", str(tmp_path / "s.json")) == 0
-        assert reused == [strategy == "exact"] * 2, strategy
+                   "--out", str(out)) == 0
+        (row,) = json.loads(out.read_text())["results"]["detail"]
+        skipped.append(row["leaves"] - 1 - len(searched))
+        if strategy == "exact":
+            assert min(skipped) > 0, skipped
+        else:
+            assert skipped == [0, 0], strategy
 
 
 def test_via_dual_log_rank_sweep_reads_the_seed(tmp_path):
@@ -737,7 +756,7 @@ def test_via_dual_log_rank_sweep_reads_the_seed(tmp_path):
     detail = json.loads(out.read_text())["results"]["detail"]
     for row in detail:
         m = make_random_f2_rank(20, 20, 6, instance_rng(3, row["instance"]))
-        cost = verify(build_protocol(m, mono_finder=finder_for("via-dual", seed=3)), m)
+        cost = verify(build_protocol(m, "via-dual", seed=3), m)
         assert (row["leaves"], row["depth"]) == (cost.leaves, cost.depth), row
     assert detail[4]["depth"] == 15
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import _reference_oracles as ref
+from _reference_oracles import parity_dot, rep_count
 from dualbench import f2
 from dualbench.approxdual import greedy_dual_pair
 from dualbench.errors import FormatError
@@ -25,9 +26,7 @@ from dualbench.f2 import (
     format_set,
     ip_rows,
     is_dual_pair,
-    parity_dot,
     parse_set_text,
-    rep_count,
     rep_counts,
     rep_table,
     span,
@@ -123,7 +122,7 @@ def test_greedy_dual_pair_matches_pairwise_reference():
         b = random_set(rng, n, 20)
         if rng.random() < 0.3:
             a = F2Set(n, a.members + (0,))
-        ones = [sum(f2.parity_dot(x, y) for y in b.members) for x in a.members]
+        ones = [sum(parity_dot(x, y) for y in b.members) for x in a.members]
         seeds = sorted(v for k in ones for v in (len(b) - k, k) if v)
         tied += seeds.count(seeds[-1]) > 1
         want = ref.pair_of_view(a, b, greedy_rectangle(ref.ip_matrix(a, b)))
@@ -706,10 +705,10 @@ def test_is_dual_pair_is_the_pairwise_constant():
         if rng.random() < 0.5:  # force duality often: b inside a's annihilator coset
             shift = rng.choice([0, *b.members])
             b = F2Set(n, [y for y in range(1 << n)
-                          if len({f2.parity_dot(x, y ^ shift) for x in a.members}) == 1][:6])
+                          if len({parity_dot(x, y ^ shift) for x in a.members}) == 1][:6])
             if not len(b):
                 continue
-        values = {f2.parity_dot(x, y) for x in a.members for y in b.members}
+        values = {parity_dot(x, y) for x in a.members for y in b.members}
         assert is_dual_pair(a, b) == (values.pop() if len(values) == 1 else None)
 
 

@@ -6,10 +6,11 @@ from itertools import combinations
 import pytest
 
 import _reference_oracles as ref
+from _reference_oracles import parity_dot
 from dualbench import matrix
 from dualbench.errors import FormatError, SearchFailure
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
-from dualbench.f2 import F2Set, duality_measure, parity_dot
+from dualbench.f2 import F2Set, duality_measure
 from dualbench.matrix import (
     BoolMatrix,
     SubmatrixView,
@@ -200,9 +201,26 @@ def test_factorize_roundtrip_fuzz():
         done += 1
 
 
-def test_factorize_rejects_duplicates():
-    with pytest.raises(FormatError, match="^factorize_f2 needs a deduplicated matrix$"):
-        factorize_f2(BoolMatrix.from_lists([[0, 1], [0, 1]]))
+def test_factorize_accepts_duplicates():
+    # equal rows (columns) get equal words, so a matrix with duplicates has
+    # the factor sets of its dedup, and its words still give every entry
+    rng = random.Random(26)
+    cases = [BoolMatrix.from_lists([[0, 1], [0, 1]])]
+    for _ in range(40):
+        base = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        rows = [rng.randrange(base.n_rows) for _ in range(rng.randint(1, 9))]
+        cols = [rng.randrange(base.n_cols) for _ in range(rng.randint(1, 9))]
+        cases.append(base.take(rows, cols))
+    planted = 0
+    for m in cases:
+        core, _, _ = dedup(m)
+        planted += core.size() < m.size()
+        f, g = factorize_f2(m), factorize_f2(core)
+        assert (f.r, f.a_set, f.b_set) == (g.r, g.a_set, g.b_set)
+        for i in range(m.n_rows):
+            for j in range(m.n_cols):
+                assert parity_dot(f.row_words[i], f.col_words[j]) == m.entry(i, j)
+    assert planted > 30
 
 
 # -- discrepancy ---------------------------------------------------------------

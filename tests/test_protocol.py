@@ -1,19 +1,26 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import re
 import random
 import textwrap
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from dualbench import protocol
+from dualbench import experiments, protocol
 from dualbench.approxdual import PipelineTrace
 from dualbench.cli import main
-from dualbench.errors import FormatError, InvariantViolation, TreeMismatch
-from dualbench.experiments import make_ip_matrix, make_random_f2_rank
+from dualbench.errors import DualbenchError, FormatError, InvariantViolation, TreeMismatch
+from dualbench.experiments import (
+    make_block_low_rank,
+    make_ip_matrix,
+    make_random_dense,
+    make_random_f2_rank,
+    run_experiment,
+    to_json,
+)
 from dualbench.matrix import BoolMatrix, dedup, max_mono_exact, rank_real
 from dualbench.protocol import (
     BlockRanks,
@@ -22,7 +29,6 @@ from dualbench.protocol import (
     NodeStats,
     build_protocol,
     format_tree,
-    greedy_rectangle,
     leaf_recurrence_audit,
     mono_via_dual,
     parse_tree_text,
@@ -123,7 +129,7 @@ def test_fuzz_greedy_strategy():
     rng = random.Random(62)
     for _ in range(40):
         m = random_low_rank(rng, rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3))
-        tree = build_protocol(m, mono_finder=greedy_rectangle)
+        tree = build_protocol(m, "greedy")
         verify(tree, m)
         leaf_recurrence_audit(tree)
 
@@ -132,7 +138,7 @@ def test_fuzz_via_dual_strategy():
     rng = random.Random(63)
     for _ in range(15):
         m = random_low_rank(rng, rng.randint(2, 6), rng.randint(2, 6), 2)
-        tree = build_protocol(m, mono_finder=partial(mono_via_dual, seed=7))
+        tree = build_protocol(m, "via-dual", seed=7)
         verify(tree, m)
         leaf_recurrence_audit(tree)
 
@@ -186,11 +192,11 @@ def test_build_ranks_each_block_once(monkeypatch, tmp_path):
     monkeypatch.setattr(BlockRanks, "__call__", call_spy)
     monkeypatch.setattr(protocol, "rank_real", rank_spy)
     rng = random.Random(67)
-    for finder in (max_mono_exact, greedy_rectangle):
+    for strategy in ("exact", "greedy"):
         for _ in range(10):
             ranked.clear()
             m = random_low_rank(rng, 8, 8, 3)
-            tree = build_protocol(m, mono_finder=finder)
+            tree = build_protocol(m, strategy)
             verify(tree, m)
             leaf_recurrence_audit(tree)
             assert len(ranked) == len(set(ranked)), ranked
@@ -223,12 +229,11 @@ def test_internal_checks_the_speaker_rule():
 
 def test_random_dense_matrices_all_strategies():
     rng = random.Random(64)
-    finders = [max_mono_exact, greedy_rectangle]
     for _ in range(25):
         k, l = rng.randint(1, 6), rng.randint(1, 6)
         m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
-        for finder in finders:
-            tree = build_protocol(m, mono_finder=finder)
+        for strategy in ("exact", "greedy"):
+            tree = build_protocol(m, strategy)
             assert_simulates(tree, m)
             verify(tree, m)
 
@@ -241,7 +246,7 @@ def test_exact_leaf_count_not_larger_on_average():
     for _ in range(30):
         m = random_low_rank(rng, 6, 6, rng.randint(2, 3))
         exact_leaves = build_protocol(m).leaves
-        greedy_leaves = build_protocol(m, mono_finder=greedy_rectangle).leaves
+        greedy_leaves = build_protocol(m, "greedy").leaves
         if exact_leaves < greedy_leaves:
             wins += 1
         elif exact_leaves == greedy_leaves:
@@ -293,6 +298,34 @@ def test_mono_via_dual_expands_duplicates():
     # columns: the pair keeps both through the submatrix's own dedup
     view = mono_via_dual(BoolMatrix.from_strings(["000", "011", "010"]))
     assert (view.rows, view.cols) == ((0, 2), (0, 2))
+
+
+def test_via_dual_outputs_are_pinned():
+    # no benchmark workload runs the bridge, so its rectangles are pinned
+    # here: 120 seeded block-low-rank and random-dense matrices, 3..16 a
+    # side, exact_cap 12, and one small via-dual log-rank sweep report
+    rng = random.Random(73)
+    outcomes = []
+    for index in range(120):
+        k, l = rng.randint(3, 16), rng.randint(3, 16)
+        if index % 2:
+            m = make_random_dense(k, l, 0.5, rng)
+        else:
+            m = make_block_low_rank(k, l, rng.randint(1, min(k, l, 5)), rng)
+        try:
+            view = mono_via_dual(m, exact_cap=12)
+            outcomes.append((view.rows, view.cols))
+        except DualbenchError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest[:16] == "8e5633dc915a440c", digest
+    report, _rows = run_experiment(
+        "log-rank-sweep",
+        {"ranks": [3, 4], "k": 10, "l": 10, "instances": 2, "strategy": "via-dual"},
+        seed=1,
+    )
+    digest = hashlib.sha256(to_json(report).encode()).hexdigest()
+    assert digest[:16] == "e19b22af900569d7", digest
 
 
 def test_mono_via_dual_reaches_every_source(monkeypatch):
@@ -368,7 +401,7 @@ def test_flipped_leaf_raises_the_first_wrong_entry():
     rng = random.Random(69)
     for _ in range(10):
         m = random_low_rank(rng, rng.randint(3, 9), rng.randint(3, 9), 3)
-        tree = build_protocol(m, mono_finder=greedy_rectangle)
+        tree = build_protocol(m, "greedy")
         if tree.leaves < 2:
             continue
         target = rng.randrange(tree.leaves)
@@ -417,7 +450,7 @@ def test_tree_dict_rejects_tampering():
 def test_format_tree_is_indented_json():
     rng = random.Random(70)
     for m in (all_ones(3, 4), BoolMatrix(1, 1, [1]), make_random_f2_rank(64, 64, 10, rng)):
-        tree = build_protocol(m, mono_finder=greedy_rectangle)
+        tree = build_protocol(m, "greedy")
         assert format_tree(tree) == json.dumps(tree_to_dict(tree), indent=2) + "\n"
 
 
@@ -503,25 +536,44 @@ def test_block_ranks_shortcut_skips_elimination(monkeypatch):
 # -- exact trees hand Q to the in-child ---------------------------------------------
 
 
-def test_exact_trees_reuse_the_parents_rectangle():
-    # handing Q to the in-child changes no byte of the tree and saves searches
+def test_exact_trees_reuse_the_parents_rectangle(monkeypatch):
+    # handing Q to the in-child changes no byte of the tree and saves
+    # searches; the tree without it is the exact finder run under the
+    # greedy name, which searches once per internal node
+    searched = []
+    finder_for = protocol.finder_for
+
+    def exact_counting(strategy, *args):
+        finder = finder_for("exact", *args)
+        return lambda sub: searched.append(sub) or finder(sub)
+
     rng = random.Random(71)
     totals = [0, 0]
     for _ in range(15):
         m = random_low_rank(rng, rng.randint(2, 9), rng.randint(2, 9), rng.randint(2, 4))
+        exact = format_tree(build_protocol(m))
         trees, calls = [], []
-        for reuse in (False, True):
-            searched = []
-
-            def finder(sub):
-                searched.append(sub)
-                return max_mono_exact(sub)
-
-            tree = build_protocol(m, finder, reuse_rectangle=reuse)
+        for strategy in ("greedy", "exact"):
+            searched.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "finder_for", exact_counting)
+                tree = build_protocol(m, strategy)
             verify(tree, m)
             trees.append(format_tree(tree))
             calls.append(len(searched))
-        assert trees[0] == trees[1] == format_tree(build_protocol(m))
+        assert trees[0] == trees[1] == exact
+        assert calls[0] == tree.internal_nodes
         assert calls[1] <= calls[0]
         totals = [t + c for t, c in zip(totals, calls)]
     assert totals[1] < totals[0], totals
+
+
+def test_unknown_strategy_fails_before_any_work(monkeypatch):
+    message = "unknown strategy 'bogus'; choose from ('exact', 'greedy', 'via-dual')"
+    monkeypatch.setattr(protocol, "dedup", None)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        build_protocol(identity(3), "bogus")
+    # the sweep names it before it makes an instance
+    monkeypatch.setattr(experiments, "make_random_f2_rank", None)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        run_experiment("log-rank-sweep", {"strategy": "bogus"})
