@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import Optional, Sequence
 
 from .adcomb import BsgResult, PfrResult, bsg_extract, pfr_extract
@@ -29,6 +30,7 @@ from .f2 import (
     in_spectrum,
     ip_rows,
     is_dual_pair,
+    picks,
     rep_counts,
     same_dim,
 )
@@ -244,10 +246,8 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
 
 def _split(words: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
     """(words at the clear bits of mask, words at its set bits); bit k is words[k]."""
-    sides: tuple[list[int], list[int]] = ([], [])
-    for w, digit in zip(words, reversed(format(mask, f"0{len(words)}b"))):
-        sides[digit == "1"].append(w)
-    return sides
+    clear = ((1 << len(words)) - 1) ^ mask
+    return list(compress(words, picks(clear))), list(compress(words, picks(mask)))
 
 
 # -- small-span dual pairs --------------------------------------------------------
@@ -518,8 +518,8 @@ def _dual_pair(finder, a: F2Set, b: F2Set) -> DualPair:
     pair of (A, B), and its value is the constant bit."""
     view = finder(BoolMatrix(len(a), len(b), ip_rows(a.members, b.members)))
     return DualPair(
-        F2Set(a.n, [a.members[i] for i in view.rows]),
-        F2Set(b.n, [b.members[j] for j in view.cols]),
+        F2Set(a.n, compress(a.members, picks(view.rows))),
+        F2Set(b.n, compress(b.members, picks(view.cols))),
         view.value(),
     )
 

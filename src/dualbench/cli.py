@@ -19,7 +19,7 @@ from functools import cache
 from . import experiments as xp
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import DualbenchError, FormatError, InvariantViolation, SearchFailure, TreeMismatch
-from .f2 import duality_measure, format_set, read_set_file, write_set_file
+from .f2 import duality_measure, format_set, members, read_set_file, write_set_file
 from .matrix import (
     EXACT_CAP,
     dedup,
@@ -198,8 +198,8 @@ def cmd_mono(args) -> int:
     view = finder(deduped)
     payload = {
         "strategy": args.strategy,
-        "rows": list(view.rows),
-        "cols": list(view.cols),
+        "rows": members(view.rows),
+        "cols": members(view.cols),
         "area": view.area(),
         "value": view.value(),
         "monochromatic": view.is_monochromatic(),

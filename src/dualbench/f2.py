@@ -18,6 +18,7 @@ from collections import Counter
 from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import FormatError, read_text
@@ -26,6 +27,7 @@ MAX_DIMENSION = 24
 DENSE_CAP = 20  # build 2^n tables only up to this dimension
 NOT_BITS = str.maketrans("", "", "01")  # str.translate table: what is left is not a bit
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools -> binary digits
+_PICKS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> bytes of bools
 # neighbourhoods: one translated 2^n-bit word costs about as much as a direct
 # pass over 2^n / NEIGHBOURHOOD_COST members (measured crossover 28-67)
 NEIGHBOURHOOD_COST = 48
@@ -503,6 +505,23 @@ def combine(x: int, rows: Sequence[int]) -> int:
         acc ^= rows[low.bit_length() - 1]
         x ^= low
     return acc
+
+
+def picks(mask: int) -> bytes:
+    """itertools.compress selectors for the index set mask (index i is in
+    it when bit i is set): one byte per bit, lowest first, 1 where set."""
+    return bin(mask)[:1:-1].encode().translate(_PICKS)
+
+
+def members(mask: int) -> list[int]:
+    """The indices in mask, ascending."""
+    return list(compress(range(mask.bit_length()), picks(mask)))
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """The mask of distinct indices (a repeated index carries into a higher
+    bit, so the mask then has fewer bits than there are indices)."""
+    return sum(map((1).__lshift__, indices))
 
 
 def ip_rows(xs: Sequence[int], ys: Sequence[int]) -> list[int]:

@@ -4,6 +4,7 @@ Matrices are stored row-major as bit words (bit j of a row word is column j).
 Ranks are exact: over F2 by word-level elimination; over the rationals by a
 GF(3) elimination on bit planes, certified by the counts of distinct nonzero
 rows and columns, with fraction-free integer elimination when it is not.
+A set of row or column indices is a mask (bit i is index i), as in f2.
 Submatrix search routines return views whose claimed properties are always
 re-verified before returning.
 """
@@ -12,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, InvariantViolation, SearchFailure, read_text
-from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, transpose
+from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, mask_of, picks, transpose
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 
@@ -81,21 +82,25 @@ class BoolMatrix:
     def transpose(self) -> "BoolMatrix":
         return BoolMatrix(self.n_cols, self.n_rows, self.columns())
 
-    def take(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
-        runs = []  # [source column, width mask, target column] of each run of adjacent columns
-        for new_j, j in enumerate(col_idx):
-            if runs and j == runs[-1][0] + runs[-1][1].bit_length():
-                runs[-1][1] = runs[-1][1] << 1 | 1
-            else:
-                runs.append([j, 1, new_j])
-        rows = []
-        for i in row_idx:
+    def take(self, rows: int, cols: int) -> "BoolMatrix":
+        """The submatrix on the row and column masks, in index order."""
+        if rows >> self.n_rows or cols >> self.n_cols:
+            raise FormatError("take index out of bounds")
+        runs = []  # (a run of adjacent columns, its shift down to its new place)
+        placed = 0
+        while cols:
+            low = cols & -cols
+            run = cols & ~(cols + low)
+            runs.append((run, low.bit_length() - 1 - placed))
+            placed += run.bit_count()
+            cols ^= run
+        words = []
+        for source in compress(self.rows, picks(rows)):
             word = 0
-            source = self.rows[i]
-            for j, width, new_j in runs:
-                word |= ((source >> j) & width) << new_j
-            rows.append(word)
-        return BoolMatrix(len(row_idx), len(col_idx), rows)
+            for run, shift in runs:
+                word |= (source & run) >> shift
+            words.append(word)
+        return BoolMatrix(len(words), placed, words)
 
     def counts(self) -> tuple[int, int]:
         ones = sum(r.bit_count() for r in self.rows)
@@ -121,30 +126,25 @@ class BoolMatrix:
 
 @dataclass(frozen=True)
 class SubmatrixView:
-    """A rectangle of a parent matrix given by row and column index sets."""
+    """A rectangle of a parent matrix given by row and column masks."""
 
     parent: BoolMatrix
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    rows: int
+    cols: int
 
     def __post_init__(self):
         if not self.rows or not self.cols:
             raise FormatError("view must keep at least one row and one column")
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
-            raise FormatError("duplicate indices in view")
-        if max(self.rows) >= self.parent.n_rows or max(self.cols) >= self.parent.n_cols:
+        # a negative mask shifts down to -1, never to 0
+        if self.rows >> self.parent.n_rows or self.cols >> self.parent.n_cols:
             raise FormatError("view index out of bounds")
-        if min(self.rows) < 0 or min(self.cols) < 0:
-            raise FormatError("negative view index")
 
     def area(self) -> int:
-        return len(self.rows) * len(self.cols)
+        return self.rows.bit_count() * self.cols.bit_count()
 
     def counts(self) -> tuple[int, int]:
-        mask = 0
-        for j in self.cols:
-            mask |= 1 << j
-        ones = sum((self.parent.rows[i] & mask).bit_count() for i in self.rows)
+        words = compress(self.parent.rows, picks(self.rows))
+        ones = sum(map(int.bit_count, map(self.cols.__and__, words)))
         return self.area() - ones, ones
 
     def discrepancy(self) -> Fraction:
@@ -156,16 +156,15 @@ class SubmatrixView:
         return zeros == 0 or ones == 0
 
     def value(self) -> int:
-        return self.parent.entry(self.rows[0], self.cols[0])
+        """The entry at the view's first row and first column."""
+        return self.parent.entry(*((x & -x).bit_length() - 1 for x in (self.rows, self.cols)))
 
     def materialize(self) -> BoolMatrix:
         return self.parent.take(self.rows, self.cols)
 
 
-def discrepancy(m: BoolMatrix | SubmatrixView) -> Fraction:
-    """Exact |#zeros - #ones| / size for a matrix or a view."""
-    if isinstance(m, SubmatrixView):
-        return m.discrepancy()
+def discrepancy(m: BoolMatrix) -> Fraction:
+    """Exact |#zeros - #ones| / size; a view has its own discrepancy()."""
     zeros, ones = m.counts()
     return Fraction(abs(zeros - ones), m.size())
 
@@ -184,14 +183,14 @@ def dedup(m: BoolMatrix) -> tuple[BoolMatrix, tuple[int, ...], tuple[int, ...]]:
     return m.take(keep_rows, keep_cols), row_map, col_map
 
 
-def _first_occurrences(words: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
-    """The indices of each word's first occurrence, ascending, and for
-    every index the position of its word's first occurrence among them."""
+def _first_occurrences(words: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The mask of each word's first occurrence, and for every index the
+    position of its word's first occurrence among them."""
     first: dict[int, int] = {}
     for i, word in enumerate(words):
         first.setdefault(word, i)
     position = {word: k for k, word in enumerate(first)}
-    return list(first.values()), tuple(position[word] for word in words)
+    return mask_of(first.values()), tuple(position[word] for word in words)
 
 
 # -- ranks ---------------------------------------------------------------------
@@ -352,13 +351,16 @@ def stats(m: BoolMatrix) -> MatrixStats:
 # -- monochromatic rectangle search ---------------------------------------------
 
 
-def _bits_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+def _precedes(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether rectangle a = (rows, cols, color) comes before b: the smaller
+    row index list, then column list, then color.  Two masks' lists agree
+    below their lowest differing bit, low; the mask holding low comes first
+    unless the other has nothing past low, which makes it a proper prefix."""
+    for x, y in zip(a[:2], b[:2]):
+        if x != y:
+            low = (x ^ y) & -(x ^ y)
+            return y >= low if x & low else x < low
+    return a[2] < b[2]
 
 
 def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
@@ -386,7 +388,7 @@ def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
     n_x, n_y = work.n_rows, work.n_cols
     full_y = (1 << n_y) - 1
     best_area = 0
-    best = None  # (rows, cols, color) on m
+    best = None  # (row mask, column mask, color) on m
     for color in (0, 1):
         row_words = [r if color else full_y ^ r for r in work.rows]
         col_words = transpose(row_words, n_y)
@@ -405,9 +407,8 @@ def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
             ycount = ymask.bit_count()
             area = size * ycount
             if size and area >= best_area:
-                x_side, y_side = _bits_to_tuple(xmask), _bits_to_tuple(ymask)
-                cand = (y_side, x_side, color) if transposed else (x_side, y_side, color)
-                if best is None or area > best_area or cand < best:
+                cand = (ymask, xmask, color) if transposed else (xmask, ymask, color)
+                if best is None or area > best_area or _precedes(cand, best):
                     best_area = area
                     best = cand
             for j in range(start, n_x):
@@ -431,37 +432,37 @@ def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
     """Greedy row-growing rectangle: seed with the best single row per color,
     add rows while the forced-column area does not shrink."""
     full = (1 << m.n_cols) - 1
-    best = None
+    best_area = 0
+    best = None  # (row mask, column mask, color)
     for color in (0, 1):
         masks = [r if color else full ^ r for r in m.rows]
         seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
         forced = masks[seed]
         if not forced:
             continue
-        rows = [seed]
-        taken = {seed}
+        rows = 1 << seed
+        count = 1
         while True:
-            area = len(rows) * forced.bit_count()
+            area = count * forced.bit_count()
             pick = None
             pick_area = -1
             pick_mask = 0
-            for i in range(m.n_rows):
-                if i in taken:
+            for i, mask in enumerate(masks):
+                if rows >> i & 1:
                     continue
-                nm = forced & masks[i]
-                new_area = (len(rows) + 1) * nm.bit_count()
+                nm = forced & mask
+                new_area = (count + 1) * nm.bit_count()
                 if nm and new_area > pick_area:
                     pick, pick_area, pick_mask = i, new_area, nm
             if pick is None or pick_area < area:
                 break
-            rows.append(pick)
-            taken.add(pick)
+            rows |= 1 << pick
+            count += 1
             forced = pick_mask
-        cols = tuple(j for j in range(m.n_cols) if (forced >> j) & 1)
-        cand = (-len(rows) * len(cols), tuple(sorted(rows)), cols, color)
-        if best is None or cand < best:
-            best = cand
-    _, rows, cols, _color = best
+        cand = (rows, forced, color)
+        if best is None or area > best_area or (area == best_area and _precedes(cand, best)):
+            best_area, best = area, cand
+    rows, cols, _color = best
     return SubmatrixView(m, rows, cols)
 
 
@@ -478,14 +479,15 @@ def _meets_delta(imbalance: int, area: int, r: int) -> bool:
     return imbalance * imbalance * r**3 >= area * area
 
 
-def _column_scan(col_words, n_cols: int, row_mask: int, n_rows: int, r: int, total: int):
-    """Best-effort column choice for a fixed row set (given as a bit mask).
+def _column_scan(col_words: Sequence[int], row_mask: int, r: int, total: int) -> int | None:
+    """Best-effort column mask for a fixed row mask.
 
     Column j contributes zeros-minus-ones over the chosen rows; scanning
     sorted prefixes on both signs finds a qualifying column set whenever one
     exists for this row set.
     """
-    contrib = [n_rows - 2 * (col_words[j] & row_mask).bit_count() for j in range(n_cols)]
+    n_rows, n_cols = row_mask.bit_count(), len(col_words)
+    contrib = [n_rows - 2 * (word & row_mask).bit_count() for word in col_words]
     pos_order = sorted(range(n_cols), key=lambda j: (-contrib[j], j))
     neg_order = sorted(range(n_cols), key=lambda j: (contrib[j], j))
     for order in (pos_order, neg_order):
@@ -496,18 +498,18 @@ def _column_scan(col_words, n_cols: int, row_mask: int, n_rows: int, r: int, tot
             if not _meets_area(area, r, total):
                 continue
             if _meets_delta(abs(running), area, r):
-                return tuple(sorted(order[:c]))
+                return mask_of(order[:c])
     return None
 
 
-def _similarity_clusters(m: BoolMatrix) -> Iterator[tuple[int, ...]]:
-    """For each pivot row, the rows within Hamming distance l/4 of it."""
+def _similarity_clusters(m: BoolMatrix) -> Iterator[int]:
+    """For each pivot row, the mask of rows within Hamming distance l/4 of it."""
     limit = m.n_cols / 4
     for pivot in m.rows:
-        yield tuple(i for i, row in enumerate(m.rows) if (row ^ pivot).bit_count() <= limit)
+        yield mask_of(i for i, row in enumerate(m.rows) if (row ^ pivot).bit_count() <= limit)
 
 
-def _eigen_sign_split(m: BoolMatrix) -> Iterator[tuple[int, ...]]:
+def _eigen_sign_split(m: BoolMatrix) -> Iterator[int]:
     """Row split by the sign pattern of a dominant singular vector estimate.
 
     Power iteration on the +/-1 sign matrix; float precision is fine because
@@ -523,9 +525,8 @@ def _eigen_sign_split(m: BoolMatrix) -> Iterator[tuple[int, ...]]:
         if norm == 0:
             return
         u = [x / norm for x in w]
-    plus = tuple(i for i in range(k) if u[i] >= 0)
-    minus = tuple(i for i in range(k) if u[i] < 0)
-    yield from (s for s in (plus, minus) if s)
+    plus = mask_of(i for i in range(k) if u[i] >= 0)
+    yield from (s for s in (plus, ((1 << k) - 1) ^ plus) if s)
 
 
 def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
@@ -542,8 +543,8 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
     r = max(rank_real(m), 1)
     total = m.size()
 
-    def verified(rows, cols):
-        view = SubmatrixView(m, tuple(sorted(rows)), tuple(sorted(cols)))
+    def verified(rows: int, cols: int) -> SubmatrixView:
+        view = SubmatrixView(m, rows, cols)
         zeros, ones = view.counts()
         if not _meets_area(view.area(), r, total):
             raise InvariantViolation("biased view fails the area bound")
@@ -553,32 +554,26 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
 
     zeros, ones = m.counts()
     if _meets_delta(abs(zeros - ones), total, r):
-        return verified(range(m.n_rows), range(m.n_cols))
+        return verified((1 << m.n_rows) - 1, (1 << m.n_cols) - 1)
 
     col_words = m.columns()
-    pools = (((i,) for i in range(m.n_rows)), _similarity_clusters(m), _eigen_sign_split(m))
+    pools = ((1 << i for i in range(m.n_rows)), _similarity_clusters(m), _eigen_sign_split(m))
     seen = set()
-    for row_set in chain.from_iterable(pools):
-        if row_set in seen:
+    for rows in chain.from_iterable(pools):
+        if rows in seen:
             continue
-        seen.add(row_set)
-        mask = 0
-        for i in row_set:
-            mask |= 1 << i
-        cols = _column_scan(col_words, m.n_cols, mask, len(row_set), r, total)
+        seen.add(rows)
+        cols = _column_scan(col_words, rows, r, total)
         if cols is not None:
-            return verified(row_set, cols)
+            return verified(rows, cols)
 
     transposed = m.n_cols < m.n_rows  # enumerate subsets of the smaller side
     enum_size, other = (m.n_cols, m.rows) if transposed else (m.n_rows, col_words)
     if enum_size <= exact_cap:
         for s in range(1, 1 << enum_size):
-            cols = _column_scan(other, len(other), s, s.bit_count(), r, total)
+            cols = _column_scan(other, s, r, total)
             if cols is not None:
-                row_set = _bits_to_tuple(s)
-                if transposed:
-                    return verified(cols, row_set)
-                return verified(row_set, cols)
+                return verified(cols, s) if transposed else verified(s, cols)
         raise SearchFailure(
             "search",
             "exhaustive search: no submatrix meets the literal rank^(-3/2) "

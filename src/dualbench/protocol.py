@@ -6,7 +6,7 @@ announce membership of their input in Q's side, and recurse on the two
 halves.  Each sent bit is one internal node; leaves output the entry value.
 Simulation, full verification against the source matrix, and a recurrence
 audit of the per-node rank/area bookkeeping are provided.  A block of the
-stored matrix is a pair of bit masks (rows, cols), and a split is a mask.
+stored matrix is a mask pair (rows, cols), as a view is, and a split a mask.
 Each tree holds one rank memo over blocks (BlockRanks), shared by the
 build, verify and the audit.  A protocol is built by strategy name, and
 finder_for gives the strategy's rectangle finder, a plain function from a
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch, read_text
-from .f2 import NOT_BITS
+from .f2 import NOT_BITS, mask_of, members, picks
 from .matrix import (
     EXACT_CAP,
     BoolMatrix,
@@ -107,7 +107,8 @@ class BlockRanks:
     at most once.  A tree holds one for its stored matrix; it lives as long
     as the tree, never longer.  A block whose rank is its count of distinct
     nonzero rows has rows independent over Q, and so has a block with the
-    same columns and a subset of its rows: that rank is a count."""
+    same columns and a subset of its rows: that rank is a count, as it is
+    for one or two distinct nonzero 0/1 rows, never proportional."""
 
     __slots__ = ("matrix", "_ranks", "_independent")
 
@@ -120,35 +121,16 @@ class BlockRanks:
         """The rank of the block's distinct nonzero row words masked to cols."""
         got = self._ranks.get((rows, cols))
         if got is None:
-            words = dict.fromkeys(map(cols.__and__, compress(self.matrix.rows, _picks(rows))))
+            words = dict.fromkeys(map(cols.__and__, compress(self.matrix.rows, picks(rows))))
             words.pop(0, None)
             got = len(words)
             independent = self._independent.setdefault(cols, [])
-            if words and not any(rows | wider == wider for wider in independent):
+            if got > 2 and not any(rows | wider == wider for wider in independent):
                 got = rank_real(BoolMatrix(len(words), self.matrix.n_cols, words))
                 if got == len(words):
                     independent.append(rows)
             self._ranks[rows, cols] = got
         return got
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _picks(mask: int) -> bytes:
-    """itertools.compress selectors for the indices in mask: one byte per
-    bit, lowest first, 1 where the bit is set."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-
-
-def _members(mask: int) -> list[int]:
-    """The indices in mask, ascending."""
-    return list(compress(range(mask.bit_length()), _picks(mask)))
-
-
-def _mask(indices) -> int:
-    """The word with the bits at indices set."""
-    return sum(map((1).__lshift__, indices))
 
 
 @dataclass(frozen=True)
@@ -208,12 +190,12 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
         pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
     else:
         pair = greedy_dual_pair(a, b)
-    kept_rows = {i for i, word in zip(biased.rows, fact.row_words) if word in pair.a_side}
-    kept_cols = {j for j, word in zip(biased.cols, fact.col_words) if word in pair.b_side}
+    kept_rows = mask_of(i for i, w in zip(members(biased.rows), fact.row_words) if w in pair.a_side)
+    kept_cols = mask_of(j for j, w in zip(members(biased.cols), fact.col_words) if w in pair.b_side)
     view = SubmatrixView(
         m,
-        tuple(i for i in range(m.n_rows) if row_map[i] in kept_rows),
-        tuple(j for j in range(m.n_cols) if col_map[j] in kept_cols),
+        mask_of(i for i, k in enumerate(row_map) if kept_rows >> k & 1),
+        mask_of(j for j, k in enumerate(col_map) if kept_cols >> k & 1),
     )
     if not view.is_monochromatic():
         raise InvariantViolation("dual-pair rectangle is not monochromatic")
@@ -269,15 +251,15 @@ def build_protocol(
         if depth > depth_cap:
             raise InvariantViolation(f"protocol recursion passed {depth_cap} bits")
         area = rows.bit_count() * cols.bit_count()
-        ones = sum(map(int.bit_count, map(cols.__and__, compress(core.rows, _picks(rows)))))
+        ones = sum(map(int.bit_count, map(cols.__and__, compress(core.rows, picks(rows)))))
         if ones == 0 or ones == area:
             return Leaf(output=0 if ones == 0 else 1)
         if q is None:
-            row_idx, col_idx = _members(rows), _members(cols)
-            view = finder(core.take(row_idx, col_idx))
+            # the view's masks index the block's rows and columns in order
+            view = finder(core.take(rows, cols))
             q = (
-                _mask(map(row_idx.__getitem__, view.rows)),
-                _mask(map(col_idx.__getitem__, view.cols)),
+                mask_of(compress(members(rows), picks(view.rows))),
+                mask_of(compress(members(cols), picks(view.cols))),
                 view.value(),
             )
         q_rows, q_cols, value = q
@@ -372,7 +354,7 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
     for node, rows, cols, path, _blocks in _walk(tree):
         if isinstance(node, Leaf):
             want = cols if node.output else 0
-            words = map(cols.__and__, compress(core.rows, _picks(rows)))
+            words = map(cols.__and__, compress(core.rows, picks(rows)))
             answers_agree = answers_agree and all(map(want.__eq__, words))
         else:
             internal.append((node.stats.rank, rows, cols, path))
@@ -509,7 +491,7 @@ def _node_to_dict(node: ProtocolNode) -> dict:
     return {
         "type": "internal",
         "speaker": node.speaker,
-        "split": _members(node.split),
+        "split": members(node.split),
         "stats": {
             "area": s.area,
             "rank": s.rank,
@@ -584,7 +566,7 @@ def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
         raise bad("split entries must be integers")
     # only indices on the side become bits; one outside it, or a duplicate,
     # leaves fewer bits than entries
-    chosen = _mask(v for v in split if v >= 0 and side >> v & 1)
+    chosen = mask_of(v for v in split if v >= 0 and side >> v & 1)
     if not split or chosen.bit_count() != len(split) or chosen == side:
         raise bad(f"split is not a proper nonempty subset of the block's {speaker}s")
     n_rows, n_cols = rows.bit_count(), cols.bit_count()

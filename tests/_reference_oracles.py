@@ -25,6 +25,8 @@ the rank over the rationals by Gauss-Jordan elimination on Fractions, for
 `dualbench.matrix.rank_real`.  `parity_dot` and `rep_count` (the ordered
 pairs of s x s summing to one word) are per-word references for the
 library's batch kernels, `dualbench.f2.ip_rows` and `rep_counts`.
+`take_indices` is `BoolMatrix.take` as it was before views held masks:
+rows and columns by index list, read entry by entry, repeats allowed.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
@@ -174,10 +176,15 @@ def ip_matrix(a: F2Set, b: F2Set) -> BoolMatrix:
 def pair_of_view(a: F2Set, b: F2Set, view: SubmatrixView) -> DualPair:
     """The dual pair a rectangle of ip_matrix(a, b) stands for."""
     return DualPair(
-        F2Set(a.n, [a.members[i] for i in view.rows]),
-        F2Set(b.n, [b.members[j] for j in view.cols]),
+        F2Set(a.n, [a.members[i] for i in _bits_to_tuple(view.rows)]),
+        F2Set(b.n, [b.members[j] for j in _bits_to_tuple(view.cols)]),
         view.value(),
     )
+
+
+def take_indices(m: BoolMatrix, rows: Sequence[int], cols: Sequence[int]) -> BoolMatrix:
+    """The matrix of entries (rows[a], cols[b]); an index may repeat."""
+    return BoolMatrix.from_lists([[m.entry(i, j) for j in cols] for i in rows])
 
 
 def _mono_candidates_by_rows(m: BoolMatrix):
@@ -203,6 +210,7 @@ def _mono_candidates_by_rows(m: BoolMatrix):
 
 
 def _bits_to_tuple(mask: int) -> tuple[int, ...]:
+    """The indices in mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -215,9 +223,10 @@ def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView
     """Enumerate one dimension's subsets; the other dimension is forced.
 
     Best candidate under (larger area, then lexicographically smallest row
-    set, then column set, then color 0 before 1), stated on the original
-    orientation.  Every maximum-area rectangle is closed on both sides, so
-    either dimension's scan sees all of them and the winner is the same.
+    index tuple, then column index tuple, then color 0 before 1), stated on
+    the original orientation.  Every maximum-area rectangle is closed on
+    both sides, so either dimension's scan sees all of them and the winner
+    is the same.
     """
     work = m.transpose() if transposed else m
     if work.n_rows > exact_cap:
@@ -243,7 +252,7 @@ def _mono_scan(m: BoolMatrix, transposed: bool, exact_cap: int) -> SubmatrixView
                 best_area = area
                 best = cand
     rows, cols, _color = best
-    return SubmatrixView(m, rows, cols)
+    return SubmatrixView(m, sum(1 << i for i in rows), sum(1 << j for j in cols))
 
 
 def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:

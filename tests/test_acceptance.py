@@ -21,7 +21,7 @@ from dualbench.experiments import (
     make_weight_slice,
     to_json,
 )
-from dualbench.f2 import F2Set, char_sum, duality_measure, parse_set_text, format_set
+from dualbench.f2 import F2Set, char_sum, duality_measure, mask_of, parse_set_text, format_set
 from dualbench.matrix import (
     BoolMatrix,
     SubmatrixView,
@@ -91,7 +91,7 @@ def test_criterion_2_bridge_equivalence():
                 j_set = tuple(
                     sorted(rng.sample(range(m.n_cols), rng.randint(1, m.n_cols)))
                 )
-                view = SubmatrixView(m, i_set, j_set)
+                view = SubmatrixView(m, mask_of(i_set), mask_of(j_set))
                 a = F2Set(fact.a_set.n, [fact.row_words[i] for i in i_set])
                 b = F2Set(fact.b_set.n, [fact.col_words[j] for j in j_set])
                 assert view.discrepancy() == duality_measure(a, b)

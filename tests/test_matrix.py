@@ -10,7 +10,7 @@ from _reference_oracles import parity_dot
 from dualbench import matrix
 from dualbench.errors import FormatError, SearchFailure
 from dualbench.experiments import make_ip_matrix, make_random_f2_rank
-from dualbench.f2 import F2Set, duality_measure
+from dualbench.f2 import F2Set, duality_measure, mask_of, members
 from dualbench.matrix import (
     BoolMatrix,
     SubmatrixView,
@@ -71,18 +71,25 @@ def test_dedup_preserves_entries_through_maps():
 
 
 def test_take_matches_entries():
-    # runs of adjacent columns, scattered, reversed and repeated indices
+    # row and column masks: one run of adjacent columns, scattered and
+    # alternating columns, a single column and all of them, rows at random;
+    # the submatrix keeps index order
     rng = random.Random(71)
     for _ in range(60):
         k, l = rng.randint(1, 9), rng.randint(1, 70)
         m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
-        rows = [rng.randrange(k) for _ in range(rng.randint(1, 2 * k))]
+        rows = rng.randrange(1, 1 << k)
         start = rng.randrange(l)
-        for cols in (range(start, l), sorted(rng.sample(range(l), rng.randint(1, l))),
-                     list(range(l))[::-1], [rng.randrange(l) for _ in range(rng.randint(1, l))]):
+        full = (1 << l) - 1
+        for cols in (full ^ ((1 << start) - 1), mask_of(rng.sample(range(l), rng.randint(1, l))),
+                     mask_of(range(start % 2, l, 2)) or 1, 1 << start, full):
             got = m.take(rows, cols)
-            assert (got.n_rows, got.n_cols) == (len(rows), len(cols))
-            assert got.to_lines() == ["".join(str(m.entry(i, j)) for j in cols) for i in rows]
+            row_idx, col_idx = members(rows), members(cols)
+            assert (got.n_rows, got.n_cols) == (len(row_idx), len(col_idx))
+            assert got.to_lines() == ["".join(str(m.entry(i, j)) for j in col_idx) for i in row_idx]
+    for rows, cols in ((1 << k, 1), (1, 1 << l), (-1, 1), (0, 1), (1, 0)):
+        with pytest.raises(FormatError):
+            m.take(rows, cols)
 
 
 def test_rank_f2_examples():
@@ -153,7 +160,7 @@ def test_rank_real_certifies_or_falls_back(monkeypatch):
     # distinct rows over four distinct columns, two of them doubled
     base = BoolMatrix.from_lists([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                                   [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1]])
-    doubled = base.take(range(6), [0, 1, 2, 3, 0, 3])
+    doubled = ref.take_indices(base, range(6), [0, 1, 2, 3, 0, 3])
     for m, want in ((identity(6), 6), (make_ip_matrix(3), 7), (doubled, 4)):
         assert rank_real(m) == ref.rank_fraction(m) == want
     assert calls == []
@@ -210,7 +217,7 @@ def test_factorize_accepts_duplicates():
         base = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         rows = [rng.randrange(base.n_rows) for _ in range(rng.randint(1, 9))]
         cols = [rng.randrange(base.n_cols) for _ in range(rng.randint(1, 9))]
-        cases.append(base.take(rows, cols))
+        cases.append(ref.take_indices(base, rows, cols))
     planted = 0
     for m in cases:
         core, _, _ = dedup(m)
@@ -247,7 +254,7 @@ def test_bridge_identity_exhaustive_small():
             for i_set in combinations(rows, ra):
                 for ca in range(1, m.n_cols + 1):
                     for j_set in combinations(cols, ca):
-                        view = SubmatrixView(m, i_set, j_set)
+                        view = SubmatrixView(m, mask_of(i_set), mask_of(j_set))
                         a = F2Set(f.a_set.n, [f.row_words[i] for i in i_set])
                         b = F2Set(f.b_set.n, [f.col_words[j] for j in j_set])
                         d = duality_measure(a, b)
@@ -311,10 +318,41 @@ def test_max_mono_exact_beyond_subset_table():
     view = max_mono_exact(m, exact_cap=32)
     assert view.is_monochromatic() and view.area() >= 63
     color = view.value()
-    for i in set(range(32)) - set(view.rows):
-        assert any(m.entry(i, j) != color for j in view.cols)
-    for j in set(range(31)) - set(view.cols):
-        assert any(m.entry(i, j) != color for i in view.rows)
+    rows, cols = members(view.rows), members(view.cols)
+    for i in set(range(32)) - set(rows):
+        assert any(m.entry(i, j) != color for j in cols)
+    for j in set(range(31)) - set(cols):
+        assert any(m.entry(i, j) != color for i in rows)
+
+
+def test_rectangle_tie_order_is_index_tuple_order():
+    # the finders break ties on masks in O(1); that must be the order of
+    # the ascending index tuples, a proper prefix first
+    def before(x, y):
+        return tuple(members(x)) < tuple(members(y))
+
+    for x in range(1 << 8):
+        for y in range(1 << 8):
+            assert matrix._precedes((x, 0, 0), (y, 0, 0)) == before(x, y), (x, y)
+    rng = random.Random("tie-order")
+    for _ in range(3000):
+        width = rng.randint(1, 80)
+        x, y, z = (rng.randrange(1 << width) for _ in range(3))
+        y = rng.choice([y, x ^ (1 << rng.randrange(width)), x & y, x])
+        want = (tuple(members(x)), tuple(members(z)), 1) < (tuple(members(y)), tuple(members(z)), 0)
+        assert matrix._precedes((x, z, 1), (y, z, 0)) == want
+        assert matrix._precedes((z, x, 0), (z, y, 0)) == before(x, y)
+    assert matrix._precedes((5, 3, 0), (5, 3, 1)) and not matrix._precedes((5, 3, 1), (5, 3, 1))
+
+
+def test_view_masks_are_checked():
+    m = identity(3)
+    for rows, cols in ((0, 1), (1, 0), (8, 1), (1, 8), (-1, 1), (1, -2)):
+        with pytest.raises(FormatError):
+            SubmatrixView(m, rows, cols)
+    view = SubmatrixView(m, 0b110, 0b101)
+    assert (view.area(), view.counts(), view.value()) == (4, (3, 1), 0)
+    assert view.materialize() == BoolMatrix.from_lists([[0, 0], [0, 1]])
 
 
 def test_max_mono_cap():
@@ -352,7 +390,7 @@ def exhaustive_biased_exists(m):
         for rows in combinations(range(m.n_rows), ra):
             for ca in range(1, m.n_cols + 1):
                 for cols in combinations(range(m.n_cols), ca):
-                    view = SubmatrixView(m, rows, cols)
+                    view = SubmatrixView(m, mask_of(rows), mask_of(cols))
                     if contract_holds(m, view):
                         return True
     return False

@@ -21,6 +21,7 @@ from dualbench.experiments import (
     run_experiment,
     to_json,
 )
+from dualbench.f2 import mask_of, members
 from dualbench.matrix import BoolMatrix, dedup, max_mono_exact, rank_real
 from dualbench.protocol import (
     BlockRanks,
@@ -207,8 +208,19 @@ def test_build_ranks_each_block_once(monkeypatch, tmp_path):
     ranked.clear()
     assert main(["protocol", "--matrix", str(mfile), "--strategy", "greedy",
                  "--out", str(tmp_path / "p.json")]) == 0
-    assert len(ranked) > 100
+    assert len(ranked) > 40
     assert len(ranked) == len(set(ranked))
+
+
+def test_block_ranks_count_one_or_two_rows(monkeypatch):
+    # one or two distinct nonzero 0/1 rows are never proportional, so such a
+    # block's rank is its count: rank_real sees at least three rows
+    seen = []
+    monkeypatch.setattr(protocol, "rank_real", lambda m: seen.append(m.n_rows) or rank_real(m))
+    m = make_random_f2_rank(64, 64, 10, random.Random(2))
+    tree = build_protocol(m, "greedy")
+    verify(tree, m)
+    assert len(seen) > 40 and min(seen) >= 3
 
 
 def test_internal_checks_the_speaker_rule():
@@ -291,13 +303,13 @@ def test_mono_via_dual_expands_duplicates():
     assert (core.n_rows, core.n_cols) == (3, 3)
     inner = mono_via_dual(core)
     view = mono_via_dual(m)
-    assert view.rows == tuple(i for i in range(4) if row_map[i] in inner.rows)
-    assert view.cols == tuple(j for j in range(4) if col_map[j] in inner.cols)
+    assert view.rows == mask_of(i for i in range(4) if inner.rows >> row_map[i] & 1)
+    assert view.cols == mask_of(j for j in range(4) if inner.cols >> col_map[j] & 1)
     assert view.is_monochromatic() and view.area() > inner.area()
     # rows 0 and 2 are distinct but equal on the biased submatrix's
     # columns: the pair keeps both through the submatrix's own dedup
     view = mono_via_dual(BoolMatrix.from_strings(["000", "011", "010"]))
-    assert (view.rows, view.cols) == ((0, 2), (0, 2))
+    assert (view.rows, view.cols) == (0b101, 0b101)
 
 
 def test_via_dual_outputs_are_pinned():
@@ -314,7 +326,7 @@ def test_via_dual_outputs_are_pinned():
             m = make_block_low_rank(k, l, rng.randint(1, min(k, l, 5)), rng)
         try:
             view = mono_via_dual(m, exact_cap=12)
-            outcomes.append((view.rows, view.cols))
+            outcomes.append((tuple(members(view.rows)), tuple(members(view.cols))))
         except DualbenchError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
@@ -466,9 +478,7 @@ def test_tree_serialization_stable():
 
 def _block_rank(m, rows, cols):
     """rank_real of the materialised block rows x cols (bit masks)."""
-    row_idx = [i for i in range(m.n_rows) if rows >> i & 1]
-    col_idx = [j for j in range(m.n_cols) if cols >> j & 1]
-    return rank_real(m.take(row_idx, col_idx))
+    return rank_real(m.take(rows, cols))
 
 
 def _first_wrong_rank(ranks_class, seed):
@@ -476,17 +486,27 @@ def _first_wrong_rank(ranks_class, seed):
     materialised block's rank, over seeded random matrices (duplicate and
     zero rows included) and random call orders; each block is followed,
     later in the order, by row subsets of it on its own columns and on
-    other columns.  None when every rank agrees."""
+    other columns and by a row superset on its own columns.  Every other
+    matrix draws its rows from unions of three disjoint column sets, so
+    that blocks of three or more distinct rows are often dependent.  None
+    when every rank agrees."""
     rng = random.Random(seed)
-    for _ in range(150):
+    for index in range(150):
         k, l = rng.randint(2, 8), rng.randint(1, 8)
-        pool = [0] + [rng.randrange(1 << l) for _ in range(rng.randint(1, k))]
+        if index % 2:
+            labels = [rng.randrange(4) for _ in range(l)]  # label 3: in no set
+            parts = [sum(1 << j for j in range(l) if labels[j] == t) for t in range(3)]
+            pool = [0] + [parts[0] * rng.randrange(2) | parts[1] * rng.randrange(2)
+                          | parts[2] * rng.randrange(2) for _ in range(rng.randint(1, k))]
+        else:
+            pool = [0] + [rng.randrange(1 << l) for _ in range(rng.randint(1, k))]
         m = BoolMatrix(k, l, [rng.choice(pool) for _ in range(k)])
         blocks = [(rng.randrange(1, 1 << k), rng.randrange(1, 1 << l)) for _ in range(8)]
         planted = []
         for rows, cols in blocks:
             for other in (cols, cols, rng.randrange(1, 1 << l)):
                 planted.append((rows & rng.randrange(1 << k) or rows, other))
+            planted.append((rows | rng.randrange(1 << k), cols))
         rng.shuffle(blocks)
         rng.shuffle(planted)
         ranks = ranks_class(m)
@@ -516,6 +536,7 @@ def test_block_ranks_property_kills_planted_mutants():
         "inherits when the rank falls short": ("if got == len(words):", "if True:"),
         "inherits from overlapping, not wider, rows": ("rows | wider == wider", "rows & wider"),
         "inherits from narrower rows": ("rows | wider == wider", "rows | wider == rows"),
+        "counts three rows": ("got > 2 and", "got > 3 and"),
     }
     for name, (old, new) in mutants.items():
         assert _first_wrong_rank(_mutant(old, new), 0) is not None, name
@@ -524,13 +545,16 @@ def test_block_ranks_property_kills_planted_mutants():
 def test_block_ranks_shortcut_skips_elimination(monkeypatch):
     # a full-row-rank block is eliminated once; its row subsets on the same
     # columns are counted, and a subset on other columns is eliminated
+    # unless it has at most two distinct nonzero rows
     eliminated = []
     monkeypatch.setattr(protocol, "rank_real", lambda m: eliminated.append(m) or rank_real(m))
     ranks = BlockRanks(identity(4))
     assert ranks(0b1111, 0b1111) == 4 and len(eliminated) == 1
-    assert ranks(0b0101, 0b1111) == 2 and ranks(0b0011, 0b1111) == 2
+    assert ranks(0b1101, 0b1111) == 3 and ranks(0b0111, 0b1111) == 3
     assert len(eliminated) == 1
-    assert ranks(0b0011, 0b0111) == 2 and len(eliminated) == 2
+    assert ranks(0b0111, 0b0111) == 3 and len(eliminated) == 2
+    assert ranks(0b0011, 0b0111) == 2 and ranks(0b1001, 0b1001) == 2
+    assert len(eliminated) == 2
 
 
 # -- exact trees hand Q to the in-child ---------------------------------------------

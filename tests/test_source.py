@@ -101,6 +101,19 @@ def test_only_matrix_finds_rectangles():
     assert found == []
 
 
+def test_only_f2_reads_masks_as_digits():
+    # an index set is a mask, and f2.picks is the one place a mask is read
+    # as binary digits: no other module calls bin()
+    found = []
+    for path in SOURCES:
+        if path.name == "f2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bin":
+                found.append(f"{path.name}:{node.lineno}: bin call")
+    assert found == []
+
+
 def test_no_function_level_imports():
     # every import sits at the head of its module, so the module graph is
     # read there and no call pays for an import; approxdual never imports
