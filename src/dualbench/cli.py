@@ -74,10 +74,10 @@ def _simple_report(command: str, args, payload: dict) -> dict:
 # -- verb implementations --------------------------------------------------------------
 
 
-def _given(args, keys, reads, what: str) -> dict:
-    """The flags among keys that were given; a usage error if what does not
-    read one of them."""
-    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+def _given(args, reads, what: str) -> dict:
+    """The verb's parameter flags that were given; a usage error if what
+    does not read one of them."""
+    given = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
     unread = ", ".join("--" + key.replace("_", "-") for key in given if key not in reads)
     if unread:
         raise FormatError(f"{what} does not read {unread}")
@@ -85,8 +85,7 @@ def _given(args, keys, reads, what: str) -> dict:
 
 
 def cmd_gen_matrix(args) -> int:
-    params = _given(args, ("n", "k", "l", "rank", "p", "set_a", "set_b"),
-                    xp.MATRIX_FAMILIES[args.family], f"family {args.family}")
+    params = _given(args, xp.MATRIX_FAMILIES[args.family], f"family {args.family}")
     if args.family == "from-sets":
         if not (args.set_a and args.set_b):
             raise FormatError("from-sets needs --set-a and --set-b")
@@ -98,8 +97,7 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_gen_sets(args) -> int:
-    params = _given(args, ("n", "w", "d", "outliers", "size"),
-                    xp.SET_FAMILIES[args.family], f"family {args.family}")
+    params = _given(args, xp.SET_FAMILIES[args.family], f"family {args.family}")
     s = xp.generate_sets(args.family, params, seed=args.seed)
     _emit(format_set(s), args.out)
     return EXIT_OK
@@ -145,30 +143,27 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _exact_cap(args, read: bool) -> int:
-    """--exact-cap, or its default; a usage error where the strategy ignores
-    it, and outside 0..EXACT_CAP: the default is the largest, since
-    find_biased_submatrix's exhaustive pass loops over 2^cap subsets."""
+def _exact_cap(args) -> int:
+    """--exact-cap, or its default; a usage error outside 0..EXACT_CAP: the
+    default is the largest, since find_biased_submatrix's exhaustive pass
+    loops over 2^cap subsets."""
     if args.exact_cap is None:
         return EXACT_CAP
-    if not read:
-        raise FormatError(f"--strategy {args.strategy} does not read --exact-cap")
     if not 0 <= args.exact_cap <= EXACT_CAP:
         raise FormatError(f"--exact-cap must be within 0..{EXACT_CAP}, got {args.exact_cap}")
     return args.exact_cap
 
 
 def cmd_dual(args) -> int:
-    if args.growth_bound is not None and args.strategy != "pipeline":
-        raise FormatError(f"--strategy {args.strategy} does not read --K")
-    exact_cap = _exact_cap(args, args.strategy == "exact")
+    _given(args, DUAL_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
+    exact_cap = _exact_cap(args)
     a = read_set_file(args.set_a)
     b = read_set_file(args.set_b)
     if args.strategy == "pipeline":
         trace = find_dual_pair(
             a,
             b,
-            growth_bound=Fraction(args.growth_bound) if args.growth_bound else None,
+            growth_bound=Fraction(args.K) if args.K else None,
             seed=args.seed,
         )
         payload = xp.trace_payload(trace)
@@ -192,7 +187,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_mono(args) -> int:
-    finder = finder_for(args.strategy, _exact_cap(args, args.strategy != "greedy"), args.seed)
+    _given(args, FINDER_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
+    finder = finder_for(args.strategy, _exact_cap(args), args.seed)
     m = read_matrix_file(args.matrix)
     deduped, _, _ = dedup(m)
     view = finder(deduped)
@@ -211,7 +207,8 @@ def cmd_mono(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    exact_cap = _exact_cap(args, args.strategy != "greedy")
+    _given(args, FINDER_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
+    exact_cap = _exact_cap(args)
     m = read_matrix_file(args.matrix)
     tree = build_protocol(m, args.strategy, exact_cap, args.seed)
     cost = verify(tree, m)
@@ -260,13 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = _given(
-        args,
-        ("n", "k", "l", "rank", "count", "instances", "w", "d", "size", "outliers",
-         "oracle_cap", "strategy", "family", "ns", "ranks", "K"),
-        xp.EXPERIMENTS[args.name][1],
-        f"experiment {args.name}",
-    )
+    config = _given(args, xp.EXPERIMENTS[args.name][1], f"experiment {args.name}")
     started = time.monotonic()
     report, rows = xp.run_experiment(args.name, config, seed=args.seed)
     if args.timings:
@@ -301,6 +292,30 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
 
 
+# Each parameter flag's type (a tuple lists its choices) and --help hint.  A
+# verb's parser declares the keys its reads tables list (the families', the
+# experiments' or the strategies' below) and no others; _given rejects a
+# given flag that the chosen family, experiment or strategy does not read.
+PARAMS = {
+    "n": (int, None), "k": (int, None), "l": (int, None), "rank": (int, None),
+    "p": (float, None), "count": (int, None), "instances": (int, None),
+    "w": (int, "weight for weight-slice"),
+    "d": (int, "dimension for subspace families"),
+    "size": (int, "size for the random family"),
+    "outliers": (int, None), "oracle_cap": (int, None), "exact_cap": (int, None),
+    "strategy": (STRATEGIES, None), "family": (str, None),
+    "ns": (_int_list, "comma-separated dimensions"),
+    "ranks": (_int_list, "comma-separated ranks"),
+    "K": (_growth_bound, "growth bound for the pipeline (rational, e.g. 16 or 3/2)"),
+    "set_a": (str, None), "set_b": (str, None),
+}
+
+# The params each strategy reads, of dual and of the rectangle finders that
+# mono and protocol run.
+DUAL_STRATEGIES = {"pipeline": ("K",), "exact": ("exact_cap",), "greedy": ()}
+FINDER_STRATEGIES = {name: () if name == "greedy" else ("exact_cap",) for name in STRATEGIES}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line, not the usage block, and exit 1."""
 
@@ -317,33 +332,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, fmt=False, exact_cap=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+    def common(p, fmt=False):
+        p.add_argument("--seed", type=int, default=0)
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write output to this file")
-        if exact_cap:
-            p.add_argument("--exact-cap", type=int, default=None, dest="exact_cap")
+
+    def params(p, reads):
+        """Add the flag of every key that one of reads lists, in PARAMS
+        order, and record the keys for _given."""
+        listed = set().union(*reads)
+        keys = [key for key in PARAMS if key in listed]
+        for key in keys:
+            kind, hint = PARAMS[key]
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), help=hint, **typed)
+        p.set_defaults(params=keys)
 
     p = sub.add_parser("gen-matrix", help="write a matrix file")
     p.add_argument("--family", required=True, choices=list(xp.MATRIX_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--set-a", dest="set_a", default=None)
-    p.add_argument("--set-b", dest="set_b", default=None)
+    params(p, xp.MATRIX_FAMILIES.values())
     common(p)
 
     p = sub.add_parser("gen-sets", help="write a set file")
     p.add_argument("--family", required=True, choices=list(xp.SET_FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, default=None, help="weight for weight-slice")
-    p.add_argument("--d", type=int, default=None, help="dimension for subspace families")
-    p.add_argument("--outliers", type=int, default=None)
-    p.add_argument("--size", type=int, default=None, help="size for the random family")
+    params(p, xp.SET_FAMILIES.values())
     common(p)
 
     p = sub.add_parser("analyze", help="ranks, counts and discrepancy of a matrix")
@@ -359,23 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="find a dual pair for two set files")
     p.add_argument("--set-a", dest="set_a", required=True)
     p.add_argument("--set-b", dest="set_b", required=True)
-    p.add_argument("--strategy", choices=["pipeline", "exact", "greedy"],
-                   default="pipeline")
-    p.add_argument("--K", dest="growth_bound", type=_growth_bound, default=None,
-                   help="growth bound for the pipeline (rational, e.g. 16 or 3/2)")
-    common(p, exact_cap=True)
+    p.add_argument("--strategy", choices=list(DUAL_STRATEGIES), default="pipeline")
+    params(p, DUAL_STRATEGIES.values())
+    common(p)
 
     p = sub.add_parser("mono", help="find a monochromatic rectangle")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="exact")
-    common(p, exact_cap=True)
+    p.add_argument("--strategy", choices=list(FINDER_STRATEGIES), default="exact")
+    params(p, FINDER_STRATEGIES.values())
+    common(p)
 
     p = sub.add_parser("protocol", help="compile a matrix into a protocol tree")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="exact")
+    p.add_argument("--strategy", choices=list(FINDER_STRATEGIES), default="exact")
     p.add_argument("--tree-out", dest="tree_out", default=None,
                    help="write the tree JSON here")
-    common(p, fmt=True, exact_cap=True)
+    params(p, FINDER_STRATEGIES.values())
+    common(p, fmt=True)
 
     p = sub.add_parser("verify", help="re-verify a stored tree against a matrix")
     p.add_argument("--matrix", required=True)
@@ -384,22 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("--name", required=True, choices=sorted(xp.EXPERIMENTS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--outliers", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--ns", type=_int_list, help="comma-separated dimensions")
-    p.add_argument("--ranks", type=_int_list, help="comma-separated ranks")
-    p.add_argument("--K", type=_growth_bound, default=None)
+    params(p, (read for _, read in xp.EXPERIMENTS.values()))
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-determinism)")
     common(p, fmt=True)

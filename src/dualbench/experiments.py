@@ -18,7 +18,7 @@ from itertools import combinations
 from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, SearchFailure
-from .f2 import F2Set, combine, duality_measure, ip_rows, span
+from .f2 import F2Set, combine, duality_measure, ip_rows, same_dim, span
 from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
 from .protocol import build_protocol, finder_for, verify
 
@@ -148,8 +148,7 @@ def make_random_dense(k: int, l: int, p: float, rng: random.Random) -> BoolMatri
 
 
 def make_from_sets(a: F2Set, b: F2Set) -> BoolMatrix:
-    if a.n != b.n:
-        raise FormatError("sets live in different dimensions")
+    same_dim(a, b)
     return BoolMatrix(len(a), len(b), ip_rows(a.members, b.members))
 
 
@@ -488,7 +487,9 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
 
 
 def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
-    n = _int_within(config, "n", 10, 2)  # the weight-2 slice needs n >= 2
+    # the subspace-plus-noise instance puts 3 outliers off a subspace of
+    # dimension max(1, n // 2): at n = 2 only 2 points lie off it
+    n = _int_within(config, "n", 10, 3)
     instances = [
         ("weight-slice", {"n": n, "w": 1}),
         ("weight-slice", {"n": n, "w": 2}),

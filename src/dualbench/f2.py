@@ -112,7 +112,7 @@ class F2Set:
 def same_dim(a: F2Set, b: F2Set) -> int:
     """The common n of a and b; FormatError when they differ."""
     if a.n != b.n:
-        raise FormatError(f"{a.n} != {b.n}")
+        raise FormatError(f"sets live in different spaces, F2^{a.n} and F2^{b.n}")
     return a.n
 
 

@@ -42,22 +42,6 @@ class BoolMatrix:
         self.rows = rows
 
     @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BoolMatrix":
-        k = len(entries)
-        l = len(entries[0]) if k else 0
-        words = []
-        for row in entries:
-            if len(row) != l:
-                raise FormatError("ragged rows")
-            word = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise FormatError(f"entry {v!r} is not a bit")
-                word |= v << j
-            words.append(word)
-        return cls(k, l, words)
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BoolMatrix":
         """Rows as {0,1} strings, column 0 first."""
         l = len(lines[0]) if lines else 0

@@ -71,7 +71,7 @@ def exact_dual_oracle(
     the enumerated side's canonical member order, then constant bit 0.
     """
     if a.n != b.n:
-        raise FormatError(f"{a.n} != {b.n}")
+        raise FormatError(f"sets live in different spaces, F2^{a.n} and F2^{b.n}")
     if len(a) == 0 or len(b) == 0:
         raise FormatError("exact_dual_oracle needs nonempty sets")
     if enumerate_side == "auto":
@@ -184,7 +184,8 @@ def pair_of_view(a: F2Set, b: F2Set, view: SubmatrixView) -> DualPair:
 
 def take_indices(m: BoolMatrix, rows: Sequence[int], cols: Sequence[int]) -> BoolMatrix:
     """The matrix of entries (rows[a], cols[b]); an index may repeat."""
-    return BoolMatrix.from_lists([[m.entry(i, j) for j in cols] for i in rows])
+    words = [sum(m.entry(i, j) << b for b, j in enumerate(cols)) for i in rows]
+    return BoolMatrix(len(words), len(cols), words)
 
 
 def _mono_candidates_by_rows(m: BoolMatrix):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from functools import cache
@@ -10,7 +11,7 @@ from dualbench.errors import FormatError, InvariantViolation, SearchFailure, Tre
 from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
 from dualbench.f2 import parse_set_text
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
-from dualbench.protocol import build_protocol, read_tree_file, verify
+from dualbench.protocol import STRATEGIES, build_protocol, read_tree_file, verify
 
 
 def run(*argv) -> int:
@@ -633,11 +634,14 @@ def test_experiment_dimension_and_oracle_cap_name_their_flag(capsys, monkeypatch
          "--l must be at least 1, got 0"),
         (("nw-bias", "--k", "0"), "--k must be at least 1, got 0"),
         (("nw-bias", "--l", "-1"), "--l must be at least 1, got -1"),
+        (("doubling", "--n", "2"), "--n must be at least 3, got 2"),
     ):
         assert run("experiment", "--name", *argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+    monkeypatch.undo()
+    assert run("experiment", "--name", "doubling", "--n", "3") == 0
 
 
 def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys):
@@ -655,6 +659,69 @@ def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys):
     ):
         assert run("experiment", *argv) == 1, argv
         assert "does not read" in capsys.readouterr().err
+
+
+# verb -> (its choice flag, choice -> the keys it reads, the error's name
+# for a choice, the verb's other argv, its dests that are not parameter flags)
+VERBS = {
+    "gen-matrix": ("--family", cli.xp.MATRIX_FAMILIES, "family", (), {"family"}),
+    "gen-sets": ("--family", cli.xp.SET_FAMILIES, "family", (), {"family"}),
+    "experiment": ("--name", {name: read for name, (_, read) in cli.xp.EXPERIMENTS.items()},
+                   "experiment", (), {"name", "timings", "format"}),
+    "dual": ("--strategy", cli.DUAL_STRATEGIES, "--strategy",
+             ("--set-a", "a.txt", "--set-b", "b.txt"), {"strategy", "set_a", "set_b"}),
+    "mono": ("--strategy", cli.FINDER_STRATEGIES, "--strategy", ("--matrix", "m.txt"),
+             {"strategy", "matrix"}),
+    "protocol": ("--strategy", cli.FINDER_STRATEGIES, "--strategy", ("--matrix", "m.txt"),
+                 {"strategy", "matrix", "tree_out", "format"}),
+}
+
+
+def test_each_verb_declares_exactly_the_flags_its_tables_read():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    for verb, (_, reads, _, _, others) in VERBS.items():
+        dests = {a.dest for a in sub.choices[verb]._actions} - {"help", "seed", "out"}
+        assert dests - others == set().union(*reads.values()), verb
+    # one list of finder names
+    assert tuple(cli.FINDER_STRATEGIES) == STRATEGIES
+
+
+def test_every_unread_flag_is_rejected_before_any_input_is_made(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("read_set_file", "read_matrix_file"):
+        monkeypatch.setattr(cli, name, None)
+    for name in ("generate_matrix", "generate_sets", "run_experiment"):
+        monkeypatch.setattr(cli.xp, name, None)
+    samples = {int: "3", float: "0.5", str: "x", cli._int_list: "4", cli._growth_bound: "4"}
+    rejected = 0
+    for verb, (choice, reads, what, argv, _) in VERBS.items():
+        listed = set().union(*reads.values())
+        for name, read in reads.items():
+            for key in sorted(listed - set(read)):
+                flag = "--" + key.replace("_", "-")
+                kind = cli.PARAMS[key][0]
+                value = kind[0] if isinstance(kind, tuple) else samples[kind]
+                assert run(verb, choice, name, *argv, flag, value, "--out", "made.txt") == 1
+                err = capsys.readouterr().err
+                assert err == f"error: {what} {name} does not read {flag}\n", (verb, name)
+                rejected += 1
+    assert rejected > 80
+    assert not (tmp_path / "made.txt").exists()
+
+
+def test_sets_of_two_spaces_are_named_in_one_line(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("00\n11\n")
+    b.write_text("1\n")
+    for argv in (
+        *(("dual", "--strategy", strategy) for strategy in cli.DUAL_STRATEGIES),
+        ("gen-matrix", "--family", "from-sets"),
+    ):
+        assert run(*argv, "--set-a", str(a), "--set-b", str(b)) == 1, argv
+        err = capsys.readouterr().err
+        assert err == "error: sets live in different spaces, F2^2 and F2^1\n", argv
 
 
 def test_experiment_determinism(tmp_path):

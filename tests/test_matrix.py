@@ -51,9 +51,9 @@ def test_dedup_examples():
     assert m == identity(2)
     assert rmap == (0, 1) and cmap == (0, 1)
 
-    src = BoolMatrix.from_lists([[0, 1], [0, 1], [1, 0]])
+    src = BoolMatrix.from_strings(["01", "01", "10"])
     m, rmap, cmap = dedup(src)
-    assert m == BoolMatrix.from_lists([[0, 1], [1, 0]])
+    assert m == BoolMatrix.from_strings(["01", "10"])
     assert rmap == (0, 0, 1)
 
 
@@ -102,7 +102,7 @@ def test_rank_f2_examples():
 def test_rank_real_examples():
     assert rank_real(make_ip_matrix(2)) == 3
     assert rank_real(identity(6)) == 6
-    assert rank_real(BoolMatrix.from_lists([[1, 1], [1, 0]])) == 2
+    assert rank_real(BoolMatrix.from_strings(["11", "10"])) == 2
 
 
 def test_rank_real_matches_fraction_oracle():
@@ -158,8 +158,7 @@ def test_rank_real_certifies_or_falls_back(monkeypatch):
     monkeypatch.setattr(matrix, "_rank_bareiss", spy)
     # certified by the row count, then by the distinct nonzero columns: six
     # distinct rows over four distinct columns, two of them doubled
-    base = BoolMatrix.from_lists([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-                                  [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1]])
+    base = BoolMatrix.from_strings(["1000", "0100", "0010", "0001", "1100", "0111"])
     doubled = ref.take_indices(base, range(6), [0, 1, 2, 3, 0, 3])
     for m, want in ((identity(6), 6), (make_ip_matrix(3), 7), (doubled, 4)):
         assert rank_real(m) == ref.rank_fraction(m) == want
@@ -212,7 +211,7 @@ def test_factorize_accepts_duplicates():
     # equal rows (columns) get equal words, so a matrix with duplicates has
     # the factor sets of its dedup, and its words still give every entry
     rng = random.Random(26)
-    cases = [BoolMatrix.from_lists([[0, 1], [0, 1]])]
+    cases = [BoolMatrix.from_strings(["01", "01"])]
     for _ in range(40):
         base = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         rows = [rng.randrange(base.n_rows) for _ in range(rng.randint(1, 9))]
@@ -235,8 +234,8 @@ def test_factorize_accepts_duplicates():
 
 def test_discrepancy_examples():
     assert discrepancy(all_ones(2, 3)) == 1
-    assert discrepancy(BoolMatrix.from_lists([[0, 1], [1, 0]])) == 0
-    assert discrepancy(BoolMatrix.from_lists([[1, 1], [1, 0]])) == Fraction(1, 2)
+    assert discrepancy(BoolMatrix.from_strings(["01", "10"])) == 0
+    assert discrepancy(BoolMatrix.from_strings(["11", "10"])) == Fraction(1, 2)
 
 
 def test_bridge_identity_exhaustive_small():
@@ -352,7 +351,7 @@ def test_view_masks_are_checked():
             SubmatrixView(m, rows, cols)
     view = SubmatrixView(m, 0b110, 0b101)
     assert (view.area(), view.counts(), view.value()) == (4, (3, 1), 0)
-    assert view.materialize() == BoolMatrix.from_lists([[0, 0], [0, 1]])
+    assert view.materialize() == BoolMatrix.from_strings(["00", "01"])
 
 
 def test_max_mono_cap():
@@ -401,7 +400,7 @@ def test_biased_examples():
     view = find_biased_submatrix(m)
     assert view.area() == 9 and view.discrepancy() == 1
 
-    m = BoolMatrix.from_lists([[1, 1], [1, 0]])
+    m = BoolMatrix.from_strings(["11", "10"])
     view = find_biased_submatrix(m)
     assert contract_holds(m, view)
     assert exhaustive_biased_exists(m)

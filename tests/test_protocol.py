@@ -298,7 +298,7 @@ def test_mono_via_dual_ip_matrix():
 
 def test_mono_via_dual_expands_duplicates():
     # rows 0 and 2 are equal, and so are columns 1 and 3
-    m = BoolMatrix.from_lists([[1, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1]])
+    m = BoolMatrix.from_strings(["1010", "0111", "1010", "1101"])
     core, row_map, col_map = dedup(m)
     assert (core.n_rows, core.n_cols) == (3, 3)
     inner = mono_via_dual(core)
@@ -356,8 +356,8 @@ def test_mono_via_dual_reaches_every_source(monkeypatch):
         spy(name, getattr(protocol, name))
     cases = [
         (all_ones(1, 1), "find_dual_pair"),
-        (BoolMatrix.from_lists([[0, 1, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]), "exact_dual_oracle"),
-        (BoolMatrix.from_lists([[0, 1, 1, 1]]), "greedy_rectangle"),  # no biased submatrix
+        (BoolMatrix.from_strings(["0110", "0001", "1100"]), "exact_dual_oracle"),
+        (BoolMatrix.from_strings(["0111"]), "greedy_rectangle"),  # no biased submatrix
     ]
     for m, source in cases:
         sources.clear()
@@ -428,7 +428,7 @@ def test_flipped_leaf_raises_the_first_wrong_entry():
 def test_verify_detects_mismatch():
     m = identity(2)
     tree = build_protocol(m)
-    flipped = BoolMatrix.from_lists([[1, 0], [0, 0]])
+    flipped = BoolMatrix.from_strings(["10", "00"])
     with pytest.raises(
         FormatError, match="^the tree's stored matrix and index maps are not dedup of the matrix$"
     ):
