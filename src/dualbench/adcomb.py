@@ -37,11 +37,22 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import FormatError, InvariantViolation, SearchFailure
 # wht is unused here; it stays bound because perfbench/selfcheck.py asserts adcomb.wht is f2.wht
-from .f2 import F2Set, coset_rep, echelon_basis, neighbourhoods, span, sumset_size, wht
+from .f2 import (
+    F2Set,
+    coset_rep,
+    echelon_basis,
+    mask_of,
+    members,
+    neighbourhoods,
+    picks,
+    span,
+    sumset_size,
+    wht,
+)
 
 BSG_PIVOTS = 12  # neighbourhoods sampled as BSG candidates
 PFR_EXACT_CAP = 20  # pfr_extract's "auto" searches exactly up to this many elements
@@ -91,8 +102,9 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     order).  The whole input set is always a candidate, so the result is
     never worse than not extracting at all.
 
-    Neighbourhoods and pruned sets are masks over member index, and
-    candidates are read back as sorted member tuples.
+    Neighbourhoods, pruned sets and candidates are masks over member
+    index, the whole set being all ones; each candidate that meets the
+    size floor is read back as an F2Set once.
     """
     rho = Fraction(rho)
     if len(a) == 0 or len(s) == 0:
@@ -106,51 +118,40 @@ def bsg_extract(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
     if density < rho:
         raise SearchFailure("bsg", f"pair density {density} < required {rho}")
 
-    members = a.members
-    size = len(members)
+    size = len(rows)
     rng = random.Random(seed)
     picked = range(size) if size <= BSG_PIVOTS else sorted(rng.sample(range(size), BSG_PIVOTS))
 
-    candidates = {members}
-    seen_bases = set()
-    for pivot in picked:
-        base = rows[pivot]
-        if not base or base in seen_bases:
-            continue
-        seen_bases.add(base)
-        start = [(i, rows[i]) for i in range(size) if base >> i & 1]
-        candidates.add(tuple(members[i] for i, _ in start))
-        for threshold in (Fraction(1, 4), Fraction(1, 2)):
+    candidates = {(1 << size) - 1}  # the whole set; an empty mask falls below the floor
+    for base in dict.fromkeys(rows[pivot] for pivot in picked):
+        candidates.add(base)
+        for den in (4, 2):
             # drop every member whose codegree in the current set is below
-            # threshold * |set|, until none is
-            num, den = threshold.numerator, threshold.denominator
-            mask, kept = base, start
-            while kept:
-                bar = num * len(kept)
-                held = [(i, r) for i, r in kept if (r & mask).bit_count() * den >= bar]
-                if len(held) == len(kept):
-                    break
-                kept = held
-                mask = sum(1 << i for i, _ in kept)
-            if kept:
-                candidates.add(tuple(members[i] for i, _ in kept))
+            # 1/den of its size, until none is
+            kept, held = 0, base
+            while held != kept:
+                kept, bar = held, held.bit_count()
+                held = mask_of(
+                    i for i in members(kept) if (rows[i] & kept).bit_count() * den >= bar
+                )
+            candidates.add(kept)
 
     floor = Fraction(len(a)) * rho * rho / 8
-    sized = [c for c in candidates if Fraction(len(c)) >= floor]
+    sized = [
+        F2Set(a.n, compress(a.members, picks(c))) for c in candidates if c.bit_count() >= floor
+    ]
     if not sized:
         raise SearchFailure("bsg", "no candidate met the size floor")
 
-    sumset_sizes = {c: sumset_size(F2Set(a.n, c)) for c in sized}
-
     # score by doubling relative to the candidate itself, preferring larger
     # candidates on ties; scoring against |a| instead collapses to singletons
-    best = min(sized, key=lambda c: (Fraction(sumset_sizes[c], len(c)), -len(c), c))
-    subset = F2Set(a.n, best)
+    sizes = {c: sumset_size(c) for c in sized}
+    subset = min(sized, key=lambda c: (Fraction(sizes[c], len(c)), -len(c), c.members))
     return BsgResult(
         subset=subset,
         ratio_in=Fraction(len(subset), len(a)),
-        doubling_out=Fraction(sumset_sizes[best], len(a)),
-        sumset_size=sumset_sizes[best],
+        doubling_out=Fraction(sizes[subset], len(a)),
+        sumset_size=sizes[subset],
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )

@@ -30,6 +30,7 @@ from .f2 import (
     in_spectrum,
     ip_rows,
     is_dual_pair,
+    neighbourhoods,
     picks,
     rep_counts,
     same_dim,
@@ -244,10 +245,12 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     )
 
 
-def _split(words: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
-    """(words at the clear bits of mask, words at its set bits); bit k is words[k]."""
-    clear = ((1 << len(words)) - 1) ^ mask
-    return list(compress(words, picks(clear))), list(compress(words, picks(mask)))
+def _larger_side(words: Sequence[int], mask: int) -> tuple[list[int], int]:
+    """(words at the set bits of mask, 1) when they are more than half of
+    words, else (words at its clear bits, 0); bit k is words[k]."""
+    if 2 * mask.bit_count() > len(words):
+        return list(compress(words, picks(mask))), 1
+    return list(compress(words, picks(((1 << len(words)) - 1) ^ mask))), 0
 
 
 # -- small-span dual pairs --------------------------------------------------------
@@ -289,8 +292,7 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
         return (-(len(ys) * (len(a) + abs(charsum))), -len(ys), ys[0])
 
     chosen, _ = min(zip(classes.values(), charsums), key=score)
-    side0, side1 = _split(a.members, ip_rows([chosen[0]], a.members)[0])
-    kept, bit = (side0, 0) if len(side0) >= len(side1) else (side1, 1)
+    kept, bit = _larger_side(a.members, ip_rows([chosen[0]], a.members)[0])
     pair = DualPair(F2Set(a.n, kept), F2Set(b.n, chosen), bit)
     if 2 * len(pair.a_side) < len(a):
         raise InvariantViolation("majority side lost more than half of A")
@@ -351,58 +353,45 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
     """Convert a dual pair one level up into one on the previous level.
 
     Join two previous-level elements when their sum lies in the pair's A
-    side; take the largest connected component; keep the half of the B side
-    agreeing with the component's canonical vertex; then keep the whole
-    component (constant bit 0) or its larger parity class (constant bit 1).
+    side (the member-index masks of ``f2.neighbourhoods``); take the largest
+    connected component, ties to the one with the smallest member; keep
+    the half of the B side agreeing with the component's canonical vertex,
+    its smallest member; then keep the whole component (constant bit 0) or
+    its larger parity class (constant bit 1).
     """
     if not pair_i.a_side.issubset(a_i):
         raise FormatError("pair's A side must sit inside the level set")
     same_dim(a_prev, a_i)
-    targets = pair_i.a_side._lookup
-    prev_lookup = a_prev._lookup
-    neighbors = {
-        x: [x ^ s for s in targets if s and x ^ s in prev_lookup]
-        for x in a_prev.members
-    }
-    # 0 in targets is always usable: x + x = 0 for any x in the level below
-    usable = any(neighbors.values()) or (0 in targets and a_prev.members)
-    if not usable:
+    # 0 in the A side gives every member a self-loop (x + x = 0), so the
+    # rows are all empty only when no pair of A_(i-1) sums into the A side
+    rows = neighbourhoods(a_prev, pair_i.a_side)
+    if not any(rows):
         raise SearchFailure("pull_back", "pair's A side is disjoint from the previous sumset")
-    seen = set()
-    components = []
-    for start in a_prev.members:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-    component = min(components, key=lambda c: (-len(c), c[0]))
-    anchor = component[0]
+    best, left = 0, (1 << len(rows)) - 1
+    while left:
+        component = new = left & -left
+        while new:
+            reach = 0
+            for row in compress(rows, picks(new)):
+                reach |= row
+            new = reach & ~component
+            component |= new
+        left ^= component
+        if component.bit_count() > best.bit_count():
+            best = component
+    component = list(compress(a_prev.members, picks(best)))
 
     b_members = pair_i.b_side.members
-    side0, side1 = _split(b_members, ip_rows([anchor], b_members)[0])
-    b_keep, bit = (side0, 0) if len(side0) >= len(side1) else (side1, 1)
-
+    b_keep, bit = _larger_side(b_members, ip_rows([component[0]], b_members)[0])
     if pair_i.constant_bit == 0:
         a_keep = component
     else:
-        full = (1 << len(b_keep)) - 1
-        class0, class1 = [], []
-        for x, row in zip(component, ip_rows(component, b_keep)):
-            if row not in (0, full):
-                raise InvariantViolation(
-                    "component element has non-constant product against B'"
-                )
-            (class1 if row else class0).append(x)
-        a_keep, bit = (class0, 0) if len(class0) >= len(class1) else (class1, 1)
+        # each member's product against B' is constant iff every y in B'
+        # splits the component alike; that split is the parity classes
+        splits = set(ip_rows(b_keep, component))
+        if len(splits) > 1:
+            raise InvariantViolation("component element has non-constant product against B'")
+        a_keep, bit = _larger_side(component, splits.pop())
 
     pair = DualPair(F2Set(a_prev.n, a_keep), F2Set(a_prev.n, b_keep), bit)
     if 2 * len(pair.b_side) < len(pair_i.b_side):

@@ -18,12 +18,12 @@ from itertools import combinations
 from .adcomb import doubling_report
 from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, SearchFailure
-from .f2 import F2Set, combine, duality_measure, ip_rows, same_dim, span
+from .f2 import F2Set, combine, duality_measure, ip_rows, mask_of, same_dim, span
 from .matrix import EXACT_CAP, BoolMatrix, dedup, find_biased_submatrix, rank_f2, rank_real
 from .protocol import build_protocol, finder_for, verify
 
 SCHEMA_VERSION = 1
-WEIGHT_SLICE_CAP = 1 << 20
+SET_SIZE_CAP = 1 << 20  # members of any generated set, checked before it is drawn
 IP_MAX_N = 12  # the ip family's 2^n x 2^n matrix stays within 2^24 entries
 # --oracle-cap's bound: the oracle runs on A against itself, so its
 # inner-product matrix stays within 128 x 128 bits (weight 2 up to n = 16)
@@ -45,14 +45,16 @@ def instance_rng(seed: int, index: int) -> random.Random:
 def make_weight_slice(n: int, w: int) -> F2Set:
     if not 0 <= w <= n:
         raise FormatError(f"weight {w} outside 0..{n}")
-    if math.comb(n, w) > WEIGHT_SLICE_CAP:
+    if math.comb(n, w) > SET_SIZE_CAP:
         raise FormatError(f"weight slice has {math.comb(n, w)} elements; too large")
-    return F2Set(n, (sum(1 << i for i in c) for c in combinations(range(n), w)))
+    return F2Set(n, map(mask_of, combinations(range(n), w)))
 
 
 def make_subspace(n: int, d: int, rng: random.Random) -> F2Set:
     if not 0 <= d <= n:
         raise FormatError(f"dimension {d} outside 0..{n}")
+    if 1 << d > SET_SIZE_CAP:
+        raise FormatError(f"subspace has {1 << d} elements; too large")
     while True:
         gens = F2Set(n, (rng.randrange(1 << n) for _ in range(d)))
         candidate = span(gens)
@@ -63,6 +65,9 @@ def make_subspace(n: int, d: int, rng: random.Random) -> F2Set:
 def make_subspace_plus_noise(n: int, d: int, outliers: int, rng: random.Random) -> F2Set:
     if outliers < 0:
         raise FormatError(f"outliers must be nonnegative, got {outliers}")
+    # make_subspace names a dimension outside 0..n
+    if 0 <= d <= n and (1 << d) + outliers > SET_SIZE_CAP:
+        raise FormatError(f"subspace plus noise has {(1 << d) + outliers} elements; too large")
     base = make_subspace(n, d, rng)
     if (1 << d) + outliers > (1 << n):
         raise FormatError("more outliers than complement elements")
@@ -77,6 +82,8 @@ def make_subspace_plus_noise(n: int, d: int, outliers: int, rng: random.Random) 
 def make_random_set(n: int, size: int, rng: random.Random) -> F2Set:
     if size < 1 or size > (1 << n):
         raise FormatError(f"size {size} outside 1..2^{n}")
+    if size > SET_SIZE_CAP:
+        raise FormatError(f"random set has {size} elements; too large")
     return F2Set(n, rng.sample(range(1 << n), size))
 
 

@@ -27,6 +27,10 @@ pairs of s x s summing to one word) are per-word references for the
 library's batch kernels, `dualbench.f2.ip_rows` and `rep_counts`.
 `take_indices` is `BoolMatrix.take` as it was before views held masks:
 rows and columns by index list, read entry by entry, repeats allowed.
+`pull_back` is `dualbench.approxdual.pull_back` as it was before its sum
+graph came from `dualbench.f2.neighbourhoods`: `sum_components` builds a
+neighbour dict and finds sorted component lists by depth-first search,
+and each inner product is taken pair by pair.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
@@ -39,7 +43,7 @@ from typing import Sequence
 
 from dualbench.adcomb import BSG_PIVOTS, BsgResult
 from dualbench.approxdual import DualPair
-from dualbench.errors import FormatError, SearchFailure
+from dualbench.errors import FormatError, InvariantViolation, SearchFailure
 from dualbench.f2 import F2Set
 from dualbench.matrix import BoolMatrix, SubmatrixView
 
@@ -395,6 +399,74 @@ def bsg_extract_s_side(a: F2Set, s: F2Set, rho, seed: int = 0) -> BsgResult:
         density_bound=rho,
         size_bound=Fraction(len(s), len(a)),
     )
+
+
+def sum_components(a_prev: F2Set, a_side: F2Set) -> list[list[int]] | None:
+    """The connected components, as sorted member lists in order of their
+    first member, of the graph on a_prev joining x and y when x + y is in
+    a_side; None when that graph has no edge and 0 is not in a_side."""
+    targets = a_side.members
+    neighbors = {
+        x: [x ^ s for s in targets if s and x ^ s in a_prev] for x in a_prev.members
+    }
+    # 0 in the A side is always usable: x + x = 0 for any x in the level below
+    if not (any(neighbors.values()) or (0 in a_side and a_prev.members)):
+        return None
+    seen = set()
+    components = []
+    for start in a_prev.members:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
+    """Join two members of a_prev when their sum lies in the pair's A side;
+    keep the largest component (ties: smallest first member), the larger
+    half of the B side by its product with that first member (ties: bit
+    0), and for constant bit 1 the larger parity class (ties: class 0)."""
+    if not pair_i.a_side.issubset(a_i):
+        raise FormatError("pair's A side must sit inside the level set")
+    components = sum_components(a_prev, pair_i.a_side)
+    if components is None:
+        raise SearchFailure("pull_back", "pair's A side is disjoint from the previous sumset")
+    component = min(components, key=lambda c: (-len(c), c[0]))
+    anchor = component[0]
+
+    sides = ([], [])
+    for y in pair_i.b_side.members:
+        sides[parity_dot(anchor, y)].append(y)
+    b_keep, bit = (sides[0], 0) if len(sides[0]) >= len(sides[1]) else (sides[1], 1)
+
+    if pair_i.constant_bit == 0:
+        a_keep = component
+    else:
+        classes = ([], [])
+        for x in component:
+            bits = {parity_dot(x, y) for y in b_keep}
+            if len(bits) > 1:
+                raise InvariantViolation(
+                    "component element has non-constant product against B'"
+                )
+            classes[bits.pop()].append(x)
+        a_keep, bit = (
+            (classes[0], 0) if len(classes[0]) >= len(classes[1]) else (classes[1], 1)
+        )
+    pair = DualPair(F2Set(a_prev.n, a_keep), F2Set(a_prev.n, b_keep), bit)
+    if 2 * len(pair.b_side) < len(pair_i.b_side):
+        raise InvariantViolation("pull-back lost more than half of the B side")
+    return pair
 
 
 def rank_fraction(m: BoolMatrix) -> int:

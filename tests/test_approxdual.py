@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from _reference_oracles import parity_dot, rep_count
+from _reference_oracles import parity_dot, rep_count, sum_components
+from _reference_oracles import pull_back as reference_pull_back
 from dualbench.approxdual import (
     DualPair,
     base_case_dual,
@@ -23,7 +24,16 @@ from dualbench.approxdual import (
 )
 from dualbench import approxdual
 from dualbench.errors import FormatError, InvariantViolation, SearchFailure
-from dualbench.f2 import F2Set, char_sum, duality_measure, is_dual_pair, span
+from dualbench.f2 import (
+    NEIGHBOURHOOD_COST,
+    F2Set,
+    char_sum,
+    dense_pays,
+    duality_measure,
+    is_dual_pair,
+    neighbourhoods,
+    span,
+)
 
 
 def subspace(n, *generators):
@@ -319,6 +329,79 @@ def test_pull_back_zero_a_side_keeps_one_element():
     b = F2Set(3, [3, 5, 6])
     pair = pull_back(a_prev, DualPair(F2Set(3, [0]), b, 0), F2Set(3, [0, 3]))
     assert pair == DualPair(F2Set(3, [1]), F2Set(3, [3, 5]), 1)
+
+
+def _pull_back_case(rng):
+    """A_(i-1), a dual pair whose A side is drawn mostly from A_(i-1)'s pair
+    sums (sometimes with 0 added), and that A side as the level set."""
+    n = rng.randint(1, 10)
+    size = rng.choice((1, 2, 3, rng.randint(1, 12), rng.randint(1, 60)))
+    a_prev = F2Set(n, rng.sample(range(1 << n), min(size, 1 << n)))
+    while True:
+        b = F2Set(n, rng.sample(range(1 << n), min(rng.randint(1, 6), 1 << n)))
+        bit = rng.randint(0, 1)
+        fits = [x for x in range(1 << n) if all(parity_dot(x, y) == bit for y in b)]
+        if fits:
+            break
+    sums = [x for x in fits if rep_count(a_prev, x)]
+    pool = sums if sums and rng.random() < 0.8 else fits
+    a_side = set(rng.sample(pool, rng.randint(1, min(len(pool), rng.choice((1, 3, 8, 40))))))
+    if bit == 0 and rng.random() < 0.2:
+        a_side.add(0)
+    pair = DualPair(F2Set(n, a_side), b, bit)
+    return a_prev, pair, pair.a_side
+
+
+def test_pull_back_matches_reference():
+    # the sum graph's three neighbourhoods paths, 0 in the A side (every
+    # member's self-loop), tied largest components, both constant bits, a
+    # one-member A_(i-1) and the empty graph all agree with the reference
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(2400):
+        a_prev, pair, a_i = _pull_back_case(rng)
+        smaller = min(len(a_prev), len(pair.a_side))
+        if dense_pays(a_prev.n, NEIGHBOURHOOD_COST * smaller):
+            seen["dense word"] += 1
+        elif len(pair.a_side) < len(a_prev):
+            seen["walk over s"] += 1
+        else:
+            seen["pass over a"] += 1
+        seen["0 in A side"] += 0 in pair.a_side
+        seen[f"constant bit {pair.constant_bit}"] += 1
+        seen["singleton"] += len(a_prev) == 1
+        components = sum_components(a_prev, pair.a_side)
+        if components is None:
+            seen["empty graph"] += 1
+            with pytest.raises(SearchFailure) as want:
+                reference_pull_back(a_prev, pair, a_i)
+            with pytest.raises(SearchFailure) as got:
+                pull_back(a_prev, pair, a_i)
+            assert (got.value.stage, str(got.value)) == (want.value.stage, str(want.value))
+            continue
+        sizes = [len(c) for c in components]
+        seen["tied components"] += sizes.count(max(sizes)) > 1
+        assert pull_back(a_prev, pair, a_i) == reference_pull_back(a_prev, pair, a_i)
+    assert min(seen.values()) >= 40 and len(seen) == 9, seen
+
+
+def test_pull_back_takes_its_graph_from_neighbourhoods(monkeypatch):
+    calls = []
+
+    def spy(a, s):
+        calls.append((a, s))
+        return neighbourhoods(a, s)
+
+    monkeypatch.setattr(approxdual, "neighbourhoods", spy)
+    rng = random.Random(3)
+    for _ in range(50):
+        a_prev, pair, a_i = _pull_back_case(rng)
+        calls.clear()
+        try:
+            pull_back(a_prev, pair, a_i)
+        except SearchFailure:
+            pass
+        assert calls == [(a_prev, pair.a_side)]
 
 
 # -- find_dual_pair -------------------------------------------------------------------

@@ -6,6 +6,7 @@ from functools import cache
 import pytest
 
 from dualbench import cli
+from dualbench import experiments as xp
 from dualbench.cli import main
 from dualbench.errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch
 from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
@@ -115,6 +116,92 @@ def test_gen_matrix_ip_dimension_is_checked(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ip matrix dimension") and len(err.splitlines()) == 1
     assert not (tmp_path / "ip.txt").exists()
+
+
+class NoDraws(random.Random):
+    """A generator that fails on a draw, so a size check must come first."""
+
+    def randrange(self, *args):
+        raise AssertionError("a set was drawn before its size was checked")
+
+    sample = randrange
+
+
+def test_generated_sets_are_capped_before_any_draw(monkeypatch):
+    for make, args, message in (
+        (xp.make_subspace, (24, 24), "subspace has 16777216 elements; too large"),
+        (xp.make_subspace, (24, 21), "subspace has 2097152 elements; too large"),
+        (xp.make_subspace_plus_noise, (24, 20, 1),
+         "subspace plus noise has 1048577 elements; too large"),
+        (xp.make_random_set, (24, (1 << 20) + 1), "random set has 1048577 elements; too large"),
+    ):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            make(*args, NoDraws())
+    # at the cap each family still draws what it drew before
+    wants = [
+        xp.make_subspace(6, 3, random.Random(1)),
+        xp.make_subspace_plus_noise(6, 2, 4, random.Random(1)),
+        xp.make_random_set(6, 8, random.Random(1)),
+        xp.make_weight_slice(8, 1),
+    ]
+    monkeypatch.setattr(xp, "SET_SIZE_CAP", 8)
+    assert [
+        xp.make_subspace(6, 3, random.Random(1)),
+        xp.make_subspace_plus_noise(6, 2, 4, random.Random(1)),
+        xp.make_random_set(6, 8, random.Random(1)),
+        xp.make_weight_slice(8, 1),
+    ] == wants
+    for make, args, message in (
+        (xp.make_subspace, (6, 4, NoDraws()), "subspace has 16 elements; too large"),
+        (xp.make_subspace_plus_noise, (6, 2, 5, NoDraws()),
+         "subspace plus noise has 9 elements; too large"),
+        (xp.make_subspace_plus_noise, (6, 3, 1, NoDraws()),
+         "subspace plus noise has 9 elements; too large"),
+        (xp.make_random_set, (6, 9, NoDraws()), "random set has 9 elements; too large"),
+        (xp.make_weight_slice, (9, 1), "weight slice has 9 elements; too large"),
+    ):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            make(*args)
+    # a dimension outside 0..n is still named as such
+    with pytest.raises(FormatError, match=r"^dimension 30 outside 0\.\.6$"):
+        xp.make_subspace_plus_noise(6, 30, 1, NoDraws())
+
+
+def test_set_size_cap_is_one_line_for_gen_sets_and_dual_pipeline(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "a.txt"
+    monkeypatch.setattr(xp.random, "Random", NoDraws)
+    for argv, message in (
+        (("gen-sets", "--family", "subspace", "--n", "24", "--d", "24", "--out", str(out)),
+         "subspace has 16777216 elements; too large"),
+        (("experiment", "--name", "dual-pipeline", "--family", "subspace", "--n", "24",
+          "--d", "21", "--out", str(out)), "subspace has 2097152 elements; too large"),
+        (("experiment", "--name", "dual-pipeline", "--family", "random", "--n", "22",
+          "--size", "1048577", "--out", str(out)), "random set has 1048577 elements; too large"),
+    ):
+        assert run(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(xp, "SET_SIZE_CAP", 8)
+    for argv, message in (
+        (("gen-sets", "--family", "subspace", "--n", "6", "--d", "4"),
+         "subspace has 16 elements; too large"),
+        (("gen-sets", "--family", "subspace-plus-noise", "--n", "6", "--d", "3"),
+         "subspace plus noise has 11 elements; too large"),
+        (("gen-sets", "--family", "random", "--n", "6", "--size", "9"),
+         "random set has 9 elements; too large"),
+        (("gen-sets", "--family", "weight-slice", "--n", "9", "--w", "1"),
+         "weight slice has 9 elements; too large"),
+        (("experiment", "--name", "dual-pipeline", "--family", "subspace", "--n", "6",
+          "--d", "4"), "subspace has 16 elements; too large"),
+    ):
+        assert run(*argv, "--out", str(out)) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+    assert run("gen-sets", "--family", "subspace", "--n", "6", "--d", "3", "--out", str(out)) == 0
+    assert len(parse_set_text(out.read_text())) == 8
 
 
 def test_analyze_json_round_trip(tmp_path):

@@ -114,6 +114,28 @@ def test_only_f2_reads_masks_as_digits():
     assert found == []
 
 
+def test_only_f2_builds_masks_from_indices():
+    # f2.mask_of is the one mask builder, as f2.picks is the one mask
+    # reader: no other module sums 1 << i over a generator of indices
+    found = []
+    for path in SOURCES:
+        if path.name == "f2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "sum"
+                and node.args
+                and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+                and isinstance(node.args[0].elt, ast.BinOp)
+                and isinstance(node.args[0].elt.op, ast.LShift)
+                and isinstance(node.args[0].elt.left, ast.Constant)
+                and node.args[0].elt.left.value == 1
+            ):
+                found.append(f"{path.name}:{node.lineno}: sum of 1 << x")
+    assert found == []
+
+
 def test_no_function_level_imports():
     # every import sits at the head of its module, so the module graph is
     # read there and no call pays for an import; approxdual never imports
