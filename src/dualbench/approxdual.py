@@ -9,7 +9,10 @@ exhaustively on construction; every level records the exact inequalities it
 was supposed to satisfy.  A dual pair of A, B is a monochromatic rectangle
 of the inner-product matrix M[x][y] = <x, y> on A x B, so the exact oracle
 and the greedy pair are matrix's two rectangle finders, max_mono_exact and
-greedy_rectangle, on that matrix.
+greedy_rectangle, on that matrix.  The Nisan-Wigderson bridge,
+mono_via_dual, turns a biased submatrix of a boolean matrix into a
+monochromatic rectangle through a dual pair; protocol.finder_for loads this
+module for it only when a protocol names the via-dual strategy.
 """
 
 from __future__ import annotations
@@ -30,12 +33,24 @@ from .f2 import (
     in_spectrum,
     ip_rows,
     is_dual_pair,
+    mask_of,
+    members,
     neighbourhoods,
     picks,
     rep_counts,
     same_dim,
 )
-from .matrix import EXACT_CAP, BoolMatrix, check_exact_cap, greedy_rectangle, max_mono_exact
+from .matrix import (
+    EXACT_CAP,
+    BoolMatrix,
+    SubmatrixView,
+    check_exact_cap,
+    dedup,
+    factorize_f2,
+    find_biased_submatrix,
+    greedy_rectangle,
+    max_mono_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -530,3 +545,46 @@ def exact_dual_oracle(a: F2Set, b: F2Set, exact_cap: int = EXACT_CAP) -> DualPai
     _check_sets(a, b, "exact_dual_oracle")
     check_exact_cap(len(a), len(b), exact_cap)
     return _dual_pair(partial(max_mono_exact, exact_cap=exact_cap), a, b)
+
+
+# -- the Nisan-Wigderson bridge ------------------------------------------------------
+
+
+def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> SubmatrixView:
+    """Monochromatic rectangle through the Nisan-Wigderson bridge.
+
+    A biased submatrix of dedup(m) factors as inner products of F2 words
+    (factorize_f2; its rows and columns may repeat, and equal ones get equal
+    words), and a dual pair of its two factor sets is a monochromatic
+    rectangle.  The pair comes from the pipeline
+    (find_dual_pair); when a pipeline stage comes up empty, from the exact
+    oracle if the smaller set has at most exact_cap elements, else from
+    greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
+    rectangle is greedy_rectangle(m).  Every rectangle source is chosen
+    here.  The result is a view of m, duplicates included, and is verified
+    monochromatic.
+    """
+    core, row_map, col_map = dedup(m)
+    try:
+        biased = find_biased_submatrix(core, exact_cap)
+    except SearchFailure:
+        return greedy_rectangle(m)
+    fact = factorize_f2(biased.materialize())
+    a, b = fact.a_set, fact.b_set
+    trace = find_dual_pair(a, b, seed=seed)
+    if trace.ok:
+        pair = trace.final
+    elif min(len(a), len(b)) <= exact_cap:
+        pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
+    else:
+        pair = greedy_dual_pair(a, b)
+    kept_rows = mask_of(i for i, w in zip(members(biased.rows), fact.row_words) if w in pair.a_side)
+    kept_cols = mask_of(j for j, w in zip(members(biased.cols), fact.col_words) if w in pair.b_side)
+    view = SubmatrixView(
+        m,
+        mask_of(i for i, k in enumerate(row_map) if kept_rows >> k & 1),
+        mask_of(j for j, k in enumerate(col_map) if kept_cols >> k & 1),
+    )
+    if not view.is_monochromatic():
+        raise InvariantViolation("dual-pair rectangle is not monochromatic")
+    return view

@@ -5,19 +5,22 @@ experiment.  All randomness flows from one --seed per invocation and the
 seed is echoed in every report, so identical invocations produce
 byte-identical output.  Exit codes: 0 ok, 1 usage/format/IO, 2 a search
 legitimately found nothing, 3 an internal invariant fired (a bug).
+
+The head imports only what the parser and the generator verbs need; main
+loads the modules a verb runs after parsing (VERB_MODULES), so a gen-matrix,
+protocol or verify process never loads the duality pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 import time
 from fractions import Fraction
 from functools import cache
 
 from . import experiments as xp
-from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
 from .errors import DualbenchError, FormatError, InvariantViolation, SearchFailure, TreeMismatch
 from .f2 import duality_measure, format_set, members, read_set_file, write_set_file
 from .matrix import (
@@ -28,16 +31,6 @@ from .matrix import (
     format_matrix,
     read_matrix_file,
     stats,
-)
-from .protocol import (
-    STRATEGIES,
-    build_protocol,
-    finder_for,
-    leaf_recurrence_audit,
-    read_tree_file,
-    simulate,
-    verify,
-    write_tree_file,
 )
 
 EXIT_OK = 0
@@ -154,13 +147,13 @@ def _exact_cap(args) -> int:
     return args.exact_cap
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args, approxdual) -> int:
     _given(args, DUAL_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
     exact_cap = _exact_cap(args)
     a = read_set_file(args.set_a)
     b = read_set_file(args.set_b)
     if args.strategy == "pipeline":
-        trace = find_dual_pair(
+        trace = approxdual.find_dual_pair(
             a,
             b,
             growth_bound=Fraction(args.K) if args.K else None,
@@ -170,9 +163,9 @@ def cmd_dual(args) -> int:
         _emit_report(_simple_report("dual", args, payload), args)
         return EXIT_OK if trace.ok else EXIT_NOT_FOUND
     if args.strategy == "exact":
-        pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
+        pair = approxdual.exact_dual_oracle(a, b, exact_cap=exact_cap)
     else:
-        pair = greedy_dual_pair(a, b)
+        pair = approxdual.greedy_dual_pair(a, b)
     payload = {
         "strategy": args.strategy,
         "a_size": len(pair.a_side),
@@ -186,9 +179,9 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def cmd_mono(args) -> int:
+def cmd_mono(args, protocol) -> int:
     _given(args, FINDER_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
-    finder = finder_for(args.strategy, _exact_cap(args), args.seed)
+    finder = protocol.finder_for(args.strategy, _exact_cap(args), args.seed)
     m = read_matrix_file(args.matrix)
     deduped, _, _ = dedup(m)
     view = finder(deduped)
@@ -206,15 +199,15 @@ def cmd_mono(args) -> int:
     return EXIT_OK
 
 
-def cmd_protocol(args) -> int:
+def cmd_protocol(args, protocol) -> int:
     _given(args, FINDER_STRATEGIES[args.strategy], f"--strategy {args.strategy}")
     exact_cap = _exact_cap(args)
     m = read_matrix_file(args.matrix)
-    tree = build_protocol(m, args.strategy, exact_cap, args.seed)
-    cost = verify(tree, m)
-    audit = leaf_recurrence_audit(tree)
+    tree = protocol.build_protocol(m, args.strategy, exact_cap, args.seed)
+    cost = protocol.verify(tree, m)
+    audit = protocol.leaf_recurrence_audit(tree)
     if args.tree_out:
-        write_tree_file(args.tree_out, tree)
+        protocol.write_tree_file(args.tree_out, tree)
     payload = {
         "strategy": args.strategy,
         "size": cost.size,
@@ -236,12 +229,12 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, protocol) -> int:
     m = read_matrix_file(args.matrix)
-    tree = read_tree_file(args.tree)
+    tree = protocol.read_tree_file(args.tree)
     try:
-        cost = verify(tree, m)
-        audit = leaf_recurrence_audit(tree)
+        cost = protocol.verify(tree, m)
+        audit = protocol.leaf_recurrence_audit(tree)
     except TreeMismatch as exc:  # a tree no build could have made
         raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
@@ -249,7 +242,7 @@ def cmd_verify(args) -> int:
         "leaves": cost.leaves,
         "depth": cost.depth,
         "audited_nodes": len(audit),
-        "sample_bits": simulate(tree, 0, 0)[1],
+        "sample_bits": protocol.simulate(tree, 0, 0)[1],
         "ok": True,
     }
     _emit_report(_simple_report("verify", args, payload), args)
@@ -303,7 +296,7 @@ PARAMS = {
     "d": (int, "dimension for subspace families"),
     "size": (int, "size for the random family"),
     "outliers": (int, None), "oracle_cap": (int, None), "exact_cap": (int, None),
-    "strategy": (STRATEGIES, None), "family": (str, None),
+    "strategy": (xp.STRATEGIES, None), "family": (str, None),
     "ns": (_int_list, "comma-separated dimensions"),
     "ranks": (_int_list, "comma-separated ranks"),
     "K": (_growth_bound, "growth bound for the pipeline (rational, e.g. 16 or 3/2)"),
@@ -313,7 +306,7 @@ PARAMS = {
 # The params each strategy reads, of dual and of the rectangle finders that
 # mono and protocol run.
 DUAL_STRATEGIES = {"pipeline": ("K",), "exact": ("exact_cap",), "greedy": ()}
-FINDER_STRATEGIES = {name: () if name == "greedy" else ("exact_cap",) for name in STRATEGIES}
+FINDER_STRATEGIES = {name: () if name == "greedy" else ("exact_cap",) for name in xp.STRATEGIES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,6 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 _parser = cache(build_parser)  # one parser per process
 
+# The modules a verb runs beyond this one's head imports, the arguments its
+# cmd_ function takes after args; an experiment's runners load in
+# experiments.run_experiment.
+VERB_MODULES = {
+    "dual": ("approxdual",),
+    "mono": ("protocol",),
+    "protocol": ("protocol",),
+    "verify": ("protocol",),
+}
+
 
 def main(argv=None) -> int:
     try:
@@ -416,7 +419,9 @@ def main(argv=None) -> int:
     # the verb's cmd_ function is looked up per call, not stored in the parser
     run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return run(args)
+        modules = [importlib.import_module(f".{name}", __package__)
+                   for name in VERB_MODULES.get(args.command, ())]
+        return run(args, *modules)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

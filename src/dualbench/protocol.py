@@ -11,11 +11,13 @@ Each tree holds one rank memo over blocks (BlockRanks), shared by the
 build, verify and the audit.  A protocol is built by strategy name, and
 finder_for gives the strategy's rectangle finder, a plain function from a
 matrix to a monochromatic view of it: matrix's exact and greedy finders
-(max_mono_exact, greedy_rectangle) or mono_via_dual.
+(max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual, which
+loads the duality pipeline only when via-dual is the strategy.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,16 +27,14 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
-from .approxdual import exact_dual_oracle, find_dual_pair, greedy_dual_pair
-from .errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch, read_text
+from .errors import FormatError, InvariantViolation, TreeMismatch, read_text
+from .experiments import STRATEGIES
 from .f2 import NOT_BITS, mask_of, members, picks
 from .matrix import (
     EXACT_CAP,
     BoolMatrix,
     SubmatrixView,
     dedup,
-    factorize_f2,
-    find_biased_submatrix,
     greedy_rectangle,
     max_mono_exact,
     rank_f2,
@@ -162,49 +162,6 @@ class CostReport:
     binomial_leaf_reference: int  # C(ceil(log2 m) + ceil(log2 r), ceil(log2 r))
 
 
-def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> SubmatrixView:
-    """Monochromatic rectangle through the Nisan-Wigderson bridge.
-
-    A biased submatrix of dedup(m) factors as inner products of F2 words
-    (factorize_f2; its rows and columns may repeat, and equal ones get equal
-    words), and a dual pair of its two factor sets is a monochromatic
-    rectangle.  The pair comes from the pipeline
-    (find_dual_pair); when a pipeline stage comes up empty, from the exact
-    oracle if the smaller set has at most exact_cap elements, else from
-    greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
-    rectangle is greedy_rectangle(m).  Every rectangle source is chosen
-    here.  The result is a view of m, duplicates included, and is verified
-    monochromatic.
-    """
-    core, row_map, col_map = dedup(m)
-    try:
-        biased = find_biased_submatrix(core, exact_cap)
-    except SearchFailure:
-        return greedy_rectangle(m)
-    fact = factorize_f2(biased.materialize())
-    a, b = fact.a_set, fact.b_set
-    trace = find_dual_pair(a, b, seed=seed)
-    if trace.ok:
-        pair = trace.final
-    elif min(len(a), len(b)) <= exact_cap:
-        pair = exact_dual_oracle(a, b, exact_cap=exact_cap)
-    else:
-        pair = greedy_dual_pair(a, b)
-    kept_rows = mask_of(i for i, w in zip(members(biased.rows), fact.row_words) if w in pair.a_side)
-    kept_cols = mask_of(j for j, w in zip(members(biased.cols), fact.col_words) if w in pair.b_side)
-    view = SubmatrixView(
-        m,
-        mask_of(i for i, k in enumerate(row_map) if kept_rows >> k & 1),
-        mask_of(j for j, k in enumerate(col_map) if kept_cols >> k & 1),
-    )
-    if not view.is_monochromatic():
-        raise InvariantViolation("dual-pair rectangle is not monochromatic")
-    return view
-
-
-STRATEGIES = ("exact", "greedy", "via-dual")
-
-
 def finder_for(
     strategy: str, exact_cap: int = EXACT_CAP, seed: int = 0
 ) -> Callable[[BoolMatrix], SubmatrixView]:
@@ -221,7 +178,9 @@ def finder_for(
     if strategy == "greedy":
         return greedy_rectangle
     if strategy == "via-dual":
-        return partial(mono_via_dual, exact_cap=exact_cap, seed=seed)
+        # the bridge runs the duality pipeline, which loads only here
+        bridge = importlib.import_module(".approxdual", __package__).mono_via_dual
+        return partial(bridge, exact_cap=exact_cap, seed=seed)
     raise FormatError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 

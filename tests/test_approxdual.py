@@ -331,6 +331,27 @@ def test_pull_back_zero_a_side_keeps_one_element():
     assert pair == DualPair(F2Set(3, [1]), F2Set(3, [3, 5]), 1)
 
 
+def test_pull_back_rejects_a_component_split_two_ways(monkeypatch):
+    # every y in a valid B' splits the component alike, so only a broken
+    # ip_rows answer reaches the check: B' = {1} is answered with two rows
+    # that split the component {0, 1} two ways
+    a_prev = F2Set(2, [0, 1])
+    pair_up = DualPair(F2Set(2, [1]), F2Set(2, [1]), 1)
+    real, asked = approxdual.ip_rows, []
+
+    def split_two_ways(xs, ys):
+        rows = real(xs, ys)
+        asked.append(list(ys))
+        return rows + [rows[0] ^ 1] if len(asked) == 2 else rows
+
+    monkeypatch.setattr(approxdual, "ip_rows", split_two_ways)
+    with pytest.raises(
+        InvariantViolation, match="^component element has non-constant product against B'$"
+    ):
+        pull_back(a_prev, pair_up, F2Set(2, [1]))
+    assert asked == [[1], [0, 1]]  # B' against the component's first member, then the component
+
+
 def _pull_back_case(rng):
     """A_(i-1), a dual pair whose A side is drawn mostly from A_(i-1)'s pair
     sums (sometimes with 0 added), and that A side as the level set."""

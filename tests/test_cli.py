@@ -10,7 +10,7 @@ from dualbench import experiments as xp
 from dualbench.cli import main
 from dualbench.errors import FormatError, InvariantViolation, SearchFailure, TreeMismatch
 from dualbench.experiments import instance_rng, make_ip_matrix, make_random_f2_rank
-from dualbench.f2 import parse_set_text
+from dualbench.f2 import F2Set, parse_set_text, span
 from dualbench.matrix import format_matrix, parse_matrix_text, read_matrix_file
 from dualbench.protocol import STRATEGIES, build_protocol, read_tree_file, verify
 
@@ -202,6 +202,59 @@ def test_set_size_cap_is_one_line_for_gen_sets_and_dual_pipeline(tmp_path, capsy
         assert not out.exists()
     assert run("gen-sets", "--family", "subspace", "--n", "6", "--d", "3", "--out", str(out)) == 0
     assert len(parse_set_text(out.read_text())) == 8
+
+
+def spanned_subspace(n, d, rng, spans=None):
+    """make_subspace's earlier rule: span every draw of d generators and keep
+    the first span of 2^d words; spans collects every span built."""
+    while True:
+        candidate = span(F2Set(n, (rng.randrange(1 << n) for _ in range(d))))
+        if spans is not None:
+            spans.append(candidate)
+        if len(candidate) == 1 << d:
+            return candidate
+
+
+def listed_subspace_plus_noise(n, d, outliers, rng):
+    """make_subspace_plus_noise's earlier rule, the outliers kept in a list."""
+    base = spanned_subspace(n, d, rng)
+    extra = []
+    while len(extra) < outliers:
+        w = rng.randrange(1 << n)
+        if w not in base and w not in extra:
+            extra.append(w)
+    return F2Set(n, list(base.members) + extra)
+
+
+def test_make_subspace_spans_only_the_subspace_it_returns(monkeypatch):
+    # a dependent draw is rejected by its echelon rank before any span is
+    # built, so span runs once per subspace; the draws are the earlier rule's
+    cases = [(n, d, seed) for n, d in ((2, 2), (3, 3), (5, 4), (6, 6), (9, 3))
+             for seed in range(12)]
+    wants, spanned = [], []
+    for n, d, seed in cases:
+        rng = random.Random(seed)
+        wants.append((spanned_subspace(n, d, rng, spanned), rng.random()))
+    spans = []
+    monkeypatch.setattr(xp, "span", lambda s: spans.append(span(s)) or spans[-1])
+    gots = []
+    for n, d, seed in cases:
+        rng = random.Random(seed)
+        gots.append((xp.make_subspace(n, d, rng), rng.random()))
+    assert gots == wants
+    assert spans == [got for got, _ in gots]
+    # the earlier rule spanned every dependent draw too
+    assert len(spanned) > 2 * len(cases)
+
+
+def test_subspace_plus_noise_draws_as_the_list_rule_did():
+    # the outliers are checked for repeats in a set, not a list, and each
+    # draw is taken or skipped exactly as before
+    for n, d, outliers in ((4, 2, 12), (5, 1, 30), (6, 3, 9), (10, 3, 600)):
+        for seed in range(6):
+            want, got = random.Random(seed), random.Random(seed)
+            assert (xp.make_subspace_plus_noise(n, d, outliers, got), got.random()) == (
+                listed_subspace_plus_noise(n, d, outliers, want), want.random())
 
 
 def test_analyze_json_round_trip(tmp_path):

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from dualbench import experiments, protocol
-from dualbench.approxdual import PipelineTrace
+from dualbench import approxdual, experiments, protocol
+from dualbench.approxdual import PipelineTrace, mono_via_dual
 from dualbench.cli import main
 from dualbench.errors import DualbenchError, FormatError, InvariantViolation, TreeMismatch
 from dualbench.experiments import (
@@ -31,7 +31,6 @@ from dualbench.protocol import (
     build_protocol,
     format_tree,
     leaf_recurrence_audit,
-    mono_via_dual,
     parse_tree_text,
     simulate,
     tree_from_dict,
@@ -342,18 +341,23 @@ def test_via_dual_outputs_are_pinned():
 
 def test_mono_via_dual_reaches_every_source(monkeypatch):
     sources = []
+    open_calls = []  # greedy_dual_pair runs greedy_rectangle: only the outer call is a source
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
-            got = fn(*args, **kwargs)
-            if name != "find_dual_pair" or got.ok:
+            open_calls.append(name)
+            try:
+                got = fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            if not open_calls and (name != "find_dual_pair" or got.ok):
                 sources.append(name)
             return got
 
-        monkeypatch.setattr(protocol, name, wrapped)
+        monkeypatch.setattr(approxdual, name, wrapped)
 
     for name in ("find_dual_pair", "exact_dual_oracle", "greedy_dual_pair", "greedy_rectangle"):
-        spy(name, getattr(protocol, name))
+        spy(name, getattr(approxdual, name))
     cases = [
         (all_ones(1, 1), "find_dual_pair"),
         (BoolMatrix.from_strings(["0110", "0001", "1100"]), "exact_dual_oracle"),

@@ -85,7 +85,7 @@ def resolve(module_name: str, name: str):
 
 def test_readme_module_table_names_exist():
     names = readme_table_names()
-    assert len({module for module, _ in names}) == 5
+    assert len({module for module, _ in names}) == 8
     missing = []
     for module, name in names:
         try:
