@@ -520,7 +520,8 @@ def _dual_pair(finder, a: F2Set, b: F2Set) -> DualPair:
     """finder's rectangle of the inner-product matrix M[i][j] = <a_i, b_j>
     on A x B, read as a dual pair: a monochromatic rectangle of M is a dual
     pair of (A, B), and its value is the constant bit."""
-    view = finder(BoolMatrix(len(a), len(b), ip_rows(a.members, b.members)))
+    ip = BoolMatrix(len(a), len(b), ip_rows(a.members, b.members))
+    view = finder(ip, *ip.whole())
     return DualPair(
         F2Set(a.n, compress(a.members, picks(view.rows))),
         F2Set(b.n, compress(b.members, picks(view.cols))),
@@ -550,25 +551,29 @@ def exact_dual_oracle(a: F2Set, b: F2Set, exact_cap: int = EXACT_CAP) -> DualPai
 # -- the Nisan-Wigderson bridge ------------------------------------------------------
 
 
-def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> SubmatrixView:
-    """Monochromatic rectangle through the Nisan-Wigderson bridge.
+def mono_via_dual(
+    m: BoolMatrix, rows: int, cols: int, exact_cap: int = EXACT_CAP, seed: int = 0
+) -> SubmatrixView:
+    """Monochromatic rectangle in the block rows x cols of m through the
+    Nisan-Wigderson bridge.
 
-    A biased submatrix of dedup(m) factors as inner products of F2 words
+    The block is gathered with take and deduplicated; a biased submatrix of
+    that dedup factors as inner products of F2 words
     (factorize_f2; its rows and columns may repeat, and equal ones get equal
     words), and a dual pair of its two factor sets is a monochromatic
     rectangle.  The pair comes from the pipeline
     (find_dual_pair); when a pipeline stage comes up empty, from the exact
     oracle if the smaller set has at most exact_cap elements, else from
     greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
-    rectangle is greedy_rectangle(m).  Every rectangle source is chosen
-    here.  The result is a view of m, duplicates included, and is verified
-    monochromatic.
+    rectangle is greedy_rectangle(m, rows, cols).  Every rectangle source is
+    chosen here.  The result is a view of m inside the block, duplicates
+    included, and is verified monochromatic.
     """
-    core, row_map, col_map = dedup(m)
+    core, row_map, col_map = dedup(m.take(rows, cols))
     try:
         biased = find_biased_submatrix(core, exact_cap)
     except SearchFailure:
-        return greedy_rectangle(m)
+        return greedy_rectangle(m, rows, cols)
     fact = factorize_f2(biased.materialize())
     a, b = fact.a_set, fact.b_set
     trace = find_dual_pair(a, b, seed=seed)
@@ -582,8 +587,8 @@ def mono_via_dual(m: BoolMatrix, exact_cap: int = EXACT_CAP, seed: int = 0) -> S
     kept_cols = mask_of(j for j, w in zip(members(biased.cols), fact.col_words) if w in pair.b_side)
     view = SubmatrixView(
         m,
-        mask_of(i for i, k in enumerate(row_map) if kept_rows >> k & 1),
-        mask_of(j for j, k in enumerate(col_map) if kept_cols >> k & 1),
+        mask_of(i for i, k in zip(members(rows), row_map) if kept_rows >> k & 1),
+        mask_of(j for j, k in zip(members(cols), col_map) if kept_cols >> k & 1),
     )
     if not view.is_monochromatic():
         raise InvariantViolation("dual-pair rectangle is not monochromatic")

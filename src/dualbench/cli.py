@@ -184,7 +184,7 @@ def cmd_mono(args, protocol) -> int:
     finder = protocol.finder_for(args.strategy, _exact_cap(args), args.seed)
     m = read_matrix_file(args.matrix)
     deduped, _, _ = dedup(m)
-    view = finder(deduped)
+    view = finder(deduped, *deduped.whole())
     payload = {
         "strategy": args.strategy,
         "rows": members(view.rows),

@@ -5,8 +5,9 @@ Ranks are exact: over F2 by word-level elimination; over the rationals by a
 GF(3) elimination on bit planes, certified by the counts of distinct nonzero
 rows and columns, with fraction-free integer elimination when it is not.
 A set of row or column indices is a mask (bit i is index i), as in f2.
-Submatrix search routines return views whose claimed properties are always
-re-verified before returning.
+The rectangle finders search a block (a matrix, a row and a column mask)
+in place.  Submatrix search routines return views whose claimed
+properties are always re-verified before returning.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, InvariantViolation, SearchFailure, read_text
-from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, mask_of, picks, transpose
+from .f2 import NOT_BITS, F2Set, echelon_basis, ip_rows, mask_of, members, picks, transpose
 
 EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 
@@ -65,6 +66,10 @@ class BoolMatrix:
 
     def transpose(self) -> "BoolMatrix":
         return BoolMatrix(self.n_cols, self.n_rows, self.columns())
+
+    def whole(self) -> tuple[int, int]:
+        """The row and column masks of the block of every entry."""
+        return (1 << self.n_rows) - 1, (1 << self.n_cols) - 1
 
     def take(self, rows: int, cols: int) -> "BoolMatrix":
         """The submatrix on the row and column masks, in index order."""
@@ -354,9 +359,11 @@ def check_exact_cap(k: int, l: int, exact_cap: int) -> None:
         raise FormatError(f"enumerated dimension {min(k, l)} exceeds exact cap {exact_cap}")
 
 
-def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
-    """Largest monochromatic rectangle, by Close-by-One over the closed sets
-    of the smaller dimension.
+def max_mono_exact(
+    m: BoolMatrix, rows: int, cols: int, exact_cap: int = EXACT_CAP
+) -> SubmatrixView:
+    """Largest monochromatic rectangle in the block rows x cols of m, by
+    Close-by-One over the closed sets of the block's smaller dimension.
 
     A maximum-area rectangle (xmask, ymask, color) is closed: each side is
     all that the other side allows.  Per color, this visits each closed
@@ -364,18 +371,24 @@ def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
     best possible area is strictly below the incumbent, so it sees every
     maximum-area rectangle whichever dimension it enumerates.  The winner
     is the best candidate under (larger area, then lexicographically
-    smallest row set, then column set, then color 0 before 1), stated on m.
+    smallest row set, then column set, then color 0 before 1).  Numbering
+    the block's enumerated side by position keeps the order of index lists.
     """
-    check_exact_cap(m.n_rows, m.n_cols, exact_cap)
-    transposed = m.n_cols < m.n_rows
-    work = m.transpose() if transposed else m
-    n_x, n_y = work.n_rows, work.n_cols
-    full_y = (1 << n_y) - 1
+    n_rows, n_cols = rows.bit_count(), cols.bit_count()
+    check_exact_cap(n_rows, n_cols, exact_cap)
+    words = [cols & word for word in compress(m.rows, picks(rows))]
+    transposed = n_cols < n_rows
+    if transposed:  # the block's columns, as words over its row positions
+        words = list(compress(transpose(words, m.n_cols), picks(cols)))
+        full_y = (1 << n_rows) - 1
+    else:
+        full_y = cols
+    n_x = len(words)
     best_area = 0
-    best = None  # (row mask, column mask, color) on m
+    best = None  # (row mask, column mask, color), each side as words number it
     for color in (0, 1):
-        row_words = [r if color else full_y ^ r for r in work.rows]
-        col_words = transpose(row_words, n_y)
+        row_words = words if color else [full_y ^ w for w in words]
+        col_words = transpose(row_words, full_y.bit_length())
 
         def closure(ymask: int) -> int:
             xmask = (1 << n_x) - 1
@@ -408,23 +421,26 @@ def max_mono_exact(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
                     visit(child_x, child_y, j + 1)
 
         visit(closure(full_y), full_y, 0)
-    rows, cols, _color = best
-    return SubmatrixView(m, rows, cols)
+    got_rows, got_cols, _color = best
+    if transposed:
+        got_cols = _spread(got_cols, cols)
+    return SubmatrixView(m, _spread(got_rows, rows), got_cols)
 
 
-def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
-    """Greedy row-growing rectangle: seed with the best single row per color,
-    add rows while the forced-column area does not shrink."""
-    full = (1 << m.n_cols) - 1
+def greedy_rectangle(m: BoolMatrix, rows: int, cols: int) -> SubmatrixView:
+    """Greedy row-growing rectangle in the block rows x cols of m: seed with
+    the best single row per color, add rows while the forced-column area
+    does not shrink."""
+    words = [cols & word for word in compress(m.rows, picks(rows))]
     best_area = 0
-    best = None  # (row mask, column mask, color)
+    best = None  # (row mask by position, column mask, color)
     for color in (0, 1):
-        masks = [r if color else full ^ r for r in m.rows]
-        seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
+        masks = words if color else [cols ^ w for w in words]
+        seed = max(range(len(masks)), key=lambda i: (masks[i].bit_count(), -i))
         forced = masks[seed]
         if not forced:
             continue
-        rows = 1 << seed
+        chosen = 1 << seed
         count = 1
         while True:
             area = count * forced.bit_count()
@@ -432,7 +448,7 @@ def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
             pick_area = -1
             pick_mask = 0
             for i, mask in enumerate(masks):
-                if rows >> i & 1:
+                if chosen >> i & 1:
                     continue
                 nm = forced & mask
                 new_area = (count + 1) * nm.bit_count()
@@ -440,14 +456,19 @@ def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
                     pick, pick_area, pick_mask = i, new_area, nm
             if pick is None or pick_area < area:
                 break
-            rows |= 1 << pick
+            chosen |= 1 << pick
             count += 1
             forced = pick_mask
-        cand = (rows, forced, color)
+        cand = (chosen, forced, color)
         if best is None or area > best_area or (area == best_area and _precedes(cand, best)):
             best_area, best = area, cand
-    rows, cols, _color = best
-    return SubmatrixView(m, rows, cols)
+    got_rows, got_cols, _color = best
+    return SubmatrixView(m, _spread(got_rows, rows), got_cols)
+
+
+def _spread(positions: int, mask: int) -> int:
+    """The submask of mask holding its members at the given positions."""
+    return mask_of(compress(members(mask), picks(positions)))
 
 
 # -- biased submatrix search -----------------------------------------------------
@@ -538,7 +559,7 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
 
     zeros, ones = m.counts()
     if _meets_delta(abs(zeros - ones), total, r):
-        return verified((1 << m.n_rows) - 1, (1 << m.n_cols) - 1)
+        return verified(*m.whole())
 
     col_words = m.columns()
     pools = ((1 << i for i in range(m.n_rows)), _similarity_clusters(m), _eigen_sign_split(m))

@@ -10,9 +10,11 @@ stored matrix is a mask pair (rows, cols), as a view is, and a split a mask.
 Each tree holds one rank memo over blocks (BlockRanks), shared by the
 build, verify and the audit.  A protocol is built by strategy name, and
 finder_for gives the strategy's rectangle finder, a plain function from a
-matrix to a monochromatic view of it: matrix's exact and greedy finders
-(max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual, which
-loads the duality pipeline only when via-dual is the strategy.
+block (matrix, row mask, column mask) to a monochromatic view of that
+matrix inside the block, so no block is copied: matrix's exact and greedy
+finders (max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual,
+which loads the duality pipeline only when via-dual is the strategy.  A
+tree file is JSON written straight from the nodes (format_tree).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
 from .errors import FormatError, InvariantViolation, TreeMismatch, read_text
@@ -164,14 +165,16 @@ class CostReport:
 
 def finder_for(
     strategy: str, exact_cap: int = EXACT_CAP, seed: int = 0
-) -> Callable[[BoolMatrix], SubmatrixView]:
-    """The rectangle finder a strategy names: exact, greedy or via-dual.
+) -> Callable[[BoolMatrix, int, int], SubmatrixView]:
+    """The rectangle finder a strategy names, exact, greedy or via-dual,
+    called as finder(matrix, rows, cols) on a block of the matrix.
 
     Only an exact tree hands Q to the in-child, which skips its search:
-    max_mono_exact returns the least maximum rectangle under an order that
-    core.take's in-order re-indexing keeps, and the in-child's block holds
-    Q inside its parent's, so it would return Q again.  A greedy or via-dual
-    answer in the child can differ.
+    max_mono_exact returns the least maximum rectangle of its block, ties
+    broken on the matrix's own index lists, and the in-child's block holds
+    Q inside the same matrix, so no rectangle there is larger or precedes
+    Q, and it would return Q again.  A greedy or via-dual answer in the
+    child can differ.
     """
     if strategy == "exact":
         return partial(max_mono_exact, exact_cap=exact_cap)
@@ -197,7 +200,9 @@ def build_protocol(
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
     trap (InvariantViolation).  Blocks are ranked through the tree's memo.
-    An exact tree hands Q to the in-child, which holds it (see finder_for).
+    The finder searches each block of the deduplicated matrix in place, and
+    its view's masks are Q as they stand.  An exact tree hands Q to the
+    in-child, which holds it (see finder_for).
     """
     finder = finder_for(strategy, exact_cap, seed)
     core, row_map, col_map = dedup(m)
@@ -214,13 +219,8 @@ def build_protocol(
         if ones == 0 or ones == area:
             return Leaf(output=0 if ones == 0 else 1)
         if q is None:
-            # the view's masks index the block's rows and columns in order
-            view = finder(core.take(rows, cols))
-            q = (
-                mask_of(compress(members(rows), picks(view.rows))),
-                mask_of(compress(members(cols), picks(view.cols))),
-                view.value(),
-            )
+            view = finder(core, rows, cols)
+            q = (view.rows, view.cols, view.value())
         q_rows, q_cols, value = q
         if q_rows == rows and q_cols == cols:
             raise InvariantViolation("rectangle covers a non-monochromatic matrix")
@@ -245,7 +245,7 @@ def build_protocol(
         child0 = build(*out_block, depth + 1)
         return Internal(speaker, split, child0, child1, stats)
 
-    root = build((1 << core.n_rows) - 1, (1 << core.n_cols) - 1, 0)
+    root = build(*core.whole(), 0)
     leaves, depth, internal = _tree_shape(root)
     return ProtocolTree(
         root=root,
@@ -332,7 +332,7 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
         if stored != actual:
             raise _audit_violation(path, f"stored rank {stored} != block rank {actual}")
 
-    r = tree.ranks((1 << core.n_rows) - 1, (1 << core.n_cols) - 1)
+    r = tree.ranks(*core.whole())
     size = tree.matrix.size()
     if r > size:
         raise InvariantViolation(f"rank {r} exceeds size {size}")
@@ -364,8 +364,7 @@ def _walk(tree: ProtocolTree):
     first with child0 before child1; the masks rows x cols are the node's
     block of the stored matrix and the child blocks are _child_blocks's
     pair, or None at a leaf."""
-    core = tree.matrix
-    stack = [(tree.root, (1 << core.n_rows) - 1, (1 << core.n_cols) - 1, "")]
+    stack = [(tree.root, *tree.matrix.whole(), "")]
     while stack:
         node, rows, cols, path = stack.pop()
         if isinstance(node, Leaf):
@@ -441,27 +440,6 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
 
 # -- serialization ------------------------------------------------------------------
 # JSON with stable field order so identical trees serialize byte-identically.
-
-
-def _node_to_dict(node: ProtocolNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"type": "leaf", "output": node.output}
-    s = node.stats
-    return {
-        "type": "internal",
-        "speaker": node.speaker,
-        "split": members(node.split),
-        "stats": {
-            "area": s.area,
-            "rank": s.rank,
-            "rank_r": s.rank_r,
-            "rank_s": s.rank_s,
-            "mono_area": s.mono_area,
-            "mono_fraction": str(s.mono_fraction),
-            "mono_value": s.mono_value,
-        },
-        "children": [_node_to_dict(node.child0), _node_to_dict(node.child1)],
-    }
 
 
 _STAT_COUNTS = ("area", "rank", "rank_r", "rank_s", "mono_area", "mono_value")
@@ -548,26 +526,6 @@ def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
         raise bad(str(exc)) from None
 
 
-def tree_to_dict(tree: ProtocolTree) -> dict:
-    return {
-        "format": "protocol-tree",
-        "version": TREE_FORMAT_VERSION,
-        "source_rows": tree.source_rows,
-        "source_cols": tree.source_cols,
-        "rows": tree.matrix.n_rows,
-        "cols": tree.matrix.n_cols,
-        "matrix": tree.matrix.to_lines(),
-        "row_map": list(tree.row_map),
-        "col_map": list(tree.col_map),
-        "stats": {
-            "leaves": tree.leaves,
-            "depth": tree.depth,
-            "internal_nodes": tree.internal_nodes,
-        },
-        "root": _node_to_dict(tree.root),
-    }
-
-
 def tree_from_dict(data: dict) -> ProtocolTree:
     """Load a tree document; a missing, mistyped or out-of-range field is a
     FormatError, and so is a matrix that is not exactly rows strings of cols
@@ -591,7 +549,7 @@ def tree_from_dict(data: dict) -> ProtocolTree:
     source_cols = _get(data, "source_cols", int)
     if (len(row_map), len(col_map)) != (source_rows, source_cols):
         raise FormatError("index maps disagree with the source shape")
-    root = _node_from_dict(data.get("root"), (1 << matrix.n_rows) - 1, (1 << matrix.n_cols) - 1, "")
+    root = _node_from_dict(data.get("root"), *matrix.whole(), "")
     leaves, depth, internal = _tree_shape(root)
     stored = _get(data, "stats", dict)
     counts = [_get(stored, key, int) for key in ("leaves", "depth", "internal_nodes")]
@@ -612,39 +570,46 @@ def tree_from_dict(data: dict) -> ProtocolTree:
 
 
 def format_tree(tree: ProtocolTree) -> str:
-    """json.dumps(tree_to_dict(tree), indent=2) plus a newline, the same
-    bytes several times faster than json's pure-Python indenting encoder."""
-    out: list[str] = []
-    _write_json(tree_to_dict(tree), "\n", out)
-    out.append("\n")
+    """The tree document as JSON text: the bytes json.dumps(document,
+    indent=2) gives, plus a newline, written straight from the nodes."""
+    core = tree.matrix
+    lines = '",\n    "'.join(core.to_lines())
+    row_map = ",\n    ".join(map(str, tree.row_map))
+    col_map = ",\n    ".join(map(str, tree.col_map))
+    out = [
+        f'{{\n  "format": "protocol-tree",\n  "version": {TREE_FORMAT_VERSION},\n'
+        f'  "source_rows": {tree.source_rows},\n  "source_cols": {tree.source_cols},\n'
+        f'  "rows": {core.n_rows},\n  "cols": {core.n_cols},\n  "matrix": [\n    "{lines}"\n  ],\n'
+        f'  "row_map": [\n    {row_map}\n  ],\n  "col_map": [\n    {col_map}\n  ],\n'
+        f'  "stats": {{\n    "leaves": {tree.leaves},\n    "depth": {tree.depth},\n'
+        f'    "internal_nodes": {tree.internal_nodes}\n  }},\n  "root": '
+    ]
+    _write_node(tree.root, "\n  ", out)
+    out.append("\n}\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the text json.dumps(value, indent=2) gives for a dict or list
-    of nested dicts, lists, str and int to out; newline is the line break
-    plus the indent of value's own line."""
-    is_dict = type(value) is dict
-    if not is_dict and type(value) is not list:
-        raise TypeError(f"cannot write {type(value).__name__} as tree JSON")
-    if not value:
-        out.append("{}" if is_dict else "[]")
+def _write_node(node: ProtocolNode, newline: str, out: list[str]) -> None:
+    """Append the JSON text of node to out; newline is the line break plus
+    the indent of the node's own line."""
+    i1 = newline + "  "
+    if isinstance(node, Leaf):
+        out.append(f'{{{i1}"type": "leaf",{i1}"output": {node.output}{newline}}}')
         return
-    inner = newline + "  "
-    sep = ("{" if is_dict else "[") + inner
-    for item in value:
-        if is_dict:
-            sep += encode_basestring_ascii(item) + ": "
-            item = value[item]
-        if type(item) is str:
-            out.append(sep + encode_basestring_ascii(item))
-        elif type(item) is int:
-            out.append(sep + int.__repr__(item))
-        else:
-            out.append(sep)
-            _write_json(item, inner, out)
-        sep = "," + inner
-    out.append(newline + ("}" if is_dict else "]"))
+    i2 = i1 + "  "
+    s = node.stats
+    split = f",{i2}".join(map(str, members(node.split)))
+    out.append(
+        f'{{{i1}"type": "internal",{i1}"speaker": "{node.speaker}",{i1}"split": [{i2}{split}{i1}],'
+        f'{i1}"stats": {{{i2}"area": {s.area},{i2}"rank": {s.rank},{i2}"rank_r": {s.rank_r},'
+        f'{i2}"rank_s": {s.rank_s},{i2}"mono_area": {s.mono_area},'
+        f'{i2}"mono_fraction": "{s.mono_fraction!s}",{i2}"mono_value": {s.mono_value}{i1}}},'
+        f'{i1}"children": [{i2}'
+    )
+    _write_node(node.child0, i2, out)
+    out.append("," + i2)
+    _write_node(node.child1, i2, out)
+    out.append(f"{i1}]{newline}}}")
 
 
 def parse_tree_text(text: str) -> ProtocolTree:

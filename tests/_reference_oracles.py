@@ -31,6 +31,13 @@ rows and columns by index list, read entry by entry, repeats allowed.
 graph came from `dualbench.f2.neighbourhoods`: `sum_components` builds a
 neighbour dict and finds sorted component lists by depth-first search,
 and each inner product is taken pair by pair.
+`greedy_rectangle` is `dualbench.matrix.greedy_rectangle` as it was before
+finders searched a block in place: it searches a whole matrix, and
+`found_on_copy` runs such a finder the way `build_protocol` did, on the
+block copied out by `take`, spreading the answer back onto the matrix's
+indices.  `tree_to_dict` is the protocol-tree document as nested dicts,
+which `json.dumps(..., indent=2)` turns into the bytes
+`dualbench.protocol.format_tree` writes straight from the nodes.
 They share no code with the library, so tests compare the library's
 answers, tie-breaks included, against them.
 """
@@ -46,6 +53,7 @@ from dualbench.approxdual import DualPair
 from dualbench.errors import FormatError, InvariantViolation, SearchFailure
 from dualbench.f2 import F2Set
 from dualbench.matrix import BoolMatrix, SubmatrixView
+from dualbench.protocol import TREE_FORMAT_VERSION, Leaf, ProtocolTree
 
 EXACT_CAP = 20
 
@@ -484,3 +492,95 @@ def rank_fraction(m: BoolMatrix) -> int:
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def greedy_rectangle(m: BoolMatrix) -> SubmatrixView:
+    """Seed with the best single row per color, add rows while the
+    forced-column area does not shrink; the whole matrix is the block."""
+    full = (1 << m.n_cols) - 1
+    best_area = 0
+    best = None  # (row mask, column mask, color)
+    for color in (0, 1):
+        masks = [r if color else full ^ r for r in m.rows]
+        seed = max(range(m.n_rows), key=lambda i: (masks[i].bit_count(), -i))
+        forced = masks[seed]
+        if not forced:
+            continue
+        rows = 1 << seed
+        count = 1
+        while True:
+            area = count * forced.bit_count()
+            pick = None
+            pick_area = -1
+            pick_mask = 0
+            for i, mask in enumerate(masks):
+                if rows >> i & 1:
+                    continue
+                nm = forced & mask
+                new_area = (count + 1) * nm.bit_count()
+                if nm and new_area > pick_area:
+                    pick, pick_area, pick_mask = i, new_area, nm
+            if pick is None or pick_area < area:
+                break
+            rows |= 1 << pick
+            count += 1
+            forced = pick_mask
+        cand = (_bits_to_tuple(rows), _bits_to_tuple(forced), color)
+        if best is None or area > best_area or (area == best_area and cand < best):
+            best_area, best = area, cand
+    rows, cols, _color = best
+    return SubmatrixView(m, sum(1 << i for i in rows), sum(1 << j for j in cols))
+
+
+def found_on_copy(finder, m: BoolMatrix, rows: int, cols: int) -> SubmatrixView:
+    """finder's answer on the block rows x cols of m copied out by take,
+    as a view of m: the copy's k-th row (column) is the block's k-th."""
+    view = finder(m.take(rows, cols))
+    row_ids, col_ids = _bits_to_tuple(rows), _bits_to_tuple(cols)
+    return SubmatrixView(
+        m,
+        sum(1 << row_ids[k] for k in _bits_to_tuple(view.rows)),
+        sum(1 << col_ids[k] for k in _bits_to_tuple(view.cols)),
+    )
+
+
+def _node_to_dict(node) -> dict:
+    if isinstance(node, Leaf):
+        return {"type": "leaf", "output": node.output}
+    s = node.stats
+    return {
+        "type": "internal",
+        "speaker": node.speaker,
+        "split": list(_bits_to_tuple(node.split)),
+        "stats": {
+            "area": s.area,
+            "rank": s.rank,
+            "rank_r": s.rank_r,
+            "rank_s": s.rank_s,
+            "mono_area": s.mono_area,
+            "mono_fraction": str(s.mono_fraction),
+            "mono_value": s.mono_value,
+        },
+        "children": [_node_to_dict(node.child0), _node_to_dict(node.child1)],
+    }
+
+
+def tree_to_dict(tree: ProtocolTree) -> dict:
+    """The protocol-tree document, as dualbench.protocol.tree_from_dict reads it."""
+    return {
+        "format": "protocol-tree",
+        "version": TREE_FORMAT_VERSION,
+        "source_rows": tree.source_rows,
+        "source_cols": tree.source_cols,
+        "rows": tree.matrix.n_rows,
+        "cols": tree.matrix.n_cols,
+        "matrix": tree.matrix.to_lines(),
+        "row_map": list(tree.row_map),
+        "col_map": list(tree.col_map),
+        "stats": {
+            "leaves": tree.leaves,
+            "depth": tree.depth,
+            "internal_nodes": tree.internal_nodes,
+        },
+        "root": _node_to_dict(tree.root),
+    }

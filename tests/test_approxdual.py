@@ -669,7 +669,7 @@ def test_bridge_oracle_equals_max_mono():
         m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
         m, _, _ = dedup(m)
         fact = factorize_f2(m)
-        mono = max_mono_exact(m)
+        mono = max_mono_exact(m, *m.whole())
         pair = exact_dual_oracle(fact.a_set, fact.b_set)
         assert pair.area() == mono.area()
 

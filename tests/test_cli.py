@@ -929,7 +929,7 @@ def test_only_exact_strategies_reuse_the_rectangle(tmp_path, monkeypatch):
 
     def counting(*args):
         finder = finder_for(*args)
-        return lambda sub: searched.append(sub) or finder(sub)
+        return lambda *block: searched.append(block) or finder(*block)
 
     monkeypatch.setattr(protocol, "finder_for", counting)
     m = tmp_path / "m.txt"

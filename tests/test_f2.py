@@ -125,7 +125,8 @@ def test_greedy_dual_pair_matches_pairwise_reference():
         ones = [sum(parity_dot(x, y) for y in b.members) for x in a.members]
         seeds = sorted(v for k in ones for v in (len(b) - k, k) if v)
         tied += seeds.count(seeds[-1]) > 1
-        want = ref.pair_of_view(a, b, greedy_rectangle(ref.ip_matrix(a, b)))
+        ip = ref.ip_matrix(a, b)
+        want = ref.pair_of_view(a, b, greedy_rectangle(ip, *ip.whole()))
         assert greedy_dual_pair(a, b) == want
     assert tied >= 50
 

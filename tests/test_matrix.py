@@ -281,13 +281,16 @@ def brute_force_max_mono_area(m):
 
 
 def test_max_mono_examples():
-    view = max_mono_exact(all_ones(3, 4))
+    m = all_ones(3, 4)
+    view = max_mono_exact(m, *m.whole())
     assert view.area() == 12 and view.is_monochromatic()
 
-    assert max_mono_exact(identity(2)).area() == 1
+    m = identity(2)
+    assert max_mono_exact(m, *m.whole()).area() == 1
     assert brute_force_max_mono_area(identity(2)) == 1
 
-    view = max_mono_exact(make_ip_matrix(2))
+    m = make_ip_matrix(2)
+    view = max_mono_exact(m, *m.whole())
     assert view.area() == 4 and view.is_monochromatic()
     assert brute_force_max_mono_area(make_ip_matrix(2)) == 4
 
@@ -296,7 +299,7 @@ def test_max_mono_agrees_with_other_dimension():
     rng = random.Random(26)
     for _ in range(80):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        a = max_mono_exact(m)
+        a = max_mono_exact(m, *m.whole())
         b = ref.max_mono_exact_other_dimension(m)
         assert a.area() == b.area()
         assert (a.rows, a.cols) == (b.rows, b.cols)
@@ -314,7 +317,7 @@ def test_max_mono_exact_beyond_subset_table():
     for i in block_rows:
         rows[i] |= block
     m = BoolMatrix(32, 31, rows)
-    view = max_mono_exact(m, exact_cap=32)
+    view = max_mono_exact(m, *m.whole(), exact_cap=32)
     assert view.is_monochromatic() and view.area() >= 63
     color = view.value()
     rows, cols = members(view.rows), members(view.cols)
@@ -356,15 +359,15 @@ def test_view_masks_are_checked():
 
 def test_max_mono_cap():
     with pytest.raises(FormatError, match="^enumerated dimension 8 exceeds exact cap 4$"):
-        max_mono_exact(all_ones(8, 8), exact_cap=4)
+        max_mono_exact(all_ones(8, 8), 0xFF, 0xFF, exact_cap=4)
 
 
 def test_max_mono_deterministic():
     rng = random.Random(27)
     for _ in range(20):
         m = random_matrix(rng, 4, 4)
-        v1 = max_mono_exact(m)
-        v2 = max_mono_exact(m)
+        v1 = max_mono_exact(m, *m.whole())
+        v2 = max_mono_exact(m, *m.whole())
         assert (v1.rows, v1.cols) == (v2.rows, v2.cols)
 
 

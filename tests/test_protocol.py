@@ -6,9 +6,11 @@ import re
 import random
 import textwrap
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import _reference_oracles as ref
 from dualbench import approxdual, experiments, protocol
 from dualbench.approxdual import PipelineTrace, mono_via_dual
 from dualbench.cli import main
@@ -28,13 +30,13 @@ from dualbench.protocol import (
     Internal,
     Leaf,
     NodeStats,
+    STRATEGIES,
     build_protocol,
     format_tree,
     leaf_recurrence_audit,
     parse_tree_text,
     simulate,
     tree_from_dict,
-    tree_to_dict,
     verify,
 )
 
@@ -276,13 +278,13 @@ def test_mono_via_dual_random_views_are_monochromatic():
     for _ in range(25):
         k, l = rng.randint(2, 8), rng.randint(2, 8)
         m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
-        view = mono_via_dual(m)
+        view = mono_via_dual(m, *m.whole())
         assert view.parent is m
         assert view.is_monochromatic()
 
 
 def test_mono_via_dual_all_ones():
-    assert mono_via_dual(all_ones(1, 1)).area() == 1
+    assert mono_via_dual(all_ones(1, 1), 1, 1).area() == 1
 
 
 def test_mono_via_dual_ip_matrix():
@@ -290,9 +292,9 @@ def test_mono_via_dual_ip_matrix():
     # against its rank-3 floor), so the dual stage sees the full factor sets
     for n in range(1, 5):
         m = make_ip_matrix(n)
-        view = mono_via_dual(m)
+        view = mono_via_dual(m, *m.whole())
         assert view.is_monochromatic()
-        assert view.area() == max_mono_exact(m).area()
+        assert view.area() == max_mono_exact(m, *m.whole()).area()
 
 
 def test_mono_via_dual_expands_duplicates():
@@ -300,14 +302,14 @@ def test_mono_via_dual_expands_duplicates():
     m = BoolMatrix.from_strings(["1010", "0111", "1010", "1101"])
     core, row_map, col_map = dedup(m)
     assert (core.n_rows, core.n_cols) == (3, 3)
-    inner = mono_via_dual(core)
-    view = mono_via_dual(m)
+    inner = mono_via_dual(core, *core.whole())
+    view = mono_via_dual(m, *m.whole())
     assert view.rows == mask_of(i for i in range(4) if inner.rows >> row_map[i] & 1)
     assert view.cols == mask_of(j for j in range(4) if inner.cols >> col_map[j] & 1)
     assert view.is_monochromatic() and view.area() > inner.area()
     # rows 0 and 2 are distinct but equal on the biased submatrix's
     # columns: the pair keeps both through the submatrix's own dedup
-    view = mono_via_dual(BoolMatrix.from_strings(["000", "011", "010"]))
+    view = mono_via_dual(BoolMatrix.from_strings(["000", "011", "010"]), 0b111, 0b111)
     assert (view.rows, view.cols) == (0b101, 0b101)
 
 
@@ -324,7 +326,7 @@ def test_via_dual_outputs_are_pinned():
         else:
             m = make_block_low_rank(k, l, rng.randint(1, min(k, l, 5)), rng)
         try:
-            view = mono_via_dual(m, exact_cap=12)
+            view = mono_via_dual(m, *m.whole(), exact_cap=12)
             outcomes.append((tuple(members(view.rows)), tuple(members(view.cols))))
         except DualbenchError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
@@ -365,14 +367,15 @@ def test_mono_via_dual_reaches_every_source(monkeypatch):
     ]
     for m, source in cases:
         sources.clear()
-        assert mono_via_dual(m).is_monochromatic()
+        assert mono_via_dual(m, *m.whole()).is_monochromatic()
         assert sources == [source]
     # a failed pipeline: the exact oracle up to a cap of the smaller factor
     # set's size (4 words), greedy_dual_pair below it
     spy("find_dual_pair", lambda a, b, seed=0: PipelineTrace(failed_stage="stub"))
     for exact_cap, source in ((4, "exact_dual_oracle"), (3, "greedy_dual_pair")):
         sources.clear()
-        assert mono_via_dual(make_ip_matrix(2), exact_cap=exact_cap).is_monochromatic()
+        m = make_ip_matrix(2)
+        assert mono_via_dual(m, *m.whole(), exact_cap=exact_cap).is_monochromatic()
         assert sources == [source]
 
 
@@ -457,17 +460,35 @@ def test_tree_round_trip():
 
 def test_tree_dict_rejects_tampering():
     tree = build_protocol(identity(2))
-    data = tree_to_dict(tree)
+    data = ref.tree_to_dict(tree)
     data["stats"]["leaves"] = 99
     with pytest.raises(FormatError):
         tree_from_dict(data)
 
 
 def test_format_tree_is_indented_json():
+    # the writer emits each node's text itself; it must give json's bytes
+    # for leaf roots, single rows and columns, both speakers, a large greedy
+    # tree and every strategy
     rng = random.Random(70)
-    for m in (all_ones(3, 4), BoolMatrix(1, 1, [1]), make_random_f2_rank(64, 64, 10, rng)):
-        tree = build_protocol(m, "greedy")
-        assert format_tree(tree) == json.dumps(tree_to_dict(tree), indent=2) + "\n"
+    trees = [build_protocol(make_random_f2_rank(64, 64, 10, rng), "greedy")]
+    matrices = [
+        all_ones(3, 4),
+        BoolMatrix(2, 5, [0, 0]),
+        BoolMatrix(1, 1, [1]),
+        BoolMatrix(1, 7, [0b1011001]),
+        BoolMatrix(6, 1, [1, 0, 1, 1, 0, 0]),
+        make_ip_matrix(3),
+        *(random_low_rank(rng, rng.randint(2, 9), rng.randint(2, 9), 3) for _ in range(6)),
+    ]
+    trees += [build_protocol(m, strategy) for m in matrices for strategy in STRATEGIES]
+    assert [isinstance(tree.root, Leaf) for tree in trees[1:10]] == [True] * 9
+    speakers = set()
+    for tree in trees:
+        assert format_tree(tree) == json.dumps(ref.tree_to_dict(tree), indent=2) + "\n"
+        nodes = (node for node, *_ in protocol._walk(tree))
+        speakers.update(node.speaker for node in nodes if isinstance(node, Internal))
+    assert speakers == {"row", "col"}
 
 
 def test_tree_serialization_stable():
@@ -573,7 +594,7 @@ def test_exact_trees_reuse_the_parents_rectangle(monkeypatch):
 
     def exact_counting(strategy, *args):
         finder = finder_for("exact", *args)
-        return lambda sub: searched.append(sub) or finder(sub)
+        return lambda *block: searched.append(block) or finder(*block)
 
     rng = random.Random(71)
     totals = [0, 0]
@@ -594,6 +615,73 @@ def test_exact_trees_reuse_the_parents_rectangle(monkeypatch):
         assert calls[1] <= calls[0]
         totals = [t + c for t, c in zip(totals, calls)]
     assert totals[1] < totals[0], totals
+
+
+# -- finders search a block in place ----------------------------------------------
+
+
+def _exact_on_copy(sub):
+    # the subset DP while the enumerated side is small, the whole-matrix
+    # Close-by-One search (held to that DP in test_oracle_crosscheck) past it
+    if min(sub.n_rows, sub.n_cols) <= 10:
+        return ref.max_mono_exact(sub)
+    return max_mono_exact(sub, *sub.whole(), exact_cap=24)
+
+
+def test_finders_answer_on_a_block_as_on_its_copy():
+    # a finder's answer on a block is its answer on the block copied out by
+    # take, spread back onto the matrix's indices, tie-breaks included;
+    # every third matrix repeats rows and columns
+    copies = {
+        "exact": (24, _exact_on_copy),
+        "greedy": (24, ref.greedy_rectangle),
+        "via-dual": (12, lambda sub: mono_via_dual(sub, *sub.whole(), exact_cap=12)),
+    }
+    rng = random.Random(74)
+    duplicated = 0
+    for index in range(1000):
+        k, l = rng.randint(3, 24), rng.randint(3, 24)
+        if index % 3:
+            m = BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)])
+        else:
+            m = random_low_rank(rng, k, l, rng.randint(2, 5))  # repeats rows
+            a, b = rng.sample(range(l), 2)  # column b becomes a copy of column a
+            m = BoolMatrix(k, l, [w & ~(1 << b) | (w >> a & 1) << b for w in m.rows])
+            duplicated += len(set(m.rows)) < k and len(set(m.columns())) < l
+        rows, cols = rng.randrange(1, 1 << k), rng.randrange(1, 1 << l)
+        for strategy, (exact_cap, on_copy) in copies.items():
+            outcomes = []
+            for search in (partial(protocol.finder_for(strategy, exact_cap), m, rows, cols),
+                           partial(ref.found_on_copy, on_copy, m, rows, cols)):
+                try:
+                    view = search()
+                    outcomes.append((view.parent is m, view.rows, view.cols, view.value()))
+                except DualbenchError as exc:
+                    outcomes.append((type(exc).__name__, str(exc)))
+            assert outcomes[0] == outcomes[1], (strategy, k, l, m.rows, rows, cols)
+    assert duplicated >= 300
+
+
+def test_build_protocol_copies_no_block(monkeypatch):
+    # past its one dedup, a greedy or exact build reads every block in
+    # place; the via-dual bridge still copies its block out, which shows
+    # the spy sees take calls
+    real_take = BoolMatrix.take
+    takes = []
+    rng = random.Random(75)
+    for strategy in STRATEGIES:
+        takes.clear()
+        for _ in range(8):
+            m = random_low_rank(rng, rng.randint(2, 12), rng.randint(2, 12), rng.randint(2, 4))
+            want = format_tree(build_protocol(m, strategy))
+            deduped = dedup(m)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "dedup", lambda _m: deduped)
+                patch.setattr(BoolMatrix, "take",
+                              lambda self, *block: takes.append(block) or real_take(self, *block))
+                tree = build_protocol(m, strategy)
+            assert format_tree(tree) == want
+        assert (takes == []) == (strategy != "via-dual"), strategy
 
 
 def test_unknown_strategy_fails_before_any_work(monkeypatch):

@@ -101,6 +101,18 @@ def test_only_matrix_finds_rectangles():
     assert found == []
 
 
+def test_protocol_copies_no_block():
+    # the finders search a block of the tree's matrix in place: protocol
+    # hands them masks and never copies a block out with take
+    path = next(path for path in SOURCES if path.name == "protocol.py")
+    found = [
+        f"{path.name}:{node.lineno}: take call"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take"
+    ]
+    assert found == []
+
+
 def test_only_f2_reads_masks_as_digits():
     # an index set is a mask, and f2.picks is the one place a mask is read
     # as binary digits: no other module calls bin()
