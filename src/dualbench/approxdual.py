@@ -557,11 +557,12 @@ def mono_via_dual(
     """Monochromatic rectangle in the block rows x cols of m through the
     Nisan-Wigderson bridge.
 
-    The block is gathered with take and deduplicated; a biased submatrix of
-    that dedup factors as inner products of F2 words
-    (factorize_f2; its rows and columns may repeat, and equal ones get equal
-    words), and a dual pair of its two factor sets is a monochromatic
-    rectangle.  The pair comes from the pipeline
+    The block is gathered with take and deduplicated.  A biased submatrix
+    of that dedup, searched under the block's rank (m.block_rank, the memo
+    entry a protocol node reads for its own rank), factors as inner products
+    of F2 words (factorize_f2; its rows and columns may repeat, and equal
+    ones get equal words), and a dual pair of its two factor sets is a
+    monochromatic rectangle.  The pair comes from the pipeline
     (find_dual_pair); when a pipeline stage comes up empty, from the exact
     oracle if the smaller set has at most exact_cap elements, else from
     greedy_dual_pair.  When no submatrix meets the biased-stage bounds, the
@@ -571,7 +572,7 @@ def mono_via_dual(
     """
     core, row_map, col_map = dedup(m.take(rows, cols))
     try:
-        biased = find_biased_submatrix(core, exact_cap)
+        biased = find_biased_submatrix(core, m.block_rank(rows, cols), exact_cap)
     except SearchFailure:
         return greedy_rectangle(m, rows, cols)
     fact = factorize_f2(biased.materialize())

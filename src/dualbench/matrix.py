@@ -5,8 +5,9 @@ Ranks are exact: over F2 by word-level elimination; over the rationals by a
 GF(3) elimination on bit planes, certified by the counts of distinct nonzero
 rows and columns, with fraction-free integer elimination when it is not.
 A set of row or column indices is a mask (bit i is index i), as in f2.
-The rectangle finders search a block (a matrix, a row and a column mask)
-in place.  Submatrix search routines return views whose claimed
+A block is a matrix with a row and a column mask; the matrix memoises each
+block's rank (block_rank) for every holder.  The rectangle finders search a
+block in place.  Submatrix search routines return views whose claimed
 properties are always re-verified before returning.
 """
 
@@ -24,9 +25,9 @@ EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 
 
 class BoolMatrix:
-    """A k x l {0,1} matrix with rows packed into ints."""
+    """A k x l {0,1} matrix with rows packed into ints and a memo of its block ranks."""
 
-    __slots__ = ("n_rows", "n_cols", "rows")
+    __slots__ = ("n_rows", "n_cols", "rows", "_ranks", "_independent")
 
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -41,6 +42,8 @@ class BoolMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.rows = rows
+        self._ranks: dict[tuple[int, int], int] = {}
+        self._independent: dict[int, list[int]] = {}  # cols -> row masks of such blocks
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BoolMatrix":
@@ -90,6 +93,25 @@ class BoolMatrix:
                 word |= (source & run) >> shift
             words.append(word)
         return BoolMatrix(len(words), placed, words)
+
+    def block_rank(self, rows: int, cols: int) -> int:
+        """rank_real of the block rows x cols, each block ranked at most once
+        in the matrix's life: the count of its distinct nonzero row words
+        masked to cols when that is the rank (one or two such 0/1 rows are
+        never proportional, and a row subset of an independent-row block on
+        the same columns stays independent), else their elimination."""
+        got = self._ranks.get((rows, cols))
+        if got is None:
+            words = dict.fromkeys(map(cols.__and__, compress(self.rows, picks(rows))))
+            words.pop(0, None)
+            got = len(words)
+            independent = self._independent.setdefault(cols, [])
+            if got > 2 and not any(rows | wider == wider for wider in independent):
+                got = rank_real(BoolMatrix(len(words), self.n_cols, words))
+                if got == len(words):
+                    independent.append(rows)
+            self._ranks[rows, cols] = got
+        return got
 
     def counts(self) -> tuple[int, int]:
         ones = sum(r.bit_count() for r in self.rows)
@@ -197,8 +219,9 @@ def rank_real(m: BoolMatrix) -> int:
     nonzero), and the numbers of distinct nonzero rows and of distinct
     nonzero columns are upper bounds.  When the GF(3) rank meets either
     bound it is the rank; otherwise fraction-free (Bareiss) elimination on
-    the distinct nonzero rows decides.  The elimination stops early at the
-    count of distinct nonzero rows or of nonzero columns, whichever is less.
+    the distinct nonzero rows decides.  The GF(3) pass stops early once its
+    rank reaches the count of distinct nonzero rows or of nonzero columns,
+    whichever is less; the Bareiss pass stops only at the count of rows.
     """
     words = list(dict.fromkeys(word for word in m.rows if word))
     support = 0
@@ -534,10 +557,12 @@ def _eigen_sign_split(m: BoolMatrix) -> Iterator[int]:
     yield from (s for s in (plus, ((1 << k) - 1) ^ plus) if s)
 
 
-def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> SubmatrixView:
+def find_biased_submatrix(m: BoolMatrix, rank: int, exact_cap: int = EXACT_CAP) -> SubmatrixView:
     """Find a view with area >= r^(-3/2)|M| and discrepancy >= r^(-3/2).
 
-    r is the rank of M over the rationals.  Strategy cascade: the whole
+    r is max(rank, 1), and rank is the caller's rank of M over the
+    rationals (rank_real(m), or the block_rank of the block M was gathered
+    from), which this never computes.  Strategy cascade: the whole
     matrix, then heuristic row pools with a sort-and-scan column choice,
     then exact search over all subsets of the smaller dimension.  The pools
     are tried lazily, in order: single rows, similarity clusters, then
@@ -545,7 +570,7 @@ def find_biased_submatrix(m: BoolMatrix, exact_cap: int = EXACT_CAP) -> Submatri
     before it found nothing.  Both inequalities are re-verified on the
     returned view with exact integer arithmetic.
     """
-    r = max(rank_real(m), 1)
+    r = max(rank, 1)
     total = m.size()
 
     def verified(rows: int, cols: int) -> SubmatrixView:

@@ -7,14 +7,15 @@ halves.  Each sent bit is one internal node; leaves output the entry value.
 Simulation, full verification against the source matrix, and a recurrence
 audit of the per-node rank/area bookkeeping are provided.  A block of the
 stored matrix is a mask pair (rows, cols), as a view is, and a split a mask.
-Each tree holds one rank memo over blocks (BlockRanks), shared by the
-build, verify and the audit.  A protocol is built by strategy name, and
-finder_for gives the strategy's rectangle finder, a plain function from a
-block (matrix, row mask, column mask) to a monochromatic view of that
-matrix inside the block, so no block is copied: matrix's exact and greedy
-finders (max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual,
-which loads the duality pipeline only when via-dual is the strategy.  A
-tree file is JSON written straight from the nodes (format_tree).
+Every block rank is the stored matrix's BoolMatrix.block_rank, one memo
+shared by the finder, the build, verify and the audit, so no block is
+ranked twice.  A protocol is built by strategy name, and finder_for gives
+the strategy's rectangle finder, a plain function from a block (matrix,
+row mask, column mask) to a monochromatic view of that matrix inside the
+block, so no block is copied: matrix's exact and greedy finders
+(max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual, which
+loads the duality pipeline only when via-dual is the strategy.  A tree
+file is JSON written straight from the nodes (format_tree).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress
@@ -39,7 +40,6 @@ from .matrix import (
     greedy_rectangle,
     max_mono_exact,
     rank_f2,
-    rank_real,
 )
 
 TREE_FORMAT_VERSION = 1
@@ -103,37 +103,6 @@ class Internal:
 ProtocolNode = Union[Leaf, Internal]
 
 
-class BlockRanks:
-    """rank_real of the mask blocks rows x cols of one matrix, each ranked
-    at most once.  A tree holds one for its stored matrix; it lives as long
-    as the tree, never longer.  A block whose rank is its count of distinct
-    nonzero rows has rows independent over Q, and so has a block with the
-    same columns and a subset of its rows: that rank is a count, as it is
-    for one or two distinct nonzero 0/1 rows, never proportional."""
-
-    __slots__ = ("matrix", "_ranks", "_independent")
-
-    def __init__(self, matrix: BoolMatrix):
-        self.matrix = matrix
-        self._ranks: dict[tuple[int, int], int] = {}
-        self._independent: dict[int, list[int]] = {}  # cols -> row masks of such blocks
-
-    def __call__(self, rows: int, cols: int) -> int:
-        """The rank of the block's distinct nonzero row words masked to cols."""
-        got = self._ranks.get((rows, cols))
-        if got is None:
-            words = dict.fromkeys(map(cols.__and__, compress(self.matrix.rows, picks(rows))))
-            words.pop(0, None)
-            got = len(words)
-            independent = self._independent.setdefault(cols, [])
-            if got > 2 and not any(rows | wider == wider for wider in independent):
-                got = rank_real(BoolMatrix(len(words), self.matrix.n_cols, words))
-                if got == len(words):
-                    independent.append(rows)
-            self._ranks[rows, cols] = got
-        return got
-
-
 @dataclass(frozen=True)
 class ProtocolTree:
     root: ProtocolNode
@@ -145,7 +114,6 @@ class ProtocolTree:
     leaves: int
     depth: int
     internal_nodes: int
-    ranks: BlockRanks = field(compare=False, repr=False)  # the memo over matrix's blocks
 
 
 @dataclass(frozen=True)
@@ -199,7 +167,7 @@ def build_protocol(
     (or all columns) forces the other player to speak so the split stays
     proper.  Area strictly decreases along every edge, so the tree is finite;
     recursion past 4 (rows + cols) bits of the deduplicated matrix is a bug
-    trap (InvariantViolation).  Blocks are ranked through the tree's memo.
+    trap (InvariantViolation).  Blocks are ranked by core.block_rank.
     The finder searches each block of the deduplicated matrix in place, and
     its view's masks are Q as they stand.  An exact tree hands Q to the
     in-child, which holds it (see finder_for).
@@ -207,7 +175,7 @@ def build_protocol(
     finder = finder_for(strategy, exact_cap, seed)
     core, row_map, col_map = dedup(m)
     depth_cap = 4 * (core.n_rows + core.n_cols)
-    rank = BlockRanks(core)
+    rank = core.block_rank
 
     def build(rows: int, cols: int, depth: int, q=None) -> ProtocolNode:
         """The node of block rows x cols; q is its rectangle (row mask,
@@ -257,7 +225,6 @@ def build_protocol(
         leaves=leaves,
         depth=depth,
         internal_nodes=internal,
-        ranks=rank,
     )
 
 
@@ -328,11 +295,11 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
                     )
         raise InvariantViolation("a leaf block disagrees but every entry simulates")
     for stored, rows, cols, path in internal:
-        actual = tree.ranks(rows, cols)
+        actual = core.block_rank(rows, cols)
         if stored != actual:
             raise _audit_violation(path, f"stored rank {stored} != block rank {actual}")
 
-    r = tree.ranks(*core.whole())
+    r = core.block_rank(*core.whole())
     size = tree.matrix.size()
     if r > size:
         raise InvariantViolation(f"rank {r} exceeds size {size}")
@@ -414,7 +381,7 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
             raise _audit_violation(
                 path, f"out-child area {out_area} exceeds {area} - |Q|={s.mono_area}"
             )
-        in_rank = tree.ranks(*in_sets)
+        in_rank = tree.matrix.block_rank(*in_sets)
         adjacent = s.rank_r if node.speaker == "row" else s.rank_s
         if in_rank > adjacent + 1:
             raise _audit_violation(
@@ -565,7 +532,6 @@ def tree_from_dict(data: dict) -> ProtocolTree:
         leaves=leaves,
         depth=depth,
         internal_nodes=internal,
-        ranks=BlockRanks(matrix),
     )
 
 

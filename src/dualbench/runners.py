@@ -240,7 +240,7 @@ def experiment_nw_bias(config: dict, seed: int) -> tuple[dict, list[dict]]:
         m, _, _ = dedup(m)
         rank = rank_real(m)
         try:
-            view = find_biased_submatrix(m)
+            view = find_biased_submatrix(m, rank)
         except SearchFailure as exc:
             not_found += 1
             report["search_failures"].append(f"instance {idx}: {exc}")

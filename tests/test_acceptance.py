@@ -280,7 +280,7 @@ def test_criterion_7_biased_submatrix_contract():
             rank = rank_real(m)
             assert 2 <= rank <= 5
             try:
-                view = find_biased_submatrix(m)  # exact fallback within cap
+                view = find_biased_submatrix(m, rank)  # exact fallback within cap
             except SearchFailure as exc:
                 raise AssertionError(
                     f"SearchFailure at exact scale on a {m.n_rows}x{m.n_cols} "

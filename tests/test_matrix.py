@@ -400,11 +400,11 @@ def exhaustive_biased_exists(m):
 
 def test_biased_examples():
     m = all_ones(3, 3)
-    view = find_biased_submatrix(m)
+    view = find_biased_submatrix(m, rank_real(m))
     assert view.area() == 9 and view.discrepancy() == 1
 
     m = BoolMatrix.from_strings(["11", "10"])
-    view = find_biased_submatrix(m)
+    view = find_biased_submatrix(m, rank_real(m))
     assert contract_holds(m, view)
     assert exhaustive_biased_exists(m)
 
@@ -415,7 +415,7 @@ def test_biased_identity2_has_no_witness():
     m = identity(2)
     assert not exhaustive_biased_exists(m)
     with pytest.raises(SearchFailure, match="^exhaustive search: no submatrix meets") as info:
-        find_biased_submatrix(m)
+        find_biased_submatrix(m, rank_real(m))
     assert (info.value.stage, info.value.exhaustive) == ("search", True)
 
 
@@ -426,7 +426,7 @@ def test_biased_rank_one_unbalanced_has_no_witness():
     assert rank_real(m) == 1
     assert not exhaustive_biased_exists(m)
     with pytest.raises(SearchFailure, match="^exhaustive search: no submatrix meets") as info:
-        find_biased_submatrix(m)
+        find_biased_submatrix(m, rank_real(m))
     assert (info.value.stage, info.value.exhaustive) == ("search", True)
 
 
@@ -439,7 +439,7 @@ def test_biased_tall_matrices():
         k = rng.randint(3, 7)
         m = random_matrix(rng, k, rng.randint(2, k - 1))
         try:
-            view = find_biased_submatrix(m)
+            view = find_biased_submatrix(m, rank_real(m))
         except SearchFailure as info:
             assert (info.stage, info.exhaustive) == ("search", True)
             assert str(info).startswith("exhaustive search: no submatrix meets")
@@ -465,7 +465,7 @@ def test_biased_random_low_rank():
         if rank_real(m) < 2:
             continue
         try:
-            view = find_biased_submatrix(m)
+            view = find_biased_submatrix(m, rank_real(m))
         except SearchFailure as info:
             assert (info.stage, info.exhaustive) == ("search", True)
             assert str(info).startswith("exhaustive search: no submatrix meets")

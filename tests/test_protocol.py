@@ -4,6 +4,7 @@ import inspect
 import json
 import re
 import random
+import sys
 import textwrap
 from fractions import Fraction
 from functools import partial
@@ -11,7 +12,8 @@ from functools import partial
 import pytest
 
 import _reference_oracles as ref
-from dualbench import approxdual, experiments, protocol
+from dualbench import approxdual, experiments, matrix, protocol
+from dualbench import runners  # noqa: F401  (loaded now, so a rank spy reaches its binding)
 from dualbench.approxdual import PipelineTrace, mono_via_dual
 from dualbench.cli import main
 from dualbench.errors import DualbenchError, FormatError, InvariantViolation, TreeMismatch
@@ -26,7 +28,6 @@ from dualbench.experiments import (
 from dualbench.f2 import mask_of, members
 from dualbench.matrix import BoolMatrix, dedup, max_mono_exact, rank_real
 from dualbench.protocol import (
-    BlockRanks,
     Internal,
     Leaf,
     NodeStats,
@@ -175,33 +176,44 @@ def test_node_stats_check_themselves():
 
 
 def test_build_ranks_each_block_once(monkeypatch, tmp_path):
-    # build, verify and the audit share the tree's rank memo
-    asked = []  # the (rows, cols) of each BlockRanks call in progress
-    ranked = []  # the (rows, cols) of each block handed to rank_real
-    call = BlockRanks.__call__
+    # the finder, the build, verify and the audit share the matrix's rank
+    # memo: no block is eliminated twice, and nothing else eliminates
+    asked = []  # the (matrix id, rows, cols) of each block_rank call in progress
+    ranked = []  # per rank_real call, through any module's binding, its asked[-1]
+    block_rank = BoolMatrix.block_rank
 
-    def call_spy(self, rows, cols):
-        asked.append((rows, cols))
+    def block_rank_spy(self, rows, cols):
+        asked.append((id(self), rows, cols))
         try:
-            return call(self, rows, cols)
+            return block_rank(self, rows, cols)
         finally:
             asked.pop()
 
     def rank_spy(m):
-        ranked.append(asked[-1])
+        ranked.append(asked[-1] if asked else None)
         return rank_real(m)
 
-    monkeypatch.setattr(BlockRanks, "__call__", call_spy)
-    monkeypatch.setattr(protocol, "rank_real", rank_spy)
+    monkeypatch.setattr(BoolMatrix, "block_rank", block_rank_spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualbench") and getattr(module, "rank_real", None) is rank_real:
+            monkeypatch.setattr(module, "rank_real", rank_spy)
     rng = random.Random(67)
-    for strategy in ("exact", "greedy"):
+    for strategy in STRATEGIES:
         for _ in range(10):
             ranked.clear()
             m = random_low_rank(rng, 8, 8, 3)
             tree = build_protocol(m, strategy)
             verify(tree, m)
             leaf_recurrence_audit(tree)
-            assert len(ranked) == len(set(ranked)), ranked
+            assert None not in ranked and len(ranked) == len(set(ranked)), (strategy, ranked)
+    for r in (4, 6, 8):  # via-dual searches blocks of rank past two
+        ranked.clear()
+        m = experiments.generate_matrix("random-f2-rank", {"k": 20, "l": 20, "rank": r}, 0)
+        tree = build_protocol(m, "via-dual")
+        verify(tree, m)
+        leaf_recurrence_audit(tree)
+        assert len(ranked) > 5
+        assert None not in ranked and len(ranked) == len(set(ranked)), ranked
     # one protocol verb on a 64x64 matrix of F2 rank 10
     mfile = tmp_path / "m.txt"
     assert main(["gen-matrix", "--family", "random-f2-rank", "--k", "64", "--l", "64",
@@ -211,13 +223,29 @@ def test_build_ranks_each_block_once(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "p.json")]) == 0
     assert len(ranked) > 40
     assert len(ranked) == len(set(ranked))
+    # beyond the generator's own draws, nw-bias ranks each deduplicated
+    # instance once, for its report, and hands that rank to the search
+    draws = []
+    make = experiments.make_low_real_rank
+
+    def counted_make(*args):
+        before = len(ranked)
+        m = make(*args)
+        draws.append(len(ranked) - before)
+        return m
+
+    monkeypatch.setattr(experiments, "make_low_real_rank", counted_make)
+    ranked.clear()
+    report, rows = run_experiment("nw-bias", {"count": 6, "k": 12, "l": 12, "rank": 4}, seed=3)
+    assert report["ok"] and len(rows) == len(draws) == 6
+    assert len(ranked) - sum(draws) == 6
 
 
 def test_block_ranks_count_one_or_two_rows(monkeypatch):
     # one or two distinct nonzero 0/1 rows are never proportional, so such a
     # block's rank is its count: rank_real sees at least three rows
     seen = []
-    monkeypatch.setattr(protocol, "rank_real", lambda m: seen.append(m.n_rows) or rank_real(m))
+    monkeypatch.setattr(matrix, "rank_real", lambda m: seen.append(m.n_rows) or rank_real(m))
     m = make_random_f2_rank(64, 64, 10, random.Random(2))
     tree = build_protocol(m, "greedy")
     verify(tree, m)
@@ -339,6 +367,17 @@ def test_via_dual_outputs_are_pinned():
     )
     digest = hashlib.sha256(to_json(report).encode()).hexdigest()
     assert digest[:16] == "e19b22af900569d7", digest
+
+
+def test_nw_bias_outputs_are_pinned():
+    # no benchmark workload or golden runs nw-bias, so two reports are pinned
+    for config, seed, want in (
+        ({"count": 20, "k": 12, "l": 12, "rank": 4}, 3, "593f57c12af55ed9"),
+        ({"count": 10, "k": 16, "l": 10, "rank": 6}, 5, "f0d70ad296bb49f9"),
+    ):
+        report, _rows = run_experiment("nw-bias", config, seed=seed)
+        digest = hashlib.sha256(to_json(report).encode()).hexdigest()
+        assert digest[:16] == want, (config, digest)
 
 
 def test_mono_via_dual_reaches_every_source(monkeypatch):
@@ -501,15 +540,16 @@ def test_tree_serialization_stable():
 # -- the rank memo's independent-rows shortcut ---------------------------------------
 
 
-def _block_rank(m, rows, cols):
+def _materialised_rank(m, rows, cols):
     """rank_real of the materialised block rows x cols (bit masks)."""
     return rank_real(m.take(rows, cols))
 
 
-def _first_wrong_rank(ranks_class, seed):
-    """The first (matrix, rows, cols) whose ranks_class rank is not the
-    materialised block's rank, over seeded random matrices (duplicate and
-    zero rows included) and random call orders; each block is followed,
+def _first_wrong_rank(block_rank, seed):
+    """The first (matrix, rows, cols) whose block_rank(matrix, rows, cols),
+    a fresh matrix's memo, is not the materialised block's rank, over
+    seeded random matrices (duplicate and zero rows included) and random
+    call orders; each block is followed,
     later in the order, by row subsets of it on its own columns and on
     other columns and by a row superset on its own columns.  Every other
     matrix draws its rows from unions of three disjoint column sets, so
@@ -534,25 +574,24 @@ def _first_wrong_rank(ranks_class, seed):
             planted.append((rows | rng.randrange(1 << k), cols))
         rng.shuffle(blocks)
         rng.shuffle(planted)
-        ranks = ranks_class(m)
         for rows, cols in blocks + planted:
-            if ranks(rows, cols) != _block_rank(m, rows, cols):
+            if block_rank(m, rows, cols) != _materialised_rank(m, rows, cols):
                 return m, rows, cols
     return None
 
 
 def _mutant(old, new):
-    """BlockRanks with the one source line holding old changed to new."""
-    source = textwrap.dedent(inspect.getsource(BlockRanks))
+    """BoolMatrix.block_rank with the one source line holding old changed to new."""
+    source = textwrap.dedent(inspect.getsource(BoolMatrix.block_rank))
     assert source.count(old) == 1, old
-    namespace = dict(vars(protocol))
+    namespace = dict(vars(matrix))
     exec(source.replace(old, new), namespace)
-    return namespace["BlockRanks"]
+    return namespace["block_rank"]
 
 
 def test_block_ranks_shortcut_matches_materialised_ranks():
     for seed in range(3):
-        assert _first_wrong_rank(BlockRanks, seed) is None
+        assert _first_wrong_rank(BoolMatrix.block_rank, seed) is None
 
 
 def test_block_ranks_property_kills_planted_mutants():
@@ -572,8 +611,8 @@ def test_block_ranks_shortcut_skips_elimination(monkeypatch):
     # columns are counted, and a subset on other columns is eliminated
     # unless it has at most two distinct nonzero rows
     eliminated = []
-    monkeypatch.setattr(protocol, "rank_real", lambda m: eliminated.append(m) or rank_real(m))
-    ranks = BlockRanks(identity(4))
+    monkeypatch.setattr(matrix, "rank_real", lambda m: eliminated.append(m) or rank_real(m))
+    ranks = identity(4).block_rank
     assert ranks(0b1111, 0b1111) == 4 and len(eliminated) == 1
     assert ranks(0b1101, 0b1111) == 3 and ranks(0b0111, 0b1111) == 3
     assert len(eliminated) == 1

@@ -113,6 +113,55 @@ def test_protocol_copies_no_block():
     assert found == []
 
 
+def _calls_a_ranker(node) -> bool:
+    """Whether node calls rank_real or block_rank anywhere inside it."""
+    return any(
+        isinstance(inner, ast.Call)
+        and {getattr(inner.func, "id", None), getattr(inner.func, "attr", None)}
+        & {"rank_real", "block_rank"}
+        for inner in ast.walk(node)
+    )
+
+
+def test_blocks_are_ranked_only_by_their_matrix():
+    # a block's rank comes from BoolMatrix.block_rank, the one memo over a
+    # matrix's blocks, which every holder of the matrix shares: protocol and
+    # approxdual never name rank_real, and no module but matrix keeps a rank
+    # memo, that is names BlockRanks, or ranks in a class body or a cached
+    # function, or stores a rank into a mapping
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if path.name in ("protocol.py", "approxdual.py") and (
+                (isinstance(node, ast.alias) and node.name == "rank_real")
+                or (
+                    isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and "rank_real" in (getattr(node, "id", None), getattr(node, "attr", None))
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}: rank_real")
+            if path.name == "matrix.py":
+                continue
+            if "BlockRanks" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                found.append(f"{path.name}:{node.lineno}: BlockRanks")
+            memo = (
+                isinstance(node, ast.ClassDef)
+                or (
+                    isinstance(node, ast.FunctionDef)
+                    and any("cache" in ast.unparse(d) for d in node.decorator_list)
+                )
+                or (
+                    isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Subscript) for t in node.targets)
+                )
+                or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault")
+            )
+            if memo and _calls_a_ranker(node):
+                found.append(f"{path.name}:{node.lineno}: rank memo")
+    assert found == []
+
+
 def test_only_f2_reads_masks_as_digits():
     # an index set is a mask, and f2.picks is the one place a mask is read
     # as binary digits: no other module calls bin()
