@@ -27,6 +27,7 @@ EXACT_CAP = 20  # size cap on the enumerated side of the exact searches
 class BoolMatrix:
     """A k x l {0,1} matrix with rows packed into ints and a memo of its block ranks."""
 
+    # the block-rank memo (block_rank) is made by the first block_rank call
     __slots__ = ("n_rows", "n_cols", "rows", "_ranks", "_independent")
 
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable[int]):
@@ -42,8 +43,6 @@ class BoolMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.rows = rows
-        self._ranks: dict[tuple[int, int], int] = {}
-        self._independent: dict[int, list[int]] = {}  # cols -> row masks of such blocks
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BoolMatrix":
@@ -95,13 +94,16 @@ class BoolMatrix:
         return BoolMatrix(len(words), placed, words)
 
     def block_rank(self, rows: int, cols: int) -> int:
-        """rank_real of the block rows x cols, each block ranked at most once
-        in the matrix's life: the count of its distinct nonzero row words
-        masked to cols when that is the rank (one or two such 0/1 rows are
-        never proportional, and a row subset of an independent-row block on
-        the same columns stays independent), else their elimination."""
-        got = self._ranks.get((rows, cols))
+        """rank_real of the block rows x cols, each block ranked once."""
+        try:
+            got = self._ranks.get((rows, cols))
+        except AttributeError:
+            self._ranks, self._independent = {}, {}  # cols -> independent row masks
+            got = None
         if got is None:
+            # the count of distinct nonzero row words masked to cols is the
+            # rank for one or two (0/1 rows are never proportional) and for
+            # a row subset of an independent block on the same columns
             words = dict.fromkeys(map(cols.__and__, compress(self.rows, picks(rows))))
             words.pop(0, None)
             got = len(words)
