@@ -205,7 +205,7 @@ def cmd_protocol(args, protocol) -> int:
     m = read_matrix_file(args.matrix)
     tree = protocol.build_protocol(m, args.strategy, exact_cap, args.seed)
     cost = protocol.verify(tree, m)
-    audit = protocol.leaf_recurrence_audit(tree)
+    audited = protocol.leaf_recurrence_audit(tree)
     if args.tree_out:
         protocol.write_tree_file(args.tree_out, tree)
     payload = {
@@ -223,7 +223,7 @@ def cmd_protocol(args, protocol) -> int:
             f"{cost.leaf_target_reference:.4f}" if cost.leaf_target_reference else ""
         ),
         "binomial_leaf_reference": cost.binomial_leaf_reference,
-        "audited_nodes": len(audit),
+        "audited_nodes": audited,
     }
     _emit_report(_simple_report("protocol", args, payload), args, [payload])
     return EXIT_OK
@@ -234,14 +234,14 @@ def cmd_verify(args, protocol) -> int:
     tree = protocol.read_tree_file(args.tree)
     try:
         cost = protocol.verify(tree, m)
-        audit = protocol.leaf_recurrence_audit(tree)
+        audited = protocol.leaf_recurrence_audit(tree)
     except TreeMismatch as exc:  # a tree no build could have made
         raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
         "verified_entries": m.n_rows * m.n_cols,
         "leaves": cost.leaves,
         "depth": cost.depth,
-        "audited_nodes": len(audit),
+        "audited_nodes": audited,
         "sample_bits": protocol.simulate(tree, 0, 0)[1],
         "ok": True,
     }

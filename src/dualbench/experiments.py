@@ -8,7 +8,8 @@ a stable algorithm, so instance streams are reproducible across processes.
 
 This module loads only errors, f2 and matrix, so the parser and the
 generator verbs load no more.  The named experiments themselves are in
-runners, which run_experiment loads by name.
+runners, which run_experiment loads by name, with only the modules the
+named experiment runs (EXPERIMENT_MODULES).
 """
 
 from __future__ import annotations
@@ -347,12 +348,24 @@ EXPERIMENTS = {
 }
 
 
+# name -> the modules its runner takes after (config, seed), loaded only
+# when that experiment runs
+EXPERIMENT_MODULES = {
+    "dual-pipeline": ("approxdual",),
+    "log-rank-sweep": ("protocol",),
+    "counterexample": ("approxdual",),
+    "doubling": ("adcomb",),
+    "nw-bias": (),
+}
+
+
 def run_experiment(name: str, config: dict, seed: int = 0):
     """Dispatch a named experiment; returns (report, csv_rows).  The runners
-    load here, and the duality pipeline and the protocol compiler with them."""
+    load here, with the modules the named one runs (EXPERIMENT_MODULES)."""
     if name not in EXPERIMENTS:
         raise FormatError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    runners = importlib.import_module(".runners", __package__)
-    return getattr(runners, EXPERIMENTS[name][0])(config, seed)
+    runners, *modules = (importlib.import_module(f".{module}", __package__)
+                         for module in ("runners", *EXPERIMENT_MODULES[name]))
+    return getattr(runners, EXPERIMENTS[name][0])(config, seed, *modules)

@@ -4,18 +4,21 @@ A matrix is compiled by recursive splitting: find a large monochromatic
 rectangle Q, let the player whose block beside Q has the smaller rank
 announce membership of their input in Q's side, and recurse on the two
 halves.  Each sent bit is one internal node; leaves output the entry value.
-Simulation, full verification against the source matrix, and a recurrence
-audit of the per-node rank/area bookkeeping are provided.  A block of the
-stored matrix is a mask pair (rows, cols), as a view is, and a split a mask.
-Every block rank is the stored matrix's BoolMatrix.block_rank, one memo
-shared by the finder, the build, verify and the audit, so no block is
-ranked twice.  A protocol is built by strategy name, and finder_for gives
+A node states its bookkeeping once, as six counts (NodeStats), and delta
+= |Q| / area is derived from them.  Simulation, full verification against
+the source matrix, and a recurrence audit of the per-node rank/area
+bookkeeping, which returns the number of splits it checked, are provided.
+A block of the stored matrix is a mask pair (rows, cols), as a view is, and
+a split a mask.  Every block rank is the stored matrix's
+BoolMatrix.block_rank, one memo shared by the finder, the build, verify and
+the audit, so no block is ranked twice.  A protocol is built by strategy name, and finder_for gives
 the strategy's rectangle finder, a plain function from a block (matrix,
 row mask, column mask) to a monochromatic view of that matrix inside the
 block, so no block is copied: matrix's exact and greedy finders
 (max_mono_exact, greedy_rectangle) or approxdual.mono_via_dual, which
 loads the duality pipeline only when via-dual is the strategy.  A tree
-file is JSON written straight from the nodes (format_tree).
+file is JSON written straight from the nodes (format_tree) and read
+through one table of field types per object kind (_fields).
 """
 
 from __future__ import annotations
@@ -47,16 +50,21 @@ TREE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class NodeStats:
-    """The bookkeeping of one split; every invariant readable from the stats
-    alone is checked on construction."""
+    """The bookkeeping of one split, six counts; delta = |Q| / area is the
+    mono_fraction property, derived from them.  Every invariant readable
+    from the stats alone is checked on construction."""
 
     area: int
     rank: int
     rank_r: int  # block sharing Q's rows
     rank_s: int  # block sharing Q's columns
     mono_area: int
-    mono_fraction: Fraction  # |Q| / area, the recurrence's delta
     mono_value: int
+
+    @property
+    def mono_fraction(self) -> Fraction:
+        """|Q| / area, the recurrence's delta."""
+        return Fraction(self.mono_area, self.area)
 
     def __post_init__(self):
         r, rr, rs = self.rank, self.rank_r, self.rank_s
@@ -64,9 +72,6 @@ class NodeStats:
             raise InvariantViolation(f"mono_value {self.mono_value} is not 0 or 1")
         if not 0 < self.mono_area < self.area:
             raise InvariantViolation(f"mono_area {self.mono_area} outside 1..{self.area - 1}")
-        f = self.mono_fraction  # compared as integers: Fraction arithmetic is slow here
-        if f.numerator * self.area != self.mono_area * f.denominator:
-            raise InvariantViolation(f"mono_fraction {self.mono_fraction} != mono_area / area")
         if r < 1:
             raise InvariantViolation(f"rank {r} is below 1")
         if not (0 <= rr <= r and 0 <= rs <= r):
@@ -197,14 +202,12 @@ def build_protocol(
         rank_s = rank(rest_rows, q_cols) if rest_rows else 0
         # a rectangle covering all rows (columns) makes the other player speak
         speaker = "col" if not rest_rows or (rest_cols and rank_s < rank_r) else "row"
-        mono_area = q_rows.bit_count() * q_cols.bit_count()
         stats = NodeStats(
             area=area,
             rank=rank(rows, cols),
             rank_r=rank_r,
             rank_s=rank_s,
-            mono_area=mono_area,
-            mono_fraction=Fraction(mono_area, area),
+            mono_area=q_rows.bit_count() * q_cols.bit_count(),
             mono_value=value,
         )
         split = q_rows if speaker == "row" else q_cols
@@ -354,17 +357,16 @@ def _child_blocks(speaker: str, split: int, rows: int, cols: int):
     return (rows, outside), (rows, inside)
 
 
-def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
+def leaf_recurrence_audit(tree: ProtocolTree) -> int:
     """Walk the tree checking the area/rank recurrence at every split; returns
-    one record per internal node, depth first.
+    the number of splits audited, tree.internal_nodes.
 
     Asserted: the recorded area is the block's; strict area decrease on both
     edges; the out child's area is at most area - |Q|; the in child's rank is
-    at most the adjacent block's rank + 1.  Recorded, not asserted (the
-    intended invariant is ambiguous): whether the in child's rank is also at
-    most half the parent rank.  The whole-matrix numbers are verify's.
+    at most the adjacent block's rank + 1.  The whole-matrix numbers are
+    verify's.
     """
-    nodes: list[dict] = []
+    audited = 0
     for node, rows, cols, path, blocks in _walk(tree):
         if blocks is None:
             continue
@@ -387,45 +389,34 @@ def leaf_recurrence_audit(tree: ProtocolTree) -> list[dict]:
             raise _audit_violation(
                 path, f"in-child rank {in_rank} exceeds block rank {adjacent}+1"
             )
-        nodes.append(
-            {
-                "path": path or "root",
-                "speaker": node.speaker,
-                "area": area,
-                "rank": s.rank,
-                "rank_r": s.rank_r,
-                "rank_s": s.rank_s,
-                "mono_area": s.mono_area,
-                "mono_fraction": s.mono_fraction,
-                "in_child_rank": in_rank,
-                "in_rank_within_block_plus_one": True,
-                "in_rank_at_most_half_parent": 2 * in_rank <= s.rank + 1,
-            }
-        )
-    return nodes
+        audited += 1
+    return audited
 
 
 # -- serialization ------------------------------------------------------------------
 # JSON with stable field order so identical trees serialize byte-identically.
 
 
-_STAT_COUNTS = ("area", "rank", "rank_r", "rank_s", "mono_area", "mono_value")
+# The JSON type of each field the loader reads from each kind of object,
+# a node's stats in NodeStats's field order.  The loader reads the
+# document's format, version and root and a node's type before these.
+_DOCUMENT = {"source_rows": int, "source_cols": int, "rows": int, "cols": int, "matrix": list,
+             "row_map": list, "col_map": list, "stats": dict}
+_TREE_STATS = {"leaves": int, "depth": int, "internal_nodes": int}
+_INTERNAL = {"speaker": str, "split": list, "stats": dict, "children": list}
+_NODE_STATS = {"area": int, "rank": int, "rank_r": int, "rank_s": int, "mono_area": int,
+               "mono_value": int, "mono_fraction": str}
+_LEAF = {"output": int}
 
 
-def _get(data, key: str, kind: type):
-    """data[key], which must be present and of the JSON type kind."""
-    value = data.get(key) if isinstance(data, dict) else None
-    if type(value) is not kind:
-        raise FormatError(f"tree field {key!r} is missing or not of type {kind.__name__}")
-    return value
-
-
-def _indices(data, key: str, bound: int) -> tuple[int, ...]:
-    """data[key] as a tuple of integers in 0..bound-1."""
-    values = _get(data, key, list)
-    if not all(type(v) is int and 0 <= v < bound for v in values):
-        raise FormatError(f"tree field {key!r} has an entry outside 0..{bound - 1}")
-    return tuple(values)
+def _fields(data, table: dict) -> list:
+    """The values of table's keys in data, in table order; each must be
+    present and of the JSON type the table gives it."""
+    values = list(map(data.get, table)) if isinstance(data, dict) else [None] * len(table)
+    for key, kind, value in zip(table, table.values(), values):
+        if type(value) is not kind:
+            raise FormatError(f"tree field {key!r} is missing or not of type {kind.__name__}")
+    return values
 
 
 def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
@@ -435,37 +426,32 @@ def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
     The split must be a proper nonempty subset of the speaker's side of the
     block, the stored stats must pass NodeStats's own checks and fit the
     block (area, rank at most min(|rows|, |cols|), and a mono_area that is a
-    multiple of the split size), and the speaker must be the one the ranks
-    name (Internal's check).  verify re-derives each node's rank from its
-    block.  rank_r and rank_s cannot be re-derived: their blocks lie beside
-    Q, and a tree stores only the speaker's side of Q, so they are taken as
-    stored once they pass these checks.
+    multiple of the split size), the stored mono_fraction must be the text
+    the writer gives, mono_area / area in lowest terms, and the speaker must
+    be the one the ranks name (Internal's check).  verify re-derives each
+    node's rank from its block.  rank_r and rank_s cannot be re-derived:
+    their blocks lie beside Q, and a tree stores only the speaker's side of
+    Q, so they are taken as stored once they pass these checks.
     """
-    kind = _get(data, "type", str)
+    (kind,) = _fields(data, {"type": str})  # the type names the node's table
     if kind == "leaf":
-        if _get(data, "output", int) not in (0, 1):
+        (output,) = _fields(data, _LEAF)
+        if output not in (0, 1):
             raise FormatError("leaf output must be 0 or 1")
-        return Leaf(output=data["output"])
+        return Leaf(output)
     if kind != "internal":
         raise FormatError(f"unknown node type {kind!r}")
-    speaker = _get(data, "speaker", str)
+    speaker, split, s, children = _fields(data, _INTERNAL)
     if speaker not in ("row", "col"):
         raise FormatError(f"unknown speaker {speaker!r}")
-    children = _get(data, "children", list)
     if len(children) != 2:
         raise FormatError("an internal node needs exactly two children")
-    s = _get(data, "stats", dict)
-    counts = {key: _get(s, key, int) for key in _STAT_COUNTS}
-    try:
-        mono_fraction = Fraction(_get(s, "mono_fraction", str))
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad mono_fraction {s['mono_fraction']!r}") from None
+    area, rank, rank_r, rank_s, mono_area, mono_value, fraction = _fields(s, _NODE_STATS)
 
     def bad(message: str) -> FormatError:
         return FormatError(f"node {path or 'root'}: {message}")
 
     side = rows if speaker == "row" else cols
-    split = _get(data, "split", list)
     if not all(type(v) is int for v in split):
         raise bad("split entries must be integers")
     # only indices on the side become bits; one outside it, or a duplicate,
@@ -474,16 +460,18 @@ def _node_from_dict(data, rows: int, cols: int, path: str) -> ProtocolNode:
     if not split or chosen.bit_count() != len(split) or chosen == side:
         raise bad(f"split is not a proper nonempty subset of the block's {speaker}s")
     n_rows, n_cols = rows.bit_count(), cols.bit_count()
-    if counts["area"] != n_rows * n_cols:
-        raise bad(f"area {counts['area']} != {n_rows} x {n_cols}")
+    if area != n_rows * n_cols:
+        raise bad(f"area {area} != {n_rows} x {n_cols}")
     try:
-        stats = NodeStats(mono_fraction=mono_fraction, **counts)
+        stats = NodeStats(area, rank, rank_r, rank_s, mono_area, mono_value)
     except InvariantViolation as exc:
         raise bad(str(exc)) from None
-    if stats.rank > min(n_rows, n_cols):
-        raise bad(f"rank {stats.rank} exceeds min(rows, cols)")
-    if stats.mono_area % len(split):
-        raise bad(f"mono_area {stats.mono_area} is not a multiple of the split size {len(split)}")
+    if fraction != str(stats.mono_fraction):
+        raise bad(f"mono_fraction {fraction!r} is not {stats.mono_fraction}, mono_area / area")
+    if rank > min(n_rows, n_cols):
+        raise bad(f"rank {rank} exceeds min(rows, cols)")
+    if mono_area % len(split):
+        raise bad(f"mono_area {mono_area} is not a multiple of the split size {len(split)}")
     blocks = _child_blocks(speaker, chosen, rows, cols)
     child0 = _node_from_dict(children[0], *blocks[0], path + "0")
     child1 = _node_from_dict(children[1], *blocks[1], path + "1")
@@ -500,33 +488,33 @@ def tree_from_dict(data: dict) -> ProtocolTree:
     NodeStats and against each node's block (see _node_from_dict)."""
     if not isinstance(data, dict) or data.get("format") != "protocol-tree":
         raise FormatError("not a protocol-tree document")
-    if _get(data, "version", int) != TREE_FORMAT_VERSION:
-        raise FormatError(f"unsupported protocol-tree version {data['version']}")
-    lines = _get(data, "matrix", list)
-    n_rows, n_cols = _get(data, "rows", int), _get(data, "cols", int)
+    (version,) = _fields(data, {"version": int})  # the version names the table
+    if version != TREE_FORMAT_VERSION:
+        raise FormatError(f"unsupported protocol-tree version {version}")
+    source_rows, source_cols, n_rows, n_cols, lines, row_map, col_map, stored = _fields(
+        data, _DOCUMENT
+    )
     if len(lines) != n_rows or not all(
         type(line) is str and len(line) == n_cols and not line.translate(NOT_BITS)
         for line in lines
     ):
         raise FormatError(f"tree field 'matrix' must hold {n_rows} row strings of {n_cols} bits")
     matrix = BoolMatrix.from_strings(lines)
-    row_map = _indices(data, "row_map", matrix.n_rows)
-    col_map = _indices(data, "col_map", matrix.n_cols)
-    source_rows = _get(data, "source_rows", int)
-    source_cols = _get(data, "source_cols", int)
+    for key, values, bound in (("row_map", row_map, matrix.n_rows),
+                               ("col_map", col_map, matrix.n_cols)):
+        if not all(type(v) is int and 0 <= v < bound for v in values):
+            raise FormatError(f"tree field {key!r} has an entry outside 0..{bound - 1}")
     if (len(row_map), len(col_map)) != (source_rows, source_cols):
         raise FormatError("index maps disagree with the source shape")
     root = _node_from_dict(data.get("root"), *matrix.whole(), "")
     leaves, depth, internal = _tree_shape(root)
-    stored = _get(data, "stats", dict)
-    counts = [_get(stored, key, int) for key in ("leaves", "depth", "internal_nodes")]
-    if counts != [leaves, depth, internal]:
+    if _fields(stored, _TREE_STATS) != [leaves, depth, internal]:
         raise FormatError("stored stats disagree with the stored tree")
     return ProtocolTree(
         root=root,
         matrix=matrix,
-        row_map=row_map,
-        col_map=col_map,
+        row_map=tuple(row_map),
+        col_map=tuple(col_map),
         source_rows=source_rows,
         source_cols=source_cols,
         leaves=leaves,

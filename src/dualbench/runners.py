@@ -1,9 +1,11 @@
 """The named experiments, which experiments.run_experiment loads and calls
 by name (experiments.EXPERIMENTS).
 
-Each takes a config dict and a seed and returns (report, csv_rows).  They
-run the duality pipeline, the exact oracles and protocol compilation, none
-of which experiments itself loads.
+Each takes a config dict, a seed and the modules it runs, which
+run_experiment loads for it alone (experiments.EXPERIMENT_MODULES), and
+returns (report, csv_rows).  They run the duality pipeline, the exact
+oracles and protocol compilation, none of which experiments or this module
+loads.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ import math
 from fractions import Fraction
 
 from . import experiments as xp
-from .adcomb import doubling_report
-from .approxdual import default_growth_bound, exact_dual_oracle, find_dual_pair
 from .errors import FormatError, SearchFailure
 from .f2 import duality_measure
 from .matrix import EXACT_CAP, dedup, find_biased_submatrix, rank_real
-from .protocol import build_protocol, finder_for, verify
 
 
 def _int_within(config: dict, key: str, default: int, low: int, high=None) -> int:
@@ -32,7 +31,7 @@ def _int_within(config: dict, key: str, default: int, low: int, high=None) -> in
     return value
 
 
-def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]:
+def experiment_dual_pipeline(config: dict, seed: int, approxdual) -> tuple[dict, list[dict]]:
     family = config.get("family", "subspace")
     n = _int_within(config, "n", 6, 1)
     oracle_cap = _int_within(config, "oracle_cap", EXACT_CAP, 0, xp.ORACLE_CAP_MAX)
@@ -46,7 +45,7 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
     a = xp.generate_sets(family, params, seed)
     b = a  # the pipeline measures A against itself
     growth = config.get("K")
-    trace = find_dual_pair(a, b, growth_bound=growth, seed=seed)
+    trace = approxdual.find_dual_pair(a, b, growth_bound=growth, seed=seed)
     # D(A, B) as the pipeline measured it, on its one character table of B
     duality = trace.state.duality if trace.state is not None else duality_measure(a, b)
     report = xp.report_envelope("dual-pipeline", seed, dict(config))
@@ -56,7 +55,7 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
         "size_a": len(a),
         "size_b": len(b),
         "duality": xp.rat(duality),
-        "growth_bound": xp.rat(growth if growth is not None else default_growth_bound(n)),
+        "growth_bound": xp.rat(approxdual.default_growth_bound(n) if growth is None else growth),
     }
     report["results"]["pipeline"] = xp.trace_payload(trace)
     if not trace.ok:
@@ -65,7 +64,7 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
         )
     rows: list[dict] = []
     if min(len(a), len(b)) <= oracle_cap:
-        oracle = exact_dual_oracle(a, b, exact_cap=oracle_cap)
+        oracle = approxdual.exact_dual_oracle(a, b, exact_cap=oracle_cap)
         report["results"]["oracle"] = {
             "area": oracle.area(),
             "a_size": len(oracle.a_side),
@@ -93,13 +92,13 @@ def experiment_dual_pipeline(config: dict, seed: int) -> tuple[dict, list[dict]]
     return report, rows
 
 
-def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]]:
+def experiment_log_rank_sweep(config: dict, seed: int, protocol) -> tuple[dict, list[dict]]:
     ranks = config.get("ranks", [2, 3, 4])
     k = _int_within(config, "k", 12, 1)
     l = _int_within(config, "l", 12, 1)
     per_rank = _int_within(config, "instances", 5, 1)
     strategy = config.get("strategy", "exact")
-    finder_for(strategy)  # an unknown strategy fails before any instance is made
+    protocol.finder_for(strategy)  # an unknown strategy fails before any instance is made
     report = xp.report_envelope("log-rank-sweep", seed, dict(config))
     detail = []
     aggregate_rows = []
@@ -111,8 +110,8 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
             rng = xp.instance_rng(seed, index)
             index += 1
             m = xp.make_random_f2_rank(k, l, r, rng)
-            tree = build_protocol(m, strategy, seed=seed)
-            cost = verify(tree, m)
+            tree = protocol.build_protocol(m, strategy, seed=seed)
+            cost = protocol.verify(tree, m)
             leaves_sum += cost.leaves
             depth_sum += cost.depth
             detail.append(
@@ -139,7 +138,7 @@ def experiment_log_rank_sweep(config: dict, seed: int) -> tuple[dict, list[dict]
     return report, aggregate_rows
 
 
-def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]]:
+def experiment_counterexample(config: dict, seed: int, approxdual) -> tuple[dict, list[dict]]:
     """Duality measure against the exact maximum dual pair on weight-w slices.
 
     One row per n: D(A,A), the exact oracle's maximum pair area and sides,
@@ -162,7 +161,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
     for n in ns:
         a = xp.make_weight_slice(n, w)
         d = duality_measure(a, a)
-        pair = exact_dual_oracle(a, a, exact_cap=oracle_cap)
+        pair = approxdual.exact_dual_oracle(a, a, exact_cap=oracle_cap)
         ratio = Fraction(pair.area(), len(a) * len(a))
         min_side = Fraction(min(len(pair.a_side), len(pair.b_side)), len(a))
         ratios.append(ratio)
@@ -185,7 +184,7 @@ def experiment_counterexample(config: dict, seed: int) -> tuple[dict, list[dict]
     return report, rows
 
 
-def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
+def experiment_doubling(config: dict, seed: int, adcomb) -> tuple[dict, list[dict]]:
     # the subspace-plus-noise instance puts 3 outliers off a subspace of
     # dimension max(1, n // 2): at n = 2 only 2 points lie off it
     n = _int_within(config, "n", 10, 3)
@@ -200,7 +199,7 @@ def experiment_doubling(config: dict, seed: int) -> tuple[dict, list[dict]]:
     rows = []
     for idx, (family, params) in enumerate(instances):
         a = xp.generate_sets(family, params, seed * 1000 + idx)
-        rep = doubling_report(a)
+        rep = adcomb.doubling_report(a)
         rows.append(
             {
                 "family": family,

@@ -336,8 +336,13 @@ def test_protocol_build_verify_round_trip(tmp_path):
                "--out", str(out)) == 0
     tree = read_tree_file(tree_file)
     assert tree.leaves >= 1
+    # the audit checks every split, and the report counts them
+    results = json.loads(out.read_text())["results"]
+    assert results["audited_nodes"] == results["internal_nodes"] == tree.internal_nodes > 0
     assert run("verify", "--matrix", str(mfile), "--tree", str(tree_file),
                "--out", str(tmp_path / "v.json")) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["results"]["audited_nodes"] == (
+        tree.internal_nodes)
 
 
 def test_verify_mismatch_of_a_loaded_tree_is_a_format_error(tmp_path, capsys):
@@ -476,6 +481,12 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc = json.loads(tree_file.read_text())
     doc["root"]["stats"]["mono_fraction"] = "1/3"
     check(doc, "mono_fraction edited")
+    # equal to mono_area / area, but not the text the writer gives
+    assert valid["root"]["stats"]["mono_fraction"] == "4/25"
+    for text in ("8/50", " 4/25 ", "0.16"):
+        doc = json.loads(tree_file.read_text())
+        doc["root"]["stats"]["mono_fraction"] = text
+        assert "node root: mono_fraction" in check(doc, f"mono_fraction {text!r}")
     doc = json.loads(tree_file.read_text())
     nodes = [doc["root"]]
     while nodes:

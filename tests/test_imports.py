@@ -10,6 +10,7 @@ from pathlib import Path
 
 import dualbench
 from dualbench.cli import main
+from dualbench.experiments import EXPERIMENT_MODULES, EXPERIMENTS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -64,11 +65,17 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
         (["mono", "--matrix", "m.txt", "--strategy", "greedy"], protocol),
         (["mono", "--matrix", "m.txt", "--strategy", "via-dual"], protocol | PIPELINE),
         (["dual", "--set-a", "s.txt", "--set-b", "s.txt"], HEAD | PIPELINE),
+        # an experiment loads the runners and the modules its runner runs
         (["experiment", "--name", "doubling", "--n", "4"],
-         protocol | PIPELINE | {"dualbench.runners"}),
+         HEAD | {"dualbench.adcomb", "dualbench.runners"}),
+        (["experiment", "--name", "log-rank-sweep", "--strategy", "exact", "--ranks", "2",
+          "--k", "4", "--l", "4", "--instances", "1"], protocol | {"dualbench.runners"}),
+        (["experiment", "--name", "counterexample", "--ns", "6"],
+         HEAD | PIPELINE | {"dualbench.runners"}),
     ]
     for argv, modules in cases:
         assert loaded_by([*argv, "--out", "out.txt"], tmp_path) == modules, argv
+    assert EXPERIMENT_MODULES.keys() == EXPERIMENTS.keys()
 
 
 def test_via_dual_protocol_loads_the_pipeline_and_answers_as_in_process(tmp_path):
