@@ -77,21 +77,8 @@ class BoolMatrix:
         """The submatrix on the row and column masks, in index order."""
         if rows >> self.n_rows or cols >> self.n_cols:
             raise FormatError("take index out of bounds")
-        runs = []  # (a run of adjacent columns, its shift down to its new place)
-        placed = 0
-        while cols:
-            low = cols & -cols
-            run = cols & ~(cols + low)
-            runs.append((run, low.bit_length() - 1 - placed))
-            placed += run.bit_count()
-            cols ^= run
-        words = []
-        for source in compress(self.rows, picks(rows)):
-            word = 0
-            for run, shift in runs:
-                word |= (source & run) >> shift
-            words.append(word)
-        return BoolMatrix(len(words), placed, words)
+        words = _gather(compress(self.rows, picks(rows)), cols)
+        return BoolMatrix(len(words), cols.bit_count(), words)
 
     def block_rank(self, rows: int, cols: int) -> int:
         """rank_real of the block rows x cols, each block ranked once."""
@@ -396,32 +383,27 @@ def max_mono_exact(
     best possible area is strictly below the incumbent, so it sees every
     maximum-area rectangle whichever dimension it enumerates.  The winner
     is the best candidate under (larger area, then lexicographically
-    smallest row set, then column set, then color 0 before 1).  Numbering
-    the block's enumerated side by position keeps the order of index lists.
+    smallest row set, then column set, then color 0 before 1).  Both sides
+    of the block are numbered by position, which keeps the order of index
+    lists: its rows are gathered once and transposed once, at block width,
+    and color 0's words on either side are color 1's complements.
     """
     n_rows, n_cols = rows.bit_count(), cols.bit_count()
     check_exact_cap(n_rows, n_cols, exact_cap)
-    words = [cols & word for word in compress(m.rows, picks(rows))]
-    transposed = n_cols < n_rows
-    if transposed:  # the block's columns, as words over its row positions
-        words = list(compress(transpose(words, m.n_cols), picks(cols)))
-        full_y = (1 << n_rows) - 1
-    else:
-        full_y = cols
-    n_x = len(words)
+    words = _gather(compress(m.rows, picks(rows)), cols)
+    transposed = n_cols < n_rows  # then x, the enumerated side, is the columns
+    columns = transpose(words, n_cols)
+    x_words, y_words = (columns, words) if transposed else (words, columns)
+    n_x = len(x_words)
+    full_x, full_y = (1 << n_x) - 1, (1 << len(y_words)) - 1
+    bits = [1 << j for j in range(n_x)]
+    below = [bit - 1 for bit in bits]
     best_area = 0
-    best = None  # (row mask, column mask, color), each side as words number it
+    best = None  # (row mask, column mask, color), each side by position
     for color in (0, 1):
-        row_words = words if color else [full_y ^ w for w in words]
-        col_words = transpose(row_words, full_y.bit_length())
-
-        def closure(ymask: int) -> int:
-            xmask = (1 << n_x) - 1
-            while ymask:
-                low = ymask & -ymask
-                xmask &= col_words[low.bit_length() - 1]
-                ymask ^= low
-            return xmask
+        row_words = x_words if color else [full_y ^ w for w in x_words]
+        # y's word over x at index y + 1, the bit_length of y's bit
+        col_words = [0, *(y_words if color else [full_x ^ c for c in y_words])]
 
         def visit(xmask: int, ymask: int, start: int) -> None:
             nonlocal best_area, best
@@ -433,23 +415,27 @@ def max_mono_exact(
                 if best is None or area > best_area or _precedes(cand, best):
                     best_area = area
                     best = cand
+            room = size + n_x
             for j in range(start, n_x):
-                if (size + n_x - j) * ycount < best_area:
+                if (room - j) * ycount < best_area:
                     break
-                if (xmask >> j) & 1:
+                if xmask & bits[j]:
                     continue
                 child_y = ymask & row_words[j]
-                if not child_y or (size + n_x - j) * child_y.bit_count() < best_area:
+                if not child_y or (room - j) * child_y.bit_count() < best_area:
                     continue
-                child_x = closure(child_y)
-                if not (child_x ^ xmask) & ((1 << j) - 1):  # else not canonical
+                child_x = full_x  # the closure: every x holding all of child_y
+                y = child_y
+                while y:
+                    low = y & -y
+                    child_x &= col_words[low.bit_length()]
+                    y ^= low
+                if not (child_x ^ xmask) & below[j]:  # else not canonical
                     visit(child_x, child_y, j + 1)
 
-        visit(closure(full_y), full_y, 0)
+        visit(mask_of(j for j, word in enumerate(row_words) if word == full_y), full_y, 0)
     got_rows, got_cols, _color = best
-    if transposed:
-        got_cols = _spread(got_cols, cols)
-    return SubmatrixView(m, _spread(got_rows, rows), got_cols)
+    return SubmatrixView(m, _spread(got_rows, rows), _spread(got_cols, cols))
 
 
 def greedy_rectangle(m: BoolMatrix, rows: int, cols: int) -> SubmatrixView:
@@ -494,6 +480,26 @@ def greedy_rectangle(m: BoolMatrix, rows: int, cols: int) -> SubmatrixView:
 def _spread(positions: int, mask: int) -> int:
     """The submask of mask holding its members at the given positions."""
     return mask_of(compress(members(mask), picks(positions)))
+
+
+def _gather(words: Iterable[int], cols: int) -> list[int]:
+    """Each word's bits on the column mask cols, moved down to their
+    positions in it, each run of adjacent columns shifted at once."""
+    runs = []  # (a run of adjacent columns, its shift down to its new place)
+    placed = 0
+    while cols:
+        low = cols & -cols
+        run = cols & ~(cols + low)
+        runs.append((run, low.bit_length() - 1 - placed))
+        placed += run.bit_count()
+        cols ^= run
+    gathered = []
+    for source in words:
+        word = 0
+        for run, shift in runs:
+            word |= (source & run) >> shift
+        gathered.append(word)
+    return gathered
 
 
 # -- biased submatrix search -----------------------------------------------------

@@ -22,6 +22,7 @@ from dualbench.experiments import (
     make_ip_matrix,
     make_random_dense,
     make_random_f2_rank,
+    make_weight_slice,
     run_experiment,
     to_json,
 )
@@ -700,6 +701,7 @@ def test_finders_answer_on_a_block_as_on_its_copy():
     }
     rng = random.Random(74)
     duplicated = 0
+    blocks = []
     for index in range(1000):
         k, l = rng.randint(3, 24), rng.randint(3, 24)
         if index % 3:
@@ -709,7 +711,21 @@ def test_finders_answer_on_a_block_as_on_its_copy():
             a, b = rng.sample(range(l), 2)  # column b becomes a copy of column a
             m = BoolMatrix(k, l, [w & ~(1 << b) | (w >> a & 1) << b for w in m.rows])
             duplicated += len(set(m.rows)) < k and len(set(m.columns())) < l
-        rows, cols = rng.randrange(1, 1 << k), rng.randrange(1, 1 << l)
+        blocks.append((m, rng.randrange(1, 1 << k), rng.randrange(1, 1 << l)))
+    # then blocks of one to three rows or columns spread over a side 20-40
+    # wide, which uniform masks rarely make: their positions are far from
+    # their indices on whichever side the exact search does not enumerate
+    rng = random.Random(77)
+    for index in range(300):
+        wide, other = rng.randint(20, 40), rng.randint(3, 24)
+        narrow = mask_of(rng.sample(range(wide), rng.randint(1, 3)))
+        if index % 2:
+            m = BoolMatrix(other, wide, [rng.randrange(1 << wide) for _ in range(other)])
+            blocks.append((m, rng.randrange(1, 1 << other), narrow))
+        else:
+            m = BoolMatrix(wide, other, [rng.randrange(1 << other) for _ in range(wide)])
+            blocks.append((m, narrow, rng.randrange(1, 1 << other)))
+    for m, rows, cols in blocks:
         for strategy, (exact_cap, on_copy) in copies.items():
             outcomes = []
             for search in (partial(protocol.finder_for(strategy, exact_cap), m, rows, cols),
@@ -743,6 +759,40 @@ def test_build_protocol_copies_no_block(monkeypatch):
                 tree = build_protocol(m, strategy)
             assert format_tree(tree) == want
         assert (takes == []) == (strategy != "via-dual"), strategy
+
+
+def test_exact_search_transposes_once_at_block_width(monkeypatch):
+    # max_mono_exact numbers both sides of its block by position: a search
+    # makes at most two transposes, none wider than the block's larger side,
+    # even where the block's last column lies far past that width
+    real_transpose = matrix.transpose
+    widths = []
+    searches = []  # (the block's larger side, its last column + 1, transpose widths)
+
+    def spy_transpose(words, width):
+        widths.append(width)
+        return real_transpose(words, width)
+
+    def spy_search(m, rows, cols, exact_cap=matrix.EXACT_CAP):
+        widths.clear()
+        view = max_mono_exact(m, rows, cols, exact_cap)
+        searches.append((max(rows.bit_count(), cols.bit_count()), cols.bit_length(), list(widths)))
+        return view
+
+    monkeypatch.setattr(matrix, "transpose", spy_transpose)
+    monkeypatch.setattr(protocol, "max_mono_exact", spy_search)
+    monkeypatch.setattr(approxdual, "max_mono_exact", spy_search)
+    rng = random.Random(76)
+    for _ in range(12):
+        k, l = rng.randint(4, 12), rng.randint(20, 40)
+        build_protocol(BoolMatrix(k, l, [rng.randrange(1 << l) for _ in range(k)]), "exact")
+    built = len(searches)
+    assert sum(side < last for side, last, _ in searches) >= built // 2
+    weight_two = make_weight_slice(9, 2)
+    approxdual.exact_dual_oracle(weight_two, weight_two, exact_cap=36)
+    assert len(searches) == built + 1
+    for side, last, made in searches:
+        assert len(made) <= 2 and all(width <= side for width in made), (side, last, made)
 
 
 def test_unknown_strategy_fails_before_any_work(monkeypatch):
