@@ -72,6 +72,12 @@ class DualPair:
         return len(self.a_side) * len(self.b_side)
 
 
+def _check_sets(a: F2Set, b: F2Set, caller: str) -> None:
+    same_dim(a, b)
+    if len(a) == 0 or len(b) == 0:
+        raise FormatError(f"{caller} needs nonempty sets")
+
+
 @dataclass(frozen=True)
 class LevelRecord:
     """One level of the sumset tower and its recorded inequalities.
@@ -82,7 +88,6 @@ class LevelRecord:
     in that case.  Both are recorded unconditionally.
     """
 
-    index: int
     members: F2Set
     epsilon: Fraction
     bucket: Optional[int]  # j, None at level 1
@@ -95,14 +100,25 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class SequenceState:
-    n: int
+    """A finished tower; n, t and D(A, B) (level 1's duality_prev) are read off it."""
+
     growth_bound: Fraction  # K
     source_a: F2Set
     source_b: F2Set
-    duality: Fraction
     levels: tuple[LevelRecord, ...]  # levels 1 .. t+1
-    t: int
     chars: CharSums = field(compare=False, repr=False)  # of source_b, for base_case_dual
+
+    @property
+    def n(self) -> int:
+        return self.source_a.n
+
+    @property
+    def duality(self) -> Fraction:
+        return self.levels[0].duality_prev
+
+    @property
+    def t(self) -> int:
+        return len(self.levels) - 1
 
     def level(self, i: int) -> LevelRecord:
         return self.levels[i - 1]
@@ -134,9 +150,7 @@ def _markov_restrict(a: F2Set, chars: CharSums):
     return a1, eps1
 
 
-def _next_level(
-    a_prev: F2Set, chars: CharSums, index: int, eps_next: Fraction
-) -> LevelRecord:
+def _next_level(a_prev: F2Set, chars: CharSums, eps_next: Fraction) -> LevelRecord:
     """One sumset step: keep sums in the eps_next spectrum, bucketed by
     representation count, choosing the bucket with the most ordered pairs.
 
@@ -177,7 +191,6 @@ def _next_level(
     if held and not (eq_mass and eq_size):
         raise InvariantViolation("guaranteed pair-mass/size bound failed")
     return LevelRecord(
-        index=index,
         members=members,
         epsilon=eps_next,
         bucket=best_j,
@@ -191,7 +204,7 @@ def _next_level(
 
 def next_set(a_prev: F2Set, b: F2Set, eps_next):
     """Public wrapper for one sumset step; returns (A_next, j)."""
-    level = _next_level(a_prev, CharSums(b), 2, Fraction(eps_next))  # index is a label
+    level = _next_level(a_prev, CharSums(b), Fraction(eps_next))
     return level.members, level.bucket
 
 
@@ -210,15 +223,13 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
     n = a.n
     chars = CharSums(b)
     a1, eps1 = _markov_restrict(a, chars)
-    d = chars.duality(a.members)
     levels = [
         LevelRecord(
-            index=1,
             members=a1,
             epsilon=eps1,
             bucket=None,
             pair_mass=None,
-            duality_prev=d,
+            duality_prev=2 * eps1,  # D(A, B), which eps1 halves
             precondition_held=True,
             eq_mass_holds=None,
             eq_size_holds=None,
@@ -232,32 +243,22 @@ def run_sequence(a: F2Set, b: F2Set, growth_bound) -> SequenceState:
         cap += 1
     prev = a1
     eps_prev = eps1
-    t = None
-    for i in range(2, cap + 3):
+    for _ in range(cap + 1):  # levels 2 .. cap + 2
         eps_i = eps_prev * eps_prev / 2
         # the guarantee precondition d_prev^2 >= 2 eps_i is exactly
         # d_prev >= eps_prev under this threshold recursion
-        nxt = _next_level(prev, chars, i, eps_i)
+        nxt = _next_level(prev, chars, eps_i)
         levels.append(nxt)
         if Fraction(len(nxt.members)) <= growth_bound * len(prev):
-            t = i - 1
             break
         prev = nxt.members
         eps_prev = eps_i
-    if t is None:
+    else:
         raise InvariantViolation("growth never stopped; impossible in F2^n")
-    if growth_bound ** (t - 1) >= (1 << n):
-        raise InvariantViolation(f"stopping index {t} breaks the pigeonhole bound")
-    return SequenceState(
-        n=n,
-        growth_bound=growth_bound,
-        source_a=a,
-        source_b=b,
-        duality=d,
-        levels=tuple(levels),
-        t=t,
-        chars=chars,
-    )
+    state = SequenceState(growth_bound, a, b, tuple(levels), chars)
+    if growth_bound ** (state.t - 1) >= (1 << n):
+        raise InvariantViolation(f"stopping index {state.t} breaks the pigeonhole bound")
+    return state
 
 
 def _larger_side(words: Sequence[int], mask: int) -> tuple[list[int], int]:
@@ -282,9 +283,7 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
     |B'| >= |B| / (2 |span A|) >= (eps/2) |B| / |span A|.
     """
     b = b_chars.b
-    same_dim(a, b)
-    if len(a) == 0 or len(b) == 0:
-        raise FormatError("small_span_dual needs nonempty sets")
+    _check_sets(a, b, "small_span_dual")
     eps = Fraction(eps)
     if eps <= 0:
         raise FormatError("eps must be positive")
@@ -311,13 +310,14 @@ def _small_span(a: F2Set, b_chars: CharSums, eps: Fraction):
     pair = DualPair(F2Set(a.n, kept), F2Set(b.n, chosen), bit)
     if 2 * len(pair.a_side) < len(a):
         raise InvariantViolation("majority side lost more than half of A")
-    if Fraction(len(pair.b_side)) < (eps / 2) * Fraction(len(b), span_size):
+    promised_b = (eps / 2) * Fraction(len(b), span_size)
+    if len(pair.b_side) < promised_b:
         raise InvariantViolation("class size fell below the promised bound")
     record = {
         "span_size": span_size,
         "a_kept": len(pair.a_side),
         "b_kept": len(pair.b_side),
-        "promised_b": (eps / 2) * Fraction(len(b), span_size),
+        "promised_b": promised_b,
         "achieved_b_floor": Fraction(len(b), 2 * span_size),
         "reference_general_a": (eps / 4) * len(a),
         "reference_general_b": (eps * eps / 4) * Fraction(len(a), span_size) * len(b),
@@ -333,16 +333,11 @@ def small_span_dual(a: F2Set, b: F2Set, eps) -> DualPair:
     return pair
 
 
-@dataclass(frozen=True)
-class BaseCaseResult:
-    pair: DualPair
-    bsg: BsgResult
-    pfr: PfrResult
-    small_span: dict
-
-
-def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
-    """Dual pair at the top level t of a finished sequence.
+def base_case_dual(
+    state: SequenceState, seed: int = 0
+) -> tuple[DualPair, BsgResult, PfrResult, dict]:
+    """Dual pair at the top level t of a finished sequence, as (pair, bsg,
+    pfr, record), record being the small-span step's sizes and bounds.
 
     Chain: dense-subgraph extraction from A_t against A_(t+1) at density
     eps_(t+1)/n, span-shrinking extraction on the result, then the
@@ -358,7 +353,7 @@ def base_case_dual(state: SequenceState, seed: int = 0) -> BaseCaseResult:
     bsg = bsg_extract(a_t, a_next, rho, seed=seed)
     pfr = pfr_extract(bsg.subset, sumset=bsg.sumset_size)
     pair, record = _small_span(pfr.subset, state.chars, eps_t)
-    return BaseCaseResult(pair=pair, bsg=bsg, pfr=pfr, small_span=record)
+    return pair, bsg, pfr, record
 
 
 # -- pull-back ---------------------------------------------------------------------
@@ -419,23 +414,56 @@ def pull_back(a_prev: F2Set, pair_i: DualPair, a_i: F2Set) -> DualPair:
 
 @dataclass
 class PipelineTrace:
-    """Everything one pipeline run produced, including partial failures."""
+    """What one pipeline run did, up to a failed stage.  The final pair is
+    level 1's, there only when every pull-back step succeeded; its ratios
+    and the references are read off it and the state."""
 
     state: Optional[SequenceState] = None
     bsg: Optional[BsgResult] = None
     pfr: Optional[PfrResult] = None
     small_span: Optional[dict] = None
-    level_pairs: dict = field(default_factory=dict)  # level index -> DualPair
-    final: Optional[DualPair] = None
+    level_pairs: dict = field(default_factory=dict)  # level number -> DualPair
     failed_stage: Optional[str] = None
     failure_message: Optional[str] = None
-    ratio_a: Optional[Fraction] = None
-    ratio_b: Optional[Fraction] = None
-    references: dict = field(default_factory=dict)
+
+    @property
+    def final(self) -> Optional[DualPair]:
+        return self.level_pairs.get(1)
 
     @property
     def ok(self) -> bool:
         return self.final is not None
+
+    def ratios(self) -> tuple[Fraction, Fraction]:
+        """|A'| / |A| and |B'| / |B| for a successful run's final pair (A', B')."""
+        pair, state = self.final, self.state
+        return (
+            Fraction(len(pair.a_side), len(state.source_a)),
+            Fraction(len(pair.b_side), len(state.source_b)),
+        )
+
+    def references(self) -> dict:
+        """Per-level size references with the unspecified poly factor set to 1."""
+        state = self.state
+        n, t = state.n, state.t
+        eps_top = state.level(t + 1).epsilon
+        refs = {"levels": []}
+        prod = Fraction(1)  # eps_(i+1) ... eps_(t+1)
+        for i in range(t, 0, -1):
+            prod *= state.level(i + 1).epsilon
+            m_factor = Fraction(1, (4 * n) ** (t - i)) * prod
+            refs["levels"].append(
+                {
+                    "level": i,
+                    "a_bound": m_factor * len(state.level(i).members),
+                    "b_bound": Fraction(1, 2 ** (t - i)) * len(state.source_b),
+                    "m_factor": m_factor,
+                }
+            )
+        refs["eps_top"] = eps_top
+        refs["poly_argument"] = eps_top / (n * state.growth_bound)
+        refs["global_a_shape"] = Fraction(1, (4 * n) ** t) * len(state.source_a)
+        return refs
 
 
 def default_growth_bound(n: int) -> Fraction:
@@ -449,13 +477,12 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
     """Run the full pipeline; stage failures land in the trace, not raised.
 
     Misuse (dimension mismatch, empty sets, K <= 1) still raises.  On
-    success the trace carries the final pair plus measured size ratios and
-    the per-level reference expressions they can be compared against (with
-    the classical statements' unspecified polynomial factor set to one).
+    success the trace's final pair can be read with its measured size
+    ratios (trace.ratios()) and the per-level reference expressions they
+    can be compared against (trace.references(), with the classical
+    statements' unspecified polynomial factor set to one).
     """
-    same_dim(a, b)
-    if len(a) == 0 or len(b) == 0:
-        raise FormatError("find_dual_pair needs nonempty sets")
+    _check_sets(a, b, "find_dual_pair")
     growth = (
         default_growth_bound(a.n) if growth_bound is None else Fraction(growth_bound)
     )
@@ -463,9 +490,8 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
     step = ""  # "[i->i-1]" while pull-back step i runs
     try:
         trace.state = state = run_sequence(a, b, growth)
-        base = base_case_dual(state, seed=seed)
-        trace.bsg, trace.pfr, trace.small_span = base.bsg, base.pfr, base.small_span
-        trace.level_pairs[state.t] = pair = base.pair
+        pair, trace.bsg, trace.pfr, trace.small_span = base_case_dual(state, seed=seed)
+        trace.level_pairs[state.t] = pair
         for i in range(state.t, 1, -1):
             step = f"[{i}->{i - 1}]"
             pair = pull_back(state.level(i - 1).members, pair, state.level(i).members)
@@ -473,47 +499,10 @@ def find_dual_pair(a: F2Set, b: F2Set, growth_bound=None, seed: int = 0) -> Pipe
     except SearchFailure as exc:
         trace.failed_stage = exc.stage + step
         trace.failure_message = str(exc)
-        return trace
-
-    trace.final = pair
-    trace.ratio_a = Fraction(len(pair.a_side), len(a))
-    trace.ratio_b = Fraction(len(pair.b_side), len(b))
-    trace.references = _claim_references(state)
     return trace
 
 
-def _claim_references(state: SequenceState) -> dict:
-    """Per-level size references with the unspecified poly factor set to 1."""
-    n = state.n
-    t = state.t
-    eps = {rec.index: rec.epsilon for rec in state.levels}
-    refs = {"levels": []}
-    for i in range(t, 0, -1):
-        prod = Fraction(1)
-        for l in range(i, t + 1):
-            prod *= eps[l + 1]
-        m_factor = Fraction(1, (4 * n) ** (t - i)) * prod
-        refs["levels"].append(
-            {
-                "level": i,
-                "a_bound": m_factor * len(state.level(i).members),
-                "b_bound": Fraction(1, 2 ** (t - i)) * len(state.source_b),
-                "m_factor": m_factor,
-            }
-        )
-    refs["eps_top"] = eps[t + 1]
-    refs["poly_argument"] = eps[t + 1] / (n * state.growth_bound)
-    refs["global_a_shape"] = Fraction(1, (4 * n) ** t) * len(state.source_a)
-    return refs
-
-
 # -- exact oracle and greedy ----------------------------------------------------------
-
-
-def _check_sets(a: F2Set, b: F2Set, caller: str) -> None:
-    same_dim(a, b)
-    if len(a) == 0 or len(b) == 0:
-        raise FormatError(f"{caller} needs nonempty sets")
 
 
 def _dual_pair(finder, a: F2Set, b: F2Set) -> DualPair:

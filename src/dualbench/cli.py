@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
 import time
 from fractions import Fraction
@@ -213,10 +214,10 @@ def cmd_protocol(args, protocol) -> int:
         "size": cost.size,
         "rank_real": cost.rank_real,
         "rank_f2": cost.rank_f2,
-        "leaves": cost.leaves,
-        "depth": cost.depth,
-        "internal_nodes": cost.internal_nodes,
-        "log2_leaves": f"{cost.log2_leaves:.4f}",
+        "leaves": tree.leaves,
+        "depth": tree.depth,
+        "internal_nodes": tree.internal_nodes,
+        "log2_leaves": f"{math.log2(tree.leaves):.4f}",
         "cc_lower_reference": f"{cost.cc_lower_reference:.4f}",
         "cc_upper_reference": cost.cc_upper_reference,
         "leaf_target_reference": (
@@ -233,14 +234,14 @@ def cmd_verify(args, protocol) -> int:
     m = read_matrix_file(args.matrix)
     tree = protocol.read_tree_file(args.tree)
     try:
-        cost = protocol.verify(tree, m)
+        protocol.verify(tree, m)
         audited = protocol.leaf_recurrence_audit(tree)
     except TreeMismatch as exc:  # a tree no build could have made
         raise FormatError(f"{args.tree}: {exc}") from None
     payload = {
         "verified_entries": m.n_rows * m.n_cols,
-        "leaves": cost.leaves,
-        "depth": cost.depth,
+        "leaves": tree.leaves,
+        "depth": tree.depth,
         "audited_nodes": audited,
         "sample_bits": protocol.simulate(tree, 0, 0)[1],
         "ok": True,

@@ -268,7 +268,7 @@ def trace_payload(trace) -> dict:
         payload["duality"] = rat(trace.state.duality)
         payload["levels"] = [
             {
-                "index": rec.index,
+                "index": i,
                 "size": len(rec.members),
                 "epsilon": rat(rec.epsilon),
                 "bucket": rec.bucket,
@@ -278,7 +278,7 @@ def trace_payload(trace) -> dict:
                 "eq_mass_holds": rec.eq_mass_holds,
                 "eq_size_holds": rec.eq_size_holds,
             }
-            for rec in trace.state.levels
+            for i, rec in enumerate(trace.state.levels, 1)
         ]
     if trace.bsg is not None:
         payload["bsg"] = {
@@ -303,18 +303,20 @@ def trace_payload(trace) -> dict:
             for key, value in sorted(trace.small_span.items())
         }
     if trace.ok:
+        ratio_a, ratio_b = trace.ratios()
+        refs = trace.references()
         payload["final"] = {
             "a_size": len(trace.final.a_side),
             "b_size": len(trace.final.b_side),
             "area": trace.final.area(),
             "constant_bit": trace.final.constant_bit,
-            "ratio_a": rat(trace.ratio_a),
-            "ratio_b": rat(trace.ratio_b),
+            "ratio_a": rat(ratio_a),
+            "ratio_b": rat(ratio_b),
         }
         payload["references"] = {
-            "eps_top": rat(trace.references["eps_top"]),
-            "poly_argument": rat(trace.references["poly_argument"]),
-            "global_a_shape": rat(trace.references["global_a_shape"]),
+            "eps_top": rat(refs["eps_top"]),
+            "poly_argument": rat(refs["poly_argument"]),
+            "global_a_shape": rat(refs["global_a_shape"]),
             "levels": [
                 {
                     "level": ref["level"],
@@ -322,7 +324,7 @@ def trace_payload(trace) -> dict:
                     "b_bound": rat(ref["b_bound"]),
                     "m_factor": rat(ref["m_factor"]),
                 }
-                for ref in trace.references["levels"]
+                for ref in refs["levels"]
             ],
         }
     return payload

@@ -123,13 +123,12 @@ class ProtocolTree:
 
 @dataclass(frozen=True)
 class CostReport:
+    """verify's whole-matrix ranks and references; the leaf, depth and
+    internal-node counts are the ProtocolTree's."""
+
     size: int  # entries of the deduplicated matrix
     rank_real: int
     rank_f2: int
-    leaves: int
-    depth: int
-    internal_nodes: int
-    log2_leaves: float
     cc_lower_reference: float  # log2(rank), the classical lower bound
     cc_upper_reference: int  # rank itself, the classical upper bound
     leaf_target_reference: Optional[float]  # rank / log2(rank), None if rank < 2
@@ -318,10 +317,6 @@ def verify(tree: ProtocolTree, m: BoolMatrix) -> CostReport:
         size=size,
         rank_real=r,
         rank_f2=rank_f2(tree.matrix),
-        leaves=tree.leaves,
-        depth=tree.depth,
-        internal_nodes=tree.internal_nodes,
-        log2_leaves=math.log2(tree.leaves),
         cc_lower_reference=math.log2(r) if r >= 1 else 0.0,
         cc_upper_reference=r,
         leaf_target_reference=(r / math.log2(r)) if r >= 2 else None,

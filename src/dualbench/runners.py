@@ -112,16 +112,16 @@ def experiment_log_rank_sweep(config: dict, seed: int, protocol) -> tuple[dict, 
             m = xp.make_random_f2_rank(k, l, r, rng)
             tree = protocol.build_protocol(m, strategy, seed=seed)
             cost = protocol.verify(tree, m)
-            leaves_sum += cost.leaves
-            depth_sum += cost.depth
+            leaves_sum += tree.leaves
+            depth_sum += tree.depth
             detail.append(
                 {
                     "rank": r,
                     "instance": index - 1,
                     "rank_f2": cost.rank_f2,
                     "rank_real": cost.rank_real,
-                    "leaves": cost.leaves,
-                    "depth": cost.depth,
+                    "leaves": tree.leaves,
+                    "depth": tree.depth,
                 }
             )
         aggregate_rows.append(

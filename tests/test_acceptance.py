@@ -208,7 +208,7 @@ def test_criterion_5_protocol_correctness():
             for strategy in STRATEGIES:
                 tree = build_protocol(m, strategy, seed=5)
                 cost = verify(tree, m)  # raises on any mismatch or rank violation
-                assert cost.leaves >= cost.rank_real - 1
+                assert tree.leaves >= cost.rank_real - 1
 
 
 def test_criterion_6_counterexample_family():

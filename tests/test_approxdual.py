@@ -253,11 +253,11 @@ def test_small_span_precondition_enforced():
 
 def test_base_case_subspace():
     state = run_sequence(SELF_ORTH, SELF_ORTH, 4)
-    res = base_case_dual(state)
-    assert res.pair.a_side == SELF_ORTH
-    assert res.pair.b_side == SELF_ORTH
-    assert res.bsg.subset == SELF_ORTH
-    assert res.pfr.span_size <= len(res.bsg.subset)
+    pair, bsg, pfr, _record = base_case_dual(state)
+    assert pair.a_side == SELF_ORTH
+    assert pair.b_side == SELF_ORTH
+    assert bsg.subset == SELF_ORTH
+    assert pfr.span_size <= len(bsg.subset)
 
 
 def test_base_case_structured_instance():
@@ -265,9 +265,9 @@ def test_base_case_structured_instance():
     b = v
     a = F2Set(5, list(v.members) + [0b10000, 0b10001])
     state = run_sequence(a, b, 4)
-    res = base_case_dual(state)
-    assert res.pair.a_side.issubset(state.level(state.t).members)
-    assert res.pair.b_side.issubset(b)
+    pair, _bsg, _pfr, _record = base_case_dual(state)
+    assert pair.a_side.issubset(state.level(state.t).members)
+    assert pair.b_side.issubset(b)
 
 
 # -- pull_back -----------------------------------------------------------------------
@@ -432,8 +432,9 @@ def test_pipeline_subspace_end_to_end():
     trace = find_dual_pair(SELF_ORTH, SELF_ORTH)
     assert trace.ok
     assert 2 * len(trace.final.a_side) >= len(SELF_ORTH)
-    assert trace.ratio_a >= Fraction(1, 2)
-    assert trace.ratio_b > 0
+    ratio_a, ratio_b = trace.ratios()
+    assert ratio_a >= Fraction(1, 2)
+    assert ratio_b > 0
     oracle = exact_dual_oracle(SELF_ORTH, SELF_ORTH)
     assert oracle.area() >= trace.final.area()
 
@@ -490,7 +491,7 @@ def test_pipeline_trace_records():
     for level, pair in trace.level_pairs.items():
         assert pair.a_side.issubset(trace.state.level(level).members)
         assert pair.b_side.issubset(trace.state.source_b)
-    refs = trace.references
+    refs = trace.references()
     assert refs["levels"][0]["level"] == trace.state.t
     assert refs["global_a_shape"] > 0
 
@@ -534,7 +535,7 @@ def test_pipeline_pull_back_failure_is_labelled(monkeypatch):
         trace = find_dual_pair(*THREE_LEVELS)
         assert trace.failed_stage == f"pull_back[{i}->{i - 1}]"
         assert trace.failure_message == "patched"
-        assert trace.final is None and trace.ratio_a is None
+        assert trace.final is None and not trace.ok
         assert trace.bsg == whole.bsg and trace.small_span == whole.small_span
         assert trace.level_pairs == {lv: whole.level_pairs[lv] for lv in range(i, 4)}
 

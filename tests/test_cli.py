@@ -517,6 +517,32 @@ def test_malformed_tree_files_are_format_errors(tmp_path, capsys):
     doc = json.loads(tree_file.read_text())
     doc["root"]["stats"]["rank_s"] = 0
     assert "node root: row speaks although rank_r 2 > rank_s 0" in check(doc, "root rank_s 2 -> 0")
+    # the loader's shape checks, each with its own message
+    doc = json.loads(tree_file.read_text())
+    doc["root"]["children"].append(doc["root"]["children"][0])
+    assert check(doc, "three children") == (
+        "error: an internal node needs exactly two children\n")
+    doc = json.loads(tree_file.read_text())
+    doc["version"] = 2
+    assert check(doc, "version 2") == "error: unsupported protocol-tree version 2\n"
+    doc = json.loads(tree_file.read_text())
+    doc["row_map"].pop()
+    assert check(doc, "row_map one short") == (
+        "error: index maps disagree with the source shape\n")
+    doc = json.loads(tree_file.read_text())
+    assert (valid["rows"], valid["cols"]) == (5, 5)
+    doc["root"]["stats"]["rank"] = 6
+    assert check(doc, "root rank 6 in a 5 x 5 block") == (
+        "error: node root: rank 6 exceeds min(rows, cols)\n")
+    doc = json.loads(tree_file.read_text())
+    stats = doc["root"]["stats"]
+    assert (stats["area"], stats["mono_area"], len(doc["root"]["split"])) == (25, 4, 2)
+    # mono_fraction is checked first, so it is rewritten to match
+    stats.update(mono_area=5, mono_fraction="1/5")
+    assert check(doc, "mono_area 5, split size 2") == (
+        "error: node root: mono_area 5 is not a multiple of the split size 2\n")
+    text = tree_file.read_bytes()
+    assert check(text[:-20], "truncated JSON").startswith("error: bad tree JSON: ")
     text = tree_file.read_bytes()
     check(text[:40] + b"\xe9" + text[40:], "non-ASCII byte")
     # nesting past the recursion limit; the text is built flat, so making
@@ -898,6 +924,58 @@ def test_experiment_stage_failure_exit_code(tmp_path):
     assert report["results"]["pipeline"]["failed_stage"] == "markov_restrict"
 
 
+def test_experiment_timings_add_only_the_wall_time(tmp_path):
+    # --timings adds one key, timings.wall_seconds, and changes neither the
+    # rest of the report nor the exit code, on a clean run and a failed one
+    for argv, code in (
+        (("--name", "doubling", "--n", "6", "--seed", "2"), 0),
+        (("--name", "dual-pipeline", "--family", "random", "--n", "6", "--size", "10",
+          "--seed", "4"), 2),
+    ):
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert run("experiment", *argv, "--out", str(plain)) == code
+        assert run("experiment", *argv, "--timings", "--out", str(timed)) == code
+        report = json.loads(timed.read_text())
+        timings = report.pop("timings")
+        assert list(timings) == ["wall_seconds"] and timings["wall_seconds"] >= 0
+        assert report == json.loads(plain.read_text())
+
+
+def test_nw_bias_rows_without_a_biased_submatrix(tmp_path, monkeypatch):
+    # the second instance's search fails, as an exhaustive proof of
+    # nonexistence or as spent heuristics; its row keeps the instance's
+    # shape and rank, leaves the measurements blank, and the run exits 2
+    from dualbench import runners
+
+    config = {"count": 3, "k": 8, "l": 8, "rank": 3}
+    argv = ["experiment", "--name", "nw-bias", "--count", "3", "--k", "8", "--l", "8",
+            "--rank", "3", "--seed", "9"]
+    _report, whole = xp.run_experiment("nw-bias", config, seed=9)
+    assert all(row["found"] for row in whole)
+    real = runners.find_biased_submatrix
+    for exhaustive in (True, False):
+        calls = []
+
+        def failing(m, rank, *args, exhaustive=exhaustive):
+            calls.append(m)
+            if len(calls) == 2:
+                raise SearchFailure("search", "patched", exhaustive=exhaustive)
+            return real(m, rank, *args)
+
+        monkeypatch.setattr(runners, "find_biased_submatrix", failing)
+        report, rows = xp.run_experiment("nw-bias", config, seed=9)
+        assert rows[0] == whole[0] and rows[2] == whole[2]
+        assert rows[1] == {**whole[1], "found": False, "exhaustive_nonexistence": exhaustive,
+                           "area_ratio": "", "discrepancy": ""}
+        assert report["results"]["not_found"] == 1
+        assert report["search_failures"] == ["instance 1: patched"]
+        assert report["ok"] is True and report["assertion_failures"] == []
+        out = tmp_path / f"nw-{exhaustive}.json"
+        calls.clear()
+        assert run(*argv, "--out", str(out)) == 2
+        assert out.read_text() == xp.to_json(report)
+
+
 def test_experiment_csv_and_json_forms(tmp_path):
     json_out = tmp_path / "d.json"
     csv_out = tmp_path / "d.csv"
@@ -974,8 +1052,9 @@ def test_via_dual_log_rank_sweep_reads_the_seed(tmp_path):
     detail = json.loads(out.read_text())["results"]["detail"]
     for row in detail:
         m = make_random_f2_rank(20, 20, 6, instance_rng(3, row["instance"]))
-        cost = verify(build_protocol(m, "via-dual", seed=3), m)
-        assert (row["leaves"], row["depth"]) == (cost.leaves, cost.depth), row
+        tree = build_protocol(m, "via-dual", seed=3)
+        verify(tree, m)
+        assert (row["leaves"], row["depth"]) == (tree.leaves, tree.depth), row
     assert detail[4]["depth"] == 15
 
 
